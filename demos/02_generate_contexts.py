@@ -18,7 +18,7 @@ from gecaug import (
     assemble_input,
     build_fewshot_prompt,
     build_finetune_example,
-    generate_many,
+    generate,
     sample_patterns,
     slot_rng,
 )
@@ -52,8 +52,8 @@ def main() -> None:
     print(build_fewshot_prompt(requests[0]))
 
     print("\n== Stub backend fills the masks ==")
-    results = generate_many(requests, StubGenerator(seed=3))
-    for res in results:
+    backend = StubGenerator(seed=3)
+    for res in (generate(request, backend) for request in requests):
         print(f"  slot {res.request_id}: [{res.status}] {res.text}")
 
     # The same patterns can also be spliced into an existing sentence for

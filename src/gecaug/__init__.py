@@ -57,7 +57,6 @@ from .generation import (
     build_fewshot_prompt,
     build_finetune_example,
     generate,
-    generate_many,
 )
 from .mix import StagePlan, content_hash, load_plan, mix, pair_hash, ratio_sweep
 from .patterns import (

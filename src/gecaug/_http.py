@@ -8,6 +8,7 @@ and malformed response bodies fail immediately; retrying cannot fix them.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable
 
@@ -46,6 +47,26 @@ class JsonHttpClient:
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
+
+    @classmethod
+    def from_env(
+        cls, kind: str, endpoint: str | None, auth_token: str | None, **options
+    ) -> JsonHttpClient:
+        """A ``kind`` client; endpoint and token default to GECAUG_<KIND>_URL / _TOKEN."""
+        var = f"GECAUG_{kind.upper()}"
+        endpoint = endpoint or os.environ.get(f"{var}_URL")
+        if not endpoint:
+            raise ValueError(
+                f"{kind} endpoint not configured (pass endpoint= or set {var}_URL)"
+            )
+        return cls(endpoint, auth_token=auth_token or os.environ.get(f"{var}_TOKEN"), **options)
+
+    def post_text(self, payload: dict) -> str:
+        """POST ``payload`` and return the string ``text`` of the reply."""
+        body = self.post(payload)
+        if not isinstance(body.get("text"), str):
+            raise TransportError("response object has no string 'text'", attempts=1)
+        return body["text"]
 
     def post(self, payload: dict) -> dict:
         """POST ``payload`` and return the decoded JSON object."""

@@ -261,7 +261,7 @@ def _cmd_synthesize(opts: _Options) -> int:
     out = opts.get("out", required=True)
     error_rate_ = opts.get_rate("error_rate", 0.5)
     backend_name = opts.get("backend", default="stub")
-    workers = opts.get("workers", default=os.cpu_count() or 1)
+    workers = opts.get("workers", default=(os.cpu_count() or 1) if backend_name == "http" else 1)
     budget = opts.get("attempt_budget")
     if count < 0:
         raise CliError("CONFIG", "count must be non-negative", 2)
@@ -311,7 +311,7 @@ def _cmd_denoise(opts: _Options) -> int:
     backend_name = opts.get("backend", default="identity")
     out = opts.get("out", required=True)
     checkpoint = opts.get("checkpoint")
-    in_flight = int(opts.get("max_in_flight", default=8))
+    in_flight = int(opts.get("max_in_flight", default=8 if backend_name == "http" else 1))
     every = int(opts.get("checkpoint_every", default=1000))
 
     if backend_name == "identity":
@@ -531,7 +531,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--error-rate", dest="error_rate", type=float)
     p.add_argument("--backend", choices=["stub", "http"])
-    p.add_argument("--workers", type=int, help="parallel slots (default: cpu count)")
+    p.add_argument("--workers", type=int, help="parallel slots (default 1; cpu count for http)")
     p.add_argument("--attempt-budget", dest="attempt_budget", type=int)
     p.add_argument("--stub-drop-rate", dest="stub_drop_rate", type=float)
     p.add_argument("--stub-refuse-rate", dest="stub_refuse_rate", type=float)

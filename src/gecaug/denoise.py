@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 import requests
 
+from ._concurrent import map_ordered
 from ._http import JsonHttpClient, TransportError
 from .align import align_tokens, merge_edits
 from .corpus import ParallelExample
@@ -47,24 +47,25 @@ class IdentityCorrector(CorrectorBackend):
 class OracleCorrector(CorrectorBackend):
     """Inverts planting using recorded spans.
 
-    Built from the synthetic samples themselves: each source string maps
-    back to the sentence obtained by restoring every planted pattern's
-    correct side at its recorded span. Unknown inputs pass through
-    unchanged. Used to verify the plant/unplant round trip.
+    Built from the synthetic samples themselves: each (sample id, source)
+    maps back to the sentence obtained by restoring every planted pattern's
+    correct side at its recorded span; two samples can share a source but
+    not a target. Unknown inputs pass through unchanged. Used to verify the
+    plant/unplant round trip.
     """
 
     name = "oracle"
 
     def __init__(self, samples: Iterable[SyntheticSample]):
-        self._table: dict[str, str] = {}
+        self._table: dict[tuple[str, str], str] = {}
         for s in samples:
             out = list(s.source)
             for p, (a, b) in sorted(s.planted, key=lambda m: m[1], reverse=True):
                 out[a:b] = p.correct
-            self._table[" ".join(s.source)] = " ".join(out)
+            self._table[s.id, " ".join(s.source)] = " ".join(out)
 
     def correct_text(self, text: str, request_id: str = "0") -> str:
-        return self._table.get(text, text)
+        return self._table.get((request_id, text), text)
 
 
 class HttpCorrector(CorrectorBackend):
@@ -86,16 +87,10 @@ class HttpCorrector(CorrectorBackend):
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
     ):
-        endpoint = endpoint or os.environ.get("GECAUG_CORRECTOR_URL")
-        if not endpoint:
-            raise ValueError(
-                "corrector endpoint not configured "
-                "(pass endpoint= or set GECAUG_CORRECTOR_URL)"
-            )
-        auth_token = auth_token or os.environ.get("GECAUG_CORRECTOR_TOKEN")
-        self._client = JsonHttpClient(
+        self._client = JsonHttpClient.from_env(
+            "corrector",
             endpoint,
-            auth_token=auth_token,
+            auth_token,
             timeout=timeout,
             max_attempts=max_attempts,
             backoff_base=backoff_base,
@@ -103,10 +98,7 @@ class HttpCorrector(CorrectorBackend):
         )
 
     def correct_text(self, text: str, request_id: str = "0") -> str:
-        body = self._client.post({"id": request_id, "text": text})
-        if "text" not in body or not isinstance(body["text"], str):
-            raise TransportError("response object has no string 'text'", attempts=1)
-        return body["text"]
+        return self._client.post_text({"id": request_id, "text": text})
 
 
 def completed_from_checkpoint(checkpoint_path) -> int:
@@ -131,16 +123,15 @@ def relabel(
 ) -> Iterator[ParallelExample]:
     """Yield (source, corrector(source)) pairs in input order.
 
-    Corrector calls run in bounded chunks; a chunk either completes or the
-    run aborts with the checkpoint recording the last pair actually
+    Up to ``max_in_flight`` corrector calls run at once (see
+    ``map_ordered``). If a call fails, every pair before the failing input
+    is still yielded, then the checkpoint records the last pair actually
     yielded, so a resume can skip exactly that many inputs. The
     checkpoint file is removed when the run finishes. An empty corrector
     reply falls back to the uncorrected source. Meta flags on each pair:
     matches_target (corrector agreed with the generated sentence) and
     matches_source (corrector left the input unchanged).
     """
-    if max_in_flight < 1:
-        raise ValueError("max_in_flight must be at least 1")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
     checkpoint = os.fspath(checkpoint_path) if checkpoint_path is not None else None
@@ -154,43 +145,29 @@ def relabel(
             json.dump({"completed": completed, "last_id": last_id}, fh, sort_keys=True)
             fh.write("\n")
 
-    it = iter(samples)
-    executor = ThreadPoolExecutor(max_workers=max_in_flight) if max_in_flight > 1 else None
+    def correct(s: SyntheticSample) -> tuple[SyntheticSample, str]:
+        return s, corrector.correct_text(" ".join(s.source), s.id)
+
+    corrected = map_ordered(correct, samples, max_in_flight)
     try:
-        while True:
-            chunk = list(islice(it, max_in_flight))
-            if not chunk:
-                break
-            try:
-                if executor is None:
-                    corrected = [
-                        corrector.correct_text(" ".join(s.source), s.id) for s in chunk
-                    ]
-                else:
-                    futures = [
-                        executor.submit(corrector.correct_text, " ".join(s.source), s.id)
-                        for s in chunk
-                    ]
-                    corrected = [f.result() for f in futures]
-            except TransportError:
+        for s, text in corrected:
+            tokens = tuple(text.split())
+            if not tokens:
+                tokens = s.source
+            meta = {
+                "matches_target": tokens == s.target,
+                "matches_source": tokens == s.source,
+            }
+            yield ParallelExample(source=s.source, target=tokens, id=s.id, meta=meta)
+            completed += 1
+            last_id = s.id
+            if checkpoint is not None and completed % checkpoint_every == 0:
                 write_checkpoint()
-                raise
-            for s, text in zip(chunk, corrected):
-                tokens = tuple(text.split())
-                if not tokens:
-                    tokens = s.source
-                meta = {
-                    "matches_target": tokens == s.target,
-                    "matches_source": tokens == s.source,
-                }
-                yield ParallelExample(source=s.source, target=tokens, id=s.id, meta=meta)
-                completed += 1
-                last_id = s.id
-                if checkpoint is not None and completed % checkpoint_every == 0:
-                    write_checkpoint()
+    except TransportError:
+        write_checkpoint()
+        raise
     finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        corrected.close()
     if checkpoint is not None and os.path.exists(checkpoint):
         os.remove(checkpoint)
 

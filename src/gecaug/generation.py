@@ -13,9 +13,7 @@ span the loss should cover) and the frozen few-shot prompt.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
@@ -39,7 +37,6 @@ __all__ = [
     "build_finetune_example",
     "build_fewshot_prompt",
     "generate",
-    "generate_many",
 ]
 
 MASK = "[M]"
@@ -303,18 +300,12 @@ class HttpGenerator(GeneratorBackend):
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
     ):
-        endpoint = endpoint or os.environ.get("GECAUG_GENERATOR_URL")
-        if not endpoint:
-            raise ValueError(
-                "generator endpoint not configured "
-                "(pass endpoint= or set GECAUG_GENERATOR_URL)"
-            )
-        auth_token = auth_token or os.environ.get("GECAUG_GENERATOR_TOKEN")
         self.max_tokens = max_tokens
         self.fewshot = fewshot
-        self._client = JsonHttpClient(
+        self._client = JsonHttpClient.from_env(
+            "generator",
             endpoint,
-            auth_token=auth_token,
+            auth_token,
             timeout=timeout,
             max_attempts=max_attempts,
             backoff_base=backoff_base,
@@ -328,10 +319,7 @@ class HttpGenerator(GeneratorBackend):
             "prompt": build_fewshot_prompt(request) if self.fewshot else None,
             "max_tokens": self.max_tokens,
         }
-        body = self._client.post(payload)
-        if "text" not in body or not isinstance(body["text"], str):
-            raise TransportError("response object has no string 'text'", attempts=1)
-        return body["text"]
+        return self._client.post_text(payload)
 
 
 def generate(request: GenerationRequest, backend: GeneratorBackend) -> GenerationResult:
@@ -343,20 +331,3 @@ def generate(request: GenerationRequest, backend: GeneratorBackend) -> Generatio
     if not text.strip():
         return GenerationResult(request.id, "", STATUS_REFUSED)
     return GenerationResult(request.id, text, STATUS_OK)
-
-
-def generate_many(
-    requests_: Sequence[GenerationRequest],
-    backend: GeneratorBackend,
-    max_in_flight: int = 8,
-) -> list[GenerationResult]:
-    """Run requests concurrently, results in input order."""
-    if max_in_flight < 1:
-        raise ValueError("max_in_flight must be at least 1")
-    if not requests_:
-        return []
-    if max_in_flight == 1 or len(requests_) == 1:
-        return [generate(r, backend) for r in requests_]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = [pool.submit(generate, r, backend) for r in requests_]
-        return [f.result() for f in futures]

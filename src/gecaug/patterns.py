@@ -299,6 +299,19 @@ def save_pool(pool: PatternPool, path) -> int:
     return count
 
 
+def pattern_from_row(obj: dict, n: int, path: str, line_no: int) -> ErrorPattern:
+    """The pattern of a pool or sample row; a bad row raises SchemaError."""
+    for key in ("wrong", "correct"):
+        if key not in obj or not isinstance(obj[key], list) or any(
+            not isinstance(t, str) for t in obj[key]
+        ):
+            raise SchemaError(path, line_no, f"key {key!r} must be a string list")
+    try:
+        return ErrorPattern(tuple(obj["wrong"]), tuple(obj["correct"]), n)
+    except ValueError as exc:
+        raise SchemaError(path, line_no, str(exc)) from exc
+
+
 def load_pool(path, n: int, provenance: Sequence[str] = ()) -> PatternPool:
     """Read a pool written by save_pool. ``n`` must be supplied by the caller."""
     path = os.fspath(path)
@@ -311,17 +324,9 @@ def load_pool(path, n: int, provenance: Sequence[str] = ()) -> PatternPool:
                 raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise SchemaError(path, line_no, "row is not an object")
-            for key in ("wrong", "correct"):
-                if key not in obj or not isinstance(obj[key], list) or any(
-                    not isinstance(t, str) for t in obj[key]
-                ):
-                    raise SchemaError(path, line_no, f"key {key!r} must be a string list")
+            pattern = pattern_from_row(obj, n, path, line_no)
             if not isinstance(obj.get("count"), int) or obj["count"] < 1:
                 raise SchemaError(path, line_no, "key 'count' must be a positive int")
-            try:
-                pattern = ErrorPattern(tuple(obj["wrong"]), tuple(obj["correct"]), n)
-            except ValueError as exc:
-                raise SchemaError(path, line_no, str(exc)) from exc
             if pattern in counts:
                 raise SchemaError(path, line_no, "duplicate pattern row")
             counts[pattern] = obj["count"]

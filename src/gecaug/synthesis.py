@@ -19,11 +19,11 @@ import json
 import os
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
 
+from ._concurrent import map_ordered
 from .corpus import MalformedLine, SchemaError, SpanOutOfBounds
 from .generation import (
     STATUS_OK,
@@ -32,7 +32,9 @@ from .generation import (
     assemble_input,
     generate,
 )
-from .patterns import ErrorPattern, PatternPool, restrict_sendable, sample_patterns
+from .patterns import (
+    ErrorPattern, PatternPool, pattern_from_row, restrict_sendable, sample_patterns,
+)
 from .seeding import slot_rng
 
 Match = tuple[ErrorPattern, tuple[int, int]]
@@ -207,7 +209,7 @@ def synthesize(
     coin first. Failed attempts (refusal, transport error, or an errorful
     slot where nothing matched) retry with fresh patterns against a global
     attempt budget (default 3 * count) shared by all slots; exhausting it
-    raises SynthesisBudgetError. Output is ordered by slot.
+    raises SynthesisBudgetError with final stats. Output is ordered by slot.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -285,13 +287,7 @@ def synthesize(
             stats.add(local)
         return sample
 
-    if workers == 1:
-        samples = [run_slot(slot) for slot in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_ex:
-            futures = [pool_ex.submit(run_slot, slot) for slot in range(count)]
-            samples = [f.result() for f in futures]
-    return samples, stats
+    return list(map_ordered(run_slot, range(count), workers)), stats
 
 
 def planted_counts(samples: Iterable[SyntheticSample]) -> Counter[ErrorPattern]:
@@ -332,18 +328,6 @@ def write_samples(samples: Iterable[SyntheticSample], path) -> int:
     return count
 
 
-def _read_pattern(obj: dict, n: int, path: str, line_no: int) -> ErrorPattern:
-    for key in ("wrong", "correct"):
-        if key not in obj or not isinstance(obj[key], list) or any(
-            not isinstance(t, str) for t in obj[key]
-        ):
-            raise SchemaError(path, line_no, f"pattern key {key!r} must be a string list")
-    try:
-        return ErrorPattern(tuple(obj["wrong"]), tuple(obj["correct"]), n)
-    except ValueError as exc:
-        raise SchemaError(path, line_no, str(exc)) from exc
-
-
 def read_samples(path) -> Iterable[SyntheticSample]:
     """Yield samples written by write_samples, validating spans."""
     path = os.fspath(path)
@@ -370,7 +354,7 @@ def read_samples(path) -> Iterable[SyntheticSample]:
             for entry in obj["planted"]:
                 if not isinstance(entry, dict) or "span" not in entry:
                     raise SchemaError(path, line_no, "planted entry must carry a span")
-                p = _read_pattern(entry, n, path, line_no)
+                p = pattern_from_row(entry, n, path, line_no)
                 span = entry["span"]
                 if (
                     not isinstance(span, list)
@@ -389,7 +373,7 @@ def read_samples(path) -> Iterable[SyntheticSample]:
                     )
                 planted.append((p, (a, b)))
             requested = tuple(
-                _read_pattern(entry, n, path, line_no) for entry in obj["requested"]
+                pattern_from_row(entry, n, path, line_no) for entry in obj["requested"]
             )
             yield SyntheticSample(
                 source, target, tuple(planted), requested, obj["generator"], obj["id"]

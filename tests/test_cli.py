@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gecaug._concurrent
 from gecaug.cli import main
 
 TABLE_LINE = (
@@ -206,6 +207,22 @@ def test_synthesize_outputs_and_worker_independence(workdir: Path, capsys):
     capsys.readouterr()
     assert (workdir / "syn.jsonl").read_bytes() == first
     assert (workdir / "syn.jsonl.manifest.json").read_bytes() == first_manifest
+
+
+def test_local_backends_default_to_one_in_flight(workdir: Path, capsys, monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a local backend started a thread pool")
+
+    monkeypatch.setattr(gecaug._concurrent, "ThreadPoolExecutor", no_threads)
+    _write_corpus(workdir)
+    assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
+    assert main([
+        "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "20",
+        "--seed", "3", "--backend", "stub", "--out", "syn.jsonl",
+    ]) == 0
+    assert main(["denoise", "--in", "syn.jsonl", "--out", "identity.jsonl"]) == 0
+    capsys.readouterr()
+    assert len((workdir / "identity.jsonl").read_text(encoding="utf-8").splitlines()) == 20
 
 
 def test_synthesize_budget_error(workdir: Path, capsys):

@@ -1,18 +1,19 @@
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 
 import pytest
 
 from gecaug import (
     CorrectorBackend,
+    ErrorPattern,
     HttpCorrector,
     IdentityCorrector,
     OracleCorrector,
     ParallelExample,
     StubGenerator,
+    SyntheticSample,
     TransportError,
     completed_from_checkpoint,
     relabel,
@@ -54,6 +55,19 @@ def test_oracle_relabel_recovers_targets():
         assert ex.meta["matches_source"] == (s.source == s.target)
 
 
+def test_oracle_relabels_by_sample_not_by_sentence():
+    fix = ErrorPattern(("x", "a", "y"), ("x", "the", "y"), 3)
+    clean = SyntheticSample(("x", "a", "y"), ("x", "a", "y"), (), (fix,), "stub", "1")
+    planted = SyntheticSample(
+        ("x", "a", "y"), ("x", "the", "y"), ((fix, (0, 3)),), (fix,), "stub", "2"
+    )
+    samples = [clean, planted]
+    pairs = list(relabel(samples, OracleCorrector(samples)))
+    assert [ex.target for ex in pairs] == [("x", "a", "y"), ("x", "the", "y")]
+    assert all(ex.meta["matches_target"] for ex in pairs)
+    assert OracleCorrector(samples).correct_text("x a y", "3") == "x a y"
+
+
 def test_relabel_third_string_flags():
     class Shouting(CorrectorBackend):
         name = "loud"
@@ -80,20 +94,16 @@ def test_relabel_empty_reply_falls_back_to_source():
 
 
 class FlakyCorrector(CorrectorBackend):
-    """Succeeds until the configured call number, then raises once forever."""
+    """Echoes every sample except the one with the configured id."""
 
     name = "flaky"
 
-    def __init__(self, fail_from: int):
-        self.fail_from = fail_from
-        self.calls = 0
-        self._lock = threading.Lock()
+    def __init__(self, fail_id: str):
+        self.fail_id = fail_id
 
     def correct_text(self, text: str, request_id: str = "0") -> str:
-        with self._lock:
-            self.calls += 1
-            if self.calls >= self.fail_from:
-                raise TransportError("synthetic outage", attempts=5)
+        if request_id == self.fail_id:
+            raise TransportError("synthetic outage", attempts=5)
         return text
 
 
@@ -104,7 +114,7 @@ def test_relabel_checkpoint_abort_and_resume(tmp_path: Path):
     with pytest.raises(TransportError):
         for ex in relabel(
             samples,
-            FlakyCorrector(fail_from=6),
+            FlakyCorrector(fail_id="5"),
             max_in_flight=1,
             checkpoint_path=checkpoint,
             checkpoint_every=2,
@@ -129,21 +139,22 @@ def test_relabel_checkpoint_abort_and_resume(tmp_path: Path):
     assert got + rest == full
 
 
-def test_relabel_checkpoint_records_chunk_boundary(tmp_path: Path):
+def test_relabel_checkpoint_stops_at_failing_sample(tmp_path: Path):
     samples = _corpus(12)
     checkpoint = tmp_path / "relabel.ckpt"
     got = []
     with pytest.raises(TransportError):
         for ex in relabel(
             samples,
-            FlakyCorrector(fail_from=6),
+            FlakyCorrector(fail_id="5"),
             max_in_flight=4,
             checkpoint_path=checkpoint,
         ):
             got.append(ex)
-    # The second chunk of four failed, so exactly one full chunk was yielded.
-    assert len(got) == 4
-    assert completed_from_checkpoint(checkpoint) == 4
+    # Calls run four at a time, yet every pair before the failing sample
+    # is yielded and counted.
+    assert [ex.id for ex in got] == [s.id for s in samples[:5]]
+    assert completed_from_checkpoint(checkpoint) == 5
 
 
 def test_relabel_checkpoint_removed_on_success(tmp_path: Path):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ from gecaug import (
     build_fewshot_prompt,
     build_finetune_example,
     generate,
-    generate_many,
 )
 from gecaug._http import JsonHttpClient
 
@@ -172,24 +170,6 @@ def test_generate_wraps_transport_error():
     assert result.status == "transport_error"
     assert "attempts=3" in result.detail
     assert result.text == ""
-
-
-def test_generate_many_preserves_order():
-    class SlowFirst(GeneratorBackend):
-        name = "slow"
-
-        def generate_text(self, request):
-            if request.id == "0":
-                time.sleep(0.05)
-            return f"text-{request.id}"
-
-    reqs = [GenerationRequest((("a",),), "a", str(i)) for i in range(6)]
-    results = generate_many(reqs, SlowFirst(), max_in_flight=4)
-    assert [r.request_id for r in results] == [str(i) for i in range(6)]
-    assert [r.text for r in results] == [f"text-{i}" for i in range(6)]
-    assert generate_many([], SlowFirst()) == []
-    with pytest.raises(ValueError):
-        generate_many(reqs, SlowFirst(), max_in_flight=0)
 
 
 def _request() -> GenerationRequest:

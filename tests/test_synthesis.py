@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from gecaug import (
     ErrorPattern,
+    GeneratorBackend,
     MalformedLine,
     PatternPool,
     SchemaError,
@@ -168,12 +170,22 @@ def test_synthesize_attempt_accounting_under_faults():
 
 def test_synthesize_budget_exhaustion():
     pool = insertion_pool(5)
-    backend = StubGenerator(seed=2, refuse_rate=1.0)
-    with pytest.raises(SynthesisBudgetError) as err:
-        synthesize(pool, 10, backend, base_seed=1)
-    assert err.value.stats.attempts == 30
-    assert err.value.stats.samples == 0
-    assert err.value.stats.refused == 30
+
+    class SlowRefusal(GeneratorBackend):
+        name = "slow"
+
+        def generate_text(self, request):
+            time.sleep(0.005)
+            return ""
+
+    # With threads, slots still running when the budget runs out must have
+    # added their attempts before the error leaves synthesize.
+    for backend, workers in ((StubGenerator(seed=2, refuse_rate=1.0), 1), (SlowRefusal(), 4)):
+        with pytest.raises(SynthesisBudgetError) as err:
+            synthesize(pool, 10, backend, base_seed=1, workers=workers)
+        assert err.value.stats.attempts == 30
+        assert err.value.stats.samples == 0
+        assert err.value.stats.refused == 30
 
 
 def test_synthesize_requires_sendable_patterns():
