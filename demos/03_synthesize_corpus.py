@@ -56,7 +56,6 @@ def main() -> None:
         backend,
         base_seed=args.seed,
         error_rate=args.error_rate,
-        workers=4,
     )
 
     print("\n== Stats ==")

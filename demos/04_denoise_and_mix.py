@@ -36,7 +36,7 @@ def main() -> None:
     pairs = list(read_parallel_tsv(CORPUS))
     pool = build_pool(pairs, n=3)
     samples, _ = synthesize(
-        pool, 400, StubGenerator(seed=8), base_seed=8, error_rate=0.5, workers=4
+        pool, 400, StubGenerator(seed=8), base_seed=8, error_rate=0.5
     )
 
     # Identity keeps targets as generated; the oracle inverts the planting

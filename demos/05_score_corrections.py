@@ -78,7 +78,7 @@ def main() -> None:
     pairs = list(read_parallel_tsv(CORPUS))
     pool = build_pool(pairs, n=3)
     samples, _ = synthesize(
-        pool, 3000, StubGenerator(seed=4), base_seed=40, error_rate=1.0, workers=4
+        pool, 3000, StubGenerator(seed=4), base_seed=40, error_rate=1.0
     )
     corpus = [ParallelExample(s.source, s.target, id=s.id) for s in samples]
     dist = distribution_consistency(pool, corpus, top_k=20)

@@ -13,9 +13,25 @@ with linguistically tuned costs:
 
 Ties between equal-cost operations resolve match > substitute > delete >
 insert > transpose, applied left to right while the table fills, so the
-alignment is deterministic. Transposition windows are scanned over every
-feasible k at each cell rather than the first hit, which keeps the result
-globally minimal.
+alignment is deterministic. Three shortcuts leave every cell's cost and
+choice, and so the op sequence, as a full table would give them:
+
+* The common token suffix is aligned as matches before the table is
+  filled. Matching equal last tokens is optimal and match wins ties, so a
+  full table would walk back through those cells as matches; the cells
+  before them do not depend on later ones. (A prefix trim would not be
+  exact: it moves the table's origin, and with it which of several
+  equal-cost alignments the tie order picks.)
+* A substitution's cost is looked up only when it can win the cell: it
+  costs at least 1, so when delete or insert is already below
+  ``diag + 1`` the cell takes that, and otherwise the substitution wins
+  iff ``diag + cost`` is no more than the cheaper of the two.
+* Transposition windows are scanned over every k (not the first hit, to
+  stay globally minimal) until no larger window can win. A window of k
+  tokens ending at (i, j) starts from a cell that is at least |i - j|
+  inserts or deletes from the origin, so it costs at least
+  ``|i - j| + k - 0.5``; it takes a cell only on strict improvement, so
+  the scan stops once that bound reaches the cell's best cost.
 
 Runs of consecutive non-match operations merge into span-level ``Edit``
 objects, the unit every downstream module consumes.
@@ -94,16 +110,17 @@ def substitution_cost(a: str, b: str) -> float:
     return 2.0
 
 
-# Tie preference, lower wins. Transpose only takes a cell on strict
-# cost improvement.
-_PREFERENCE = {MATCH: 0, SUBSTITUTE: 1, DELETE: 2, INSERT: 3, TRANSPOSE: 4}
-
-
 def align_tokens(source: Sequence[str], target: Sequence[str]) -> list[AlignOp]:
     """Return the minimal-cost operation sequence aligning source to target."""
     src = list(source)
     tgt = list(target)
     n, m = len(src), len(tgt)
+    # The common suffix aligns as matches; the table covers the rest.
+    tail = 0
+    while tail < n and tail < m and src[n - 1 - tail] == tgt[m - 1 - tail]:
+        tail += 1
+    n -= tail
+    m -= tail
 
     cost = [[0.0] * (m + 1) for _ in range(n + 1)]
     back: list[list[tuple[str, int]]] = [[("", 0)] * (m + 1) for _ in range(n + 1)]
@@ -120,26 +137,34 @@ def align_tokens(source: Sequence[str], target: Sequence[str]) -> list[AlignOp]:
         prev_row = cost[i - 1]
         for j in range(1, m + 1):
             t_tok = tgt[j - 1]
-            if s_tok == t_tok:
-                best_cost = prev_row[j - 1]
-                best_op = (MATCH, 1)
-            else:
-                best_cost = prev_row[j - 1] + substitution_cost(s_tok, t_tok)
-                best_op = (SUBSTITUTE, 1)
-            cand = prev_row[j] + 1.0
-            if cand < best_cost:
-                best_cost, best_op = cand, (DELETE, 1)
+            diag = prev_row[j - 1]
+            best_cost, best_op = prev_row[j] + 1.0, (DELETE, 1)
             cand = row[j - 1] + 1.0
             if cand < best_cost:
                 best_cost, best_op = cand, (INSERT, 1)
+            if s_tok == t_tok:
+                if diag <= best_cost:
+                    best_cost, best_op = diag, (MATCH, 1)
+            elif diag + 1.0 <= best_cost:
+                # A substitution costs at least 1, so its cost is looked up
+                # only here, where it can still win the cell.
+                cand = diag + substitution_cost(s_tok, t_tok)
+                if cand <= best_cost:
+                    best_cost, best_op = cand, (SUBSTITUTE, 1)
 
             # Transposition windows, grown one token at a time with an
-            # incremental multiset difference so each step is O(1).
-            if i >= 2 and j >= 2:
+            # incremental multiset difference so each step is O(1). A
+            # window of k costs at least floor + k, because the cell it
+            # starts from is at least |i - j| inserts or deletes from the
+            # origin, and it must beat best_cost strictly.
+            floor = abs(i - j) - 0.5
+            if i >= 2 and j >= 2 and floor + 2 < best_cost:
                 diff: dict[str, int] = {}
                 nonzero = 0
                 seq_equal = True
                 for k in range(1, min(i, j) + 1):
+                    if floor + k >= best_cost:
+                        break
                     a, b = src[i - k], tgt[j - k]
                     seq_equal = seq_equal and a == b
                     if a != b:
@@ -157,7 +182,10 @@ def align_tokens(source: Sequence[str], target: Sequence[str]) -> list[AlignOp]:
             row[j] = best_cost
             back[i][j] = best_op
 
-    ops: list[AlignOp] = []
+    ops = [
+        AlignOp(MATCH, (n + t, n + t + 1), (m + t, m + t + 1))
+        for t in reversed(range(tail))
+    ]
     i, j = n, m
     while i > 0 or j > 0:
         kind, k = back[i][j]

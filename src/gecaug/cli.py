@@ -174,6 +174,12 @@ class _Options:
             raise CliError("CONFIG", f"n must be one of {VALID_N_CHOICES}, got {n}", 2)
         return n
 
+    def get_int(self, dest: str, default=None, required: bool = False) -> int | None:
+        value = self.get(dest, default=default, required=required)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise CliError("CONFIG", f"'{dest}' must be an integer", 2)
+        return value
+
     def get_seed(self) -> int:
         seed = self.get("seed", required=True)
         if not isinstance(seed, int):
@@ -225,7 +231,7 @@ def _cmd_pool(opts: _Options) -> int:
 def _cmd_sample(opts: _Options) -> int:
     pool_path = opts.get("pool", required=True)
     n = opts.get_n()
-    count = opts.get("count", required=True)
+    count = opts.get_int("count", required=True)
     seed = opts.get_seed()
     out = opts.get("out", required=True)
     if count < 0:
@@ -256,13 +262,15 @@ def _cmd_sample(opts: _Options) -> int:
 def _cmd_synthesize(opts: _Options) -> int:
     pool_path = opts.get("pool", required=True)
     n = opts.get_n()
-    count = opts.get("count", required=True)
+    count = opts.get_int("count", required=True)
     seed = opts.get_seed()
     out = opts.get("out", required=True)
     error_rate_ = opts.get_rate("error_rate", 0.5)
     backend_name = opts.get("backend", default="stub")
-    workers = opts.get("workers", default=(os.cpu_count() or 1) if backend_name == "http" else 1)
-    budget = opts.get("attempt_budget")
+    workers = opts.get_int(
+        "workers", default=(os.cpu_count() or 1) if backend_name == "http" else 1
+    )
+    budget = opts.get_int("attempt_budget")
     if count < 0:
         raise CliError("CONFIG", "count must be non-negative", 2)
 
@@ -287,7 +295,7 @@ def _cmd_synthesize(opts: _Options) -> int:
     pool = load_pool(pool_path, n)
     samples, stats = synthesize(
         pool, count, backend, seed,
-        error_rate=error_rate_, workers=int(workers), attempt_budget=budget,
+        error_rate=error_rate_, workers=workers, attempt_budget=budget,
     )
     write_samples(samples, out)
     stats_path = out + ".stats.json"
@@ -311,8 +319,8 @@ def _cmd_denoise(opts: _Options) -> int:
     backend_name = opts.get("backend", default="identity")
     out = opts.get("out", required=True)
     checkpoint = opts.get("checkpoint")
-    in_flight = int(opts.get("max_in_flight", default=8 if backend_name == "http" else 1))
-    every = int(opts.get("checkpoint_every", default=1000))
+    in_flight = opts.get_int("max_in_flight", default=8 if backend_name == "http" else 1)
+    every = opts.get_int("checkpoint_every", default=1000)
 
     if backend_name == "identity":
         corrector = IdentityCorrector()
@@ -429,7 +437,7 @@ def _cmd_stats(opts: _Options) -> int:
         return 0
 
     corpus_path = opts.get("corpus", required=True)
-    top_k = int(opts.get("top_k", default=100))
+    top_k = opts.get_int("top_k", default=100)
     _log("stage", command="stats", phase="start", ref_pool=ref_path, corpus=corpus_path)
     reference = load_pool(ref_path, n)
     candidate = build_pool(read_pairs(corpus_path), n)

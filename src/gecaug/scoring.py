@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .align import extract_edits
 from .corpus import AnnotatedExample, ParallelExample
@@ -244,6 +243,10 @@ def distribution_from_counts(
     if len(head) < 2 or np.all(ref == ref[0]) or np.all(cand == cand[0]):
         spearman = 0.0
     else:
+        # Imported here: SciPy takes most of a second to load, and no
+        # other stage uses it.
+        from scipy import stats as _scipy_stats
+
         rho = _scipy_stats.spearmanr(ref, cand).statistic
         spearman = 0.0 if math.isnan(rho) else float(rho)
 

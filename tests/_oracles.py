@@ -1,13 +1,23 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written from scratch against the cost
+``oracle_alignment_cost`` is written independently against the cost
 scheme's definition, sharing no code with the package: plain memoized
 recursion, its own LCS, its own multiset test. Slow but trustworthy.
+
+``reference_align_tokens`` is a frozen copy of the original full-table
+aligner (every cell prices its substitution, every transposition window
+is scanned), kept so that optimisations of ``gecaug.align.align_tokens``
+can be required to return the same op sequence, tie-breaks included.
+Only the ``AlignOp`` record and the op-kind names are shared, so op lists
+compare with ``==``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
+
+from gecaug.align import DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp
 
 
 def _lcs_len(a: str, b: str) -> int:
@@ -60,3 +70,114 @@ def oracle_alignment_cost(source: tuple[str, ...], target: tuple[str, ...]) -> f
         return best
 
     return go(len(src), len(tgt))
+
+
+@lru_cache(maxsize=65536)
+def _reference_char_similarity(a: str, b: str) -> float:
+    """LCS(a, b) / max(len(a), len(b)) over characters."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+    prev = [0] * (lb + 1)
+    for i in range(1, la + 1):
+        cur = [0] * (lb + 1)
+        ai = a[i - 1]
+        for j in range(1, lb + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            elif prev[j] >= cur[j - 1]:
+                cur[j] = prev[j]
+            else:
+                cur[j] = cur[j - 1]
+        prev = cur
+    return prev[lb] / max(la, lb)
+
+
+def _reference_substitution_cost(a: str, b: str) -> float:
+    """Cost of substituting token ``a`` with ``b`` (assumed unequal)."""
+    if a.lower() == b.lower():
+        return 1.0
+    if _reference_char_similarity(a, b) >= 0.5:
+        return 1.5
+    return 2.0
+
+
+def reference_align_tokens(source: Sequence[str], target: Sequence[str]) -> list[AlignOp]:
+    """Return the minimal-cost operation sequence aligning source to target.
+
+    Frozen copy of the original ``gecaug.align.align_tokens``; do not edit.
+    """
+    src = list(source)
+    tgt = list(target)
+    n, m = len(src), len(tgt)
+
+    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
+    back: list[list[tuple[str, int]]] = [[("", 0)] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0] = float(i)
+        back[i][0] = (DELETE, 1)
+    for j in range(1, m + 1):
+        cost[0][j] = float(j)
+        back[0][j] = (INSERT, 1)
+
+    for i in range(1, n + 1):
+        s_tok = src[i - 1]
+        row = cost[i]
+        prev_row = cost[i - 1]
+        for j in range(1, m + 1):
+            t_tok = tgt[j - 1]
+            if s_tok == t_tok:
+                best_cost = prev_row[j - 1]
+                best_op = (MATCH, 1)
+            else:
+                best_cost = prev_row[j - 1] + _reference_substitution_cost(s_tok, t_tok)
+                best_op = (SUBSTITUTE, 1)
+            cand = prev_row[j] + 1.0
+            if cand < best_cost:
+                best_cost, best_op = cand, (DELETE, 1)
+            cand = row[j - 1] + 1.0
+            if cand < best_cost:
+                best_cost, best_op = cand, (INSERT, 1)
+
+            # Transposition windows, grown one token at a time with an
+            # incremental multiset difference so each step is O(1).
+            if i >= 2 and j >= 2:
+                diff: dict[str, int] = {}
+                nonzero = 0
+                seq_equal = True
+                for k in range(1, min(i, j) + 1):
+                    a, b = src[i - k], tgt[j - k]
+                    seq_equal = seq_equal and a == b
+                    if a != b:
+                        v = diff.get(a, 0)
+                        nonzero += (v == 0) - (v == -1)
+                        diff[a] = v + 1
+                        v = diff.get(b, 0)
+                        nonzero += (v == 0) - (v == 1)
+                        diff[b] = v - 1
+                    if k >= 2 and nonzero == 0 and not seq_equal:
+                        cand = cost[i - k][j - k] + k - 0.5
+                        if cand < best_cost:
+                            best_cost, best_op = cand, (TRANSPOSE, k)
+
+            row[j] = best_cost
+            back[i][j] = best_op
+
+    ops: list[AlignOp] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        kind, k = back[i][j]
+        if kind == MATCH or kind == SUBSTITUTE:
+            ops.append(AlignOp(kind, (i - 1, i), (j - 1, j)))
+            i, j = i - 1, j - 1
+        elif kind == DELETE:
+            ops.append(AlignOp(kind, (i - 1, i), (j, j)))
+            i -= 1
+        elif kind == INSERT:
+            ops.append(AlignOp(kind, (i, i), (j - 1, j)))
+            j -= 1
+        else:
+            ops.append(AlignOp(kind, (i - k, i), (j - k, j)))
+            i, j = i - k, j - k
+    ops.reverse()
+    return ops

@@ -3,6 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gecaug import (
     AlignOp,
     ParallelExample,
@@ -14,7 +18,7 @@ from gecaug import (
     substitution_cost,
 )
 
-from _oracles import oracle_alignment_cost
+from _oracles import oracle_alignment_cost, reference_align_tokens
 from conftest import random_pair
 
 
@@ -196,3 +200,56 @@ def test_cost_matches_oracle_random():
 def test_apply_edits_empty_is_identity():
     tokens = ("a", "b", "c")
     assert apply_edits(tokens, []) == tokens
+
+
+# The reference is the slow side of each comparison, so the fuzzed
+# differential checks run in seeded chunks: 30k random pairs and 20k
+# shuffle-heavy pairs in all.
+@pytest.mark.parametrize("seed", range(6))
+def test_align_matches_reference_on_random_pairs(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(5000):
+        pair = random_pair(rng)
+        got = align_tokens(pair.source, pair.target)
+        assert got == reference_align_tokens(pair.source, pair.target), pair
+
+
+_SHUFFLE_VOCAB = ("t1", "t2", "T1", "t1x", "ab", "Ab")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_align_matches_reference_on_shuffled_pairs(seed):
+    # Few distinct tokens, a permuted target and a near-miss or case
+    # variant of each token: many equal-cost alignments and transposition
+    # windows, so tie-breaks decide the op sequence.
+    rng = random.Random(2000 + seed)
+    for _ in range(5000):
+        vocab = _SHUFFLE_VOCAB[: rng.randint(2, len(_SHUFFLE_VOCAB))]
+        source = [rng.choice(vocab) for _ in range(rng.randint(0, 9))]
+        target = list(source)
+        rng.shuffle(target)
+        for _ in range(rng.randint(0, 2)):
+            if target and rng.random() < 0.5:
+                del target[rng.randrange(len(target))]
+            else:
+                target.insert(rng.randint(0, len(target)), rng.choice(vocab))
+        got = align_tokens(source, target)
+        assert got == reference_align_tokens(source, target), (source, target)
+
+
+# "A" is a case variant of "a" (substitution cost 1) and "ab" a near miss
+# of "a" and "b" (cost 1.5); every other unequal pair costs 2.
+_TOKENS = st.lists(st.sampled_from(("a", "A", "b", "ab", "c")), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKENS, _TOKENS)
+def test_align_matches_reference_property(source, target):
+    assert align_tokens(source, target) == reference_align_tokens(source, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TOKENS.filter(bool), _TOKENS.filter(bool))
+def test_apply_edits_round_trip_property(source, target):
+    pair = ParallelExample(tuple(source), tuple(target), id="h")
+    assert apply_edits(pair.source, extract_edits(pair)) == pair.target

@@ -131,6 +131,37 @@ def test_config_file_resolution(workdir: Path, capsys):
     assert events[-1]["code"] == "CONFIG"
 
 
+_INT_OPTIONS = (
+    ("sample", "count"),
+    ("synthesize", "count"),
+    ("synthesize", "workers"),
+    ("synthesize", "attempt_budget"),
+    ("denoise", "max_in_flight"),
+    ("denoise", "checkpoint_every"),
+    ("stats", "top_k"),
+)
+
+
+@pytest.mark.parametrize("value", ["10", 10.5, True], ids=["string", "float", "bool"])
+def test_integer_config_values_are_type_checked(workdir: Path, capsys, value):
+    base = {
+        "pool": "pool.jsonl", "in_path": "samples.jsonl", "n": 3,
+        "count": 10, "seed": 1, "out": "out.jsonl",
+    }
+    for command, key in _INT_OPTIONS:
+        if command == "stats":
+            config = {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3, key: value}
+        else:
+            config = {**base, key: value}
+        (workdir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+        rc, _, events = _run(capsys, command, "--config", "job.json")
+        assert rc == 2, (command, key)
+        assert [e for e in events if e["event"] == "error"] == [
+            {"event": "error", "code": "CONFIG", "message": f"'{key}' must be an integer"}
+        ]
+        assert events[-1]["event"] == "error"
+
+
 def test_pool_merges_counts(workdir: Path, capsys):
     _write_corpus(workdir)
     assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "a.jsonl"]) == 0

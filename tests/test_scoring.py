@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +23,7 @@ from gecaug import (
     synthesize,
 )
 
-from conftest import insertion_pool
+from conftest import cli_env, insertion_pool
 
 
 def test_f_beta_from_published_rates():
@@ -207,6 +209,16 @@ def test_distribution_self_comparison():
     assert report.top_k == 50
     # Head is ordered by descending reference count.
     assert list(report.reference_counts) == sorted(report.reference_counts, reverse=True)
+
+
+def test_import_does_not_load_scipy():
+    # SciPy is imported only where a Spearman correlation is computed;
+    # every CLI stage imports the package and most never need it.
+    code = "import gecaug, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_distribution_zero_and_constant_vectors():
