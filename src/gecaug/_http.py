@@ -18,6 +18,8 @@ import requests
 class TransportError(Exception):
     """A remote call that failed for good, with the attempt count."""
 
+    code = "TRANSPORT"
+
     def __init__(self, message: str, attempts: int):
         super().__init__(f"{message} (attempts={attempts})")
         self.attempts = attempts

@@ -15,9 +15,10 @@ Options resolve flag > config file > default. Every artifact-producing
 command writes ``<out>.manifest.json`` recording the resolved config, a
 config hash, the seed, input file hashes and row counts, and is
 idempotent: identical config and seed reproduce identical bytes, whatever
-the worker count. Structured log events go to stderr as JSON lines; on
-failure the last stderr line is a single machine-parsable error object
-and the exit code is non-zero (2 for usage/config, 1 at runtime).
+the worker count; an artifact that has a manifest matches it (``_stage``).
+Structured log events go to stderr as JSON lines; on failure the last
+stderr line is a single machine-parsable error object and the exit code
+is non-zero (2 for usage/config, 1 at runtime).
 """
 
 from __future__ import annotations
@@ -28,20 +29,12 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import closing, contextmanager, suppress
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._http import TransportError
-from .corpus import (
-    CorpusError,
-    MalformedLine,
-    SchemaError,
-    SpanOutOfBounds,
-    jsonl_line,
-    read_m2,
-    read_pairs,
-    write_jsonl,
-)
+from .corpus import CorpusError, jsonl_line, read_jsonl, read_m2, read_pairs, write_jsonl
 from .denoise import (
     HttpCorrector,
     IdentityCorrector,
@@ -62,12 +55,7 @@ from .patterns import (
 )
 from .scoring import ScoringError, distribution_from_counts, error_rate, score
 from .seeding import slot_rng
-from .synthesis import (
-    SynthesisBudgetError,
-    read_samples,
-    synthesize,
-    write_samples,
-)
+from .synthesis import SynthesisBudgetError, read_samples, synthesize, write_samples
 
 VALID_N_CHOICES = (1, 3, 5)
 
@@ -79,6 +67,10 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+# Failures that carry their own error code; any other exit status is 1.
+_CODED_ERRORS = (CliError, CorpusError, ScoringError, SynthesisBudgetError, TransportError)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems on the structured error channel."""
 
@@ -88,13 +80,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}, sort_keys=True), file=sys.stderr)
-
-
-def _emit_error(code: str, message: str) -> None:
-    print(
-        json.dumps({"event": "error", "code": code, "message": message}, sort_keys=True),
-        file=sys.stderr,
-    )
 
 
 def _sha256_file(path: str) -> str:
@@ -109,34 +94,79 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
-def _write_manifest(
-    out_path: str,
-    command: str,
-    config: dict,
-    seed: int | None,
-    inputs: Sequence[str],
-    counts: dict,
-) -> str:
-    """Write <out>.manifest.json next to an artifact.
-
-    ``config`` must hold only data-affecting options; execution knobs
-    (worker counts, in-flight limits, checkpoint paths) stay out so the
-    same artifact always gets the same manifest. No timestamps for the
-    same reason.
-    """
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest(),
-        "seed": seed,
-        "inputs": {p: _sha256_file(p) for p in sorted(set(inputs))},
-        "counts": counts,
-    }
-    path = out_path + ".manifest.json"
+def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, ensure_ascii=False, indent=2)
+        json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
-    return path
+
+
+def _remove(path: str) -> None:
+    with suppress(FileNotFoundError):
+        os.remove(path)
+
+
+class _Stage:
+    """The outputs of one subcommand run; ``_stage`` commits them."""
+
+    def __init__(self, command: str):
+        self.command = command
+        self.end: dict = {}
+        self.temps: dict[str, str] = {}
+        self.manifests: dict[str, dict] = {}
+
+    def path(self, final: str) -> str:
+        """The temporary to write in place of artifact ``final``."""
+        tmp = self.temps[final] = final + ".tmp"
+        return tmp
+
+    def stream(self, final: str) -> str:
+        """``final`` itself, to write in place; its old manifest goes first."""
+        _remove(final + ".manifest.json")
+        return final
+
+    def manifest(
+        self, out: str, config: dict, seed: int | None, inputs: Sequence[str], counts: dict
+    ) -> None:
+        """Record <out>.manifest.json; ``out`` and ``counts`` become the end event.
+
+        ``config`` holds only data-affecting options and there are no
+        timestamps, so the same artifact always gets the same manifest.
+        """
+        self.manifests[out + ".manifest.json"] = {
+            "command": self.command,
+            "config": config,
+            "config_hash": hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest(),
+            "seed": seed,
+            "inputs": {p: _sha256_file(p) for p in sorted(set(inputs))},
+            "counts": counts,
+        }
+        self.end = {"out": out, **counts}
+
+
+@contextmanager
+def _stage(command: str, **start) -> Iterator[_Stage]:
+    """Run one subcommand between its stage events and commit its outputs.
+
+    On success the manifests are written to temporaries, the old ones are
+    removed, each artifact's temporary is renamed into place and the new
+    manifests are renamed last, so an artifact that has a manifest is
+    complete and matches it. On an exception the temporaries are removed.
+    """
+    _log("stage", command=command, phase="start", **start)
+    st = _Stage(command)
+    try:
+        yield st
+        for path, manifest in st.manifests.items():
+            _write_json(st.path(path), manifest)
+        for path in st.manifests:
+            _remove(path)
+        for final, tmp in list(st.temps.items()):  # manifests were added last
+            os.replace(tmp, final)
+            del st.temps[final]
+    finally:
+        for tmp in st.temps.values():
+            _remove(tmp)
+    _log("stage", command=command, phase="end", **st.end)
 
 
 class _Options:
@@ -182,7 +212,7 @@ class _Options:
 
     def get_seed(self) -> int:
         seed = self.get("seed", required=True)
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise CliError("CONFIG", "seed must be an integer", 2)
         return seed
 
@@ -200,35 +230,29 @@ class _Options:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_extract(opts: _Options) -> int:
+def _cmd_extract(opts: _Options) -> None:
     in_path = opts.get("in_path", required=True)
     n = opts.get_n()
     out = opts.get("out", required=True)
-    _log("stage", command="extract", phase="start", input=in_path, n=n)
-    pool = build_pool(read_pairs(in_path), n, provenance=(in_path,))
-    save_pool(pool, out)
-    counts = pool_stats(pool)
-    _write_manifest(out, "extract", {"in": in_path, "n": n, "out": out}, None, [in_path], counts)
-    _log("stage", command="extract", phase="end", out=out, **counts)
-    return 0
+    with _stage("extract", input=in_path, n=n) as st:
+        pool = build_pool(read_pairs(in_path), n, provenance=(in_path,))
+        save_pool(pool, st.path(out))
+        config = {"in": in_path, "n": n, "out": out}
+        st.manifest(out, config, None, [in_path], pool_stats(pool))
 
 
-def _cmd_pool(opts: _Options) -> int:
+def _cmd_pool(opts: _Options) -> None:
     in_paths = opts.get("in_paths", required=True)
     n = opts.get_n()
     out = opts.get("out", required=True)
-    _log("stage", command="pool", phase="start", inputs=list(in_paths), n=n)
-    merged = merge_pools([load_pool(p, n, provenance=(p,)) for p in in_paths])
-    save_pool(merged, out)
-    counts = pool_stats(merged)
-    _write_manifest(
-        out, "pool", {"in": list(in_paths), "n": n, "out": out}, None, in_paths, counts
-    )
-    _log("stage", command="pool", phase="end", out=out, **counts)
-    return 0
+    with _stage("pool", inputs=list(in_paths), n=n) as st:
+        merged = merge_pools([load_pool(p, n, provenance=(p,)) for p in in_paths])
+        save_pool(merged, st.path(out))
+        config = {"in": list(in_paths), "n": n, "out": out}
+        st.manifest(out, config, None, in_paths, pool_stats(merged))
 
 
-def _cmd_sample(opts: _Options) -> int:
+def _cmd_sample(opts: _Options) -> None:
     pool_path = opts.get("pool", required=True)
     n = opts.get_n()
     count = opts.get_int("count", required=True)
@@ -236,30 +260,28 @@ def _cmd_sample(opts: _Options) -> int:
     out = opts.get("out", required=True)
     if count < 0:
         raise CliError("CONFIG", "count must be non-negative", 2)
-    _log("stage", command="sample", phase="start", pool=pool_path, count=count)
-    pool = restrict_sendable(load_pool(pool_path, n))
-    if len(pool) == 0:
-        raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
-    with open(out, "w", encoding="utf-8") as fh:
-        for i in range(count):
-            rng = slot_rng(seed, i)
-            pats = sample_patterns(pool, rng)
-            request = assemble_input([p.correct for p in pats], rng, request_id=str(i))
-            row = {
-                "id": request.id,
-                "patterns": [
-                    {"wrong": list(p.wrong), "correct": list(p.correct)} for p in pats
-                ],
-                "template": request.template,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-    config = {"pool": pool_path, "n": n, "count": count, "seed": seed, "out": out}
-    _write_manifest(out, "sample", config, seed, [pool_path], {"rows": count})
-    _log("stage", command="sample", phase="end", out=out, rows=count)
-    return 0
+    with _stage("sample", pool=pool_path, count=count) as st:
+        pool = restrict_sendable(load_pool(pool_path, n))
+        if len(pool) == 0:
+            raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
+        with open(st.path(out), "w", encoding="utf-8") as fh:
+            for i in range(count):
+                rng = slot_rng(seed, i)
+                pats = sample_patterns(pool, rng)
+                request = assemble_input([p.correct for p in pats], rng, request_id=str(i))
+                row = {
+                    "id": request.id,
+                    "patterns": [
+                        {"wrong": list(p.wrong), "correct": list(p.correct)} for p in pats
+                    ],
+                    "template": request.template,
+                }
+                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        config = {"pool": pool_path, "n": n, "count": count, "seed": seed, "out": out}
+        st.manifest(out, config, seed, [pool_path], {"rows": count})
 
 
-def _cmd_synthesize(opts: _Options) -> int:
+def _cmd_synthesize(opts: _Options) -> None:
     pool_path = opts.get("pool", required=True)
     n = opts.get_n()
     count = opts.get_int("count", required=True)
@@ -288,33 +310,27 @@ def _cmd_synthesize(opts: _Options) -> int:
     else:
         raise CliError("CONFIG", f"unknown backend {backend_name!r}", 2)
 
-    _log(
-        "stage", command="synthesize", phase="start",
-        pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_,
-    )
-    pool = load_pool(pool_path, n)
-    samples, stats = synthesize(
-        pool, count, backend, seed,
-        error_rate=error_rate_, workers=workers, attempt_budget=budget,
-    )
-    write_samples(samples, out)
-    stats_path = out + ".stats.json"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(stats.as_dict(), fh, sort_keys=True, ensure_ascii=False, indent=2)
-        fh.write("\n")
-    config = {
-        "pool": pool_path, "n": n, "count": count, "seed": seed, "out": out,
-        "error_rate": error_rate_, "backend": backend_name,
-        "stub_drop_rate": opts.get_rate("stub_drop_rate", 0.0),
-        "stub_refuse_rate": opts.get_rate("stub_refuse_rate", 0.0),
-    }
-    counts = {"samples": stats.samples, "errorful": stats.errorful}
-    _write_manifest(out, "synthesize", config, seed, [pool_path], counts)
-    _log("stage", command="synthesize", phase="end", out=out, **counts)
-    return 0
+    with _stage(
+        "synthesize", pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_
+    ) as st:
+        pool = load_pool(pool_path, n)
+        samples, stats = synthesize(
+            pool, count, backend, seed,
+            error_rate=error_rate_, workers=workers, attempt_budget=budget,
+        )
+        write_samples(samples, st.path(out))
+        _write_json(st.path(out + ".stats.json"), stats.as_dict())
+        config = {
+            "pool": pool_path, "n": n, "count": count, "seed": seed, "out": out,
+            "error_rate": error_rate_, "backend": backend_name,
+            "stub_drop_rate": opts.get_rate("stub_drop_rate", 0.0),
+            "stub_refuse_rate": opts.get_rate("stub_refuse_rate", 0.0),
+        }
+        counts = {"samples": stats.samples, "errorful": stats.errorful}
+        st.manifest(out, config, seed, [pool_path], counts)
 
 
-def _cmd_denoise(opts: _Options) -> int:
+def _cmd_denoise(opts: _Options) -> None:
     in_path = opts.get("in_path", required=True)
     backend_name = opts.get("backend", default="identity")
     out = opts.get("out", required=True)
@@ -322,10 +338,12 @@ def _cmd_denoise(opts: _Options) -> int:
     in_flight = opts.get_int("max_in_flight", default=8 if backend_name == "http" else 1)
     every = opts.get_int("checkpoint_every", default=1000)
 
+    samples: Iterable = read_samples(in_path)
     if backend_name == "identity":
         corrector = IdentityCorrector()
     elif backend_name == "oracle":
-        corrector = OracleCorrector(read_samples(in_path))
+        samples = list(samples)
+        corrector = OracleCorrector(samples)
     elif backend_name == "http":
         try:
             corrector = HttpCorrector()
@@ -334,80 +352,94 @@ def _cmd_denoise(opts: _Options) -> int:
     else:
         raise CliError("CONFIG", f"unknown backend {backend_name!r}", 2)
 
-    skip = completed_from_checkpoint(checkpoint) if checkpoint else 0
-    _log(
-        "stage", command="denoise", phase="start",
-        input=in_path, backend=backend_name, resume_skip=skip,
-    )
-    samples: Iterable = read_samples(in_path)
-    if skip:
-        samples = islice(samples, skip, None)
-    pairs = relabel(
-        samples, corrector,
-        max_in_flight=in_flight, checkpoint_path=checkpoint, checkpoint_every=every,
-    )
-    written = 0
-    matches_target = 0
-    matches_source = 0
-    with open(out, "a" if skip else "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(jsonl_line(pair) + "\n")
-            fh.flush()
-            written += 1
-            assert pair.meta is not None
-            matches_target += bool(pair.meta["matches_target"])
-            matches_source += bool(pair.meta["matches_source"])
-    counts = {
-        "pairs": written,
-        "matches_target": matches_target,
-        "matches_source": matches_source,
-    }
-    config = {"in": in_path, "backend": backend_name, "out": out}
-    _write_manifest(out, "denoise", config, None, [in_path], counts)
-    _log("stage", command="denoise", phase="end", out=out, **counts)
-    return 0
+    samples = iter(samples)
+    counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
+    kept = 0
+    if checkpoint is not None and os.path.exists(checkpoint):
+        kept = _resume_point(out, checkpoint, samples, counts)
+    skip = counts["pairs"]
+    with _stage("denoise", input=in_path, backend=backend_name, resume_skip=skip) as st:
+        pairs = relabel(
+            samples, corrector, max_in_flight=in_flight,
+            checkpoint_path=checkpoint, checkpoint_every=every, start=skip,
+        )
+        with open(st.stream(out), "a", encoding="utf-8") as fh, closing(pairs):
+            fh.truncate(kept)
+            for pair in pairs:
+                fh.write(jsonl_line(pair) + "\n")
+                fh.flush()
+                _tally(counts, pair)
+        config = {"in": in_path, "backend": backend_name, "out": out}
+        st.manifest(out, config, None, [in_path], counts)
 
 
-def _cmd_mix(opts: _Options) -> int:
+def _tally(counts: dict, pair) -> None:
+    meta = pair.meta or {}
+    counts["pairs"] += 1
+    counts["matches_target"] += bool(meta.get("matches_target"))
+    counts["matches_source"] += bool(meta.get("matches_source"))
+
+
+def _resume_point(out: str, checkpoint: str, samples: Iterator, counts: dict) -> int:
+    """Where an interrupted ``denoise`` run stopped, read from its output.
+
+    Keeps the complete rows of ``out`` (a torn last line is dropped),
+    checks each one's id against the input at its position, consumes
+    that many inputs, tallies the rows into ``counts`` and returns their
+    length in bytes. The checkpoint may lag the output, never lead it.
+    """
+    sizes: list[int] = []
+    with suppress(FileNotFoundError), open(out, "rb") as fh:
+        sizes = [len(line) for line in fh if line.endswith(b"\n")]
+    kept, rows = sum(sizes), len(sizes)
+    completed = completed_from_checkpoint(checkpoint)
+    if completed > rows:
+        message = f"checkpoint {checkpoint} records {completed} pairs but {out} holds {rows}"
+        raise CliError("CONFIG", message, 2)
+    for line_no, pair in enumerate(islice(read_jsonl(out), rows), start=1):
+        expected = next(samples, None)
+        if expected is None or expected.id != pair.id:
+            message = f"{out}:{line_no}: id {pair.id!r} does not match the input's"
+            raise CliError("CONFIG", message, 2)
+        _tally(counts, pair)
+    return kept
+
+
+def _cmd_mix(opts: _Options) -> None:
     plan_path = opts.get("plan", required=True)
     out = opts.get("out", required=True)
     sweep = opts.get("sweep")
     plan = load_plan(plan_path)
     inputs = [plan_path, *plan.real] + ([plan.synthetic] if plan.synthetic else [])
-    _log("stage", command="mix", phase="start", plan=plan_path, sweep=bool(sweep))
+    with _stage("mix", plan=plan_path, sweep=bool(sweep)) as st:
+        if not sweep:
+            examples, manifest = mix(plan)
+            write_jsonl(examples, st.path(out))
+            st.manifest(out, {"plan": plan_path, "out": out}, plan.seed, inputs, manifest)
+            st.end = {"out": out, "total": manifest["total"]}
+            return
 
-    if not sweep:
-        examples, manifest = mix(plan)
-        write_jsonl(examples, out)
-        config = {"plan": plan_path, "out": out}
-        _write_manifest(out, "mix", config, plan.seed, inputs, manifest)
-        _log("stage", command="mix", phase="end", out=out, total=manifest["total"])
-        return 0
-
-    caps = _parse_caps(sweep)
-    root, ext = os.path.splitext(out)
-    summary = []
-    for cap, examples, manifest in ratio_sweep(plan, caps):
-        cap_out = f"{root}.cap{cap}{ext}"
-        write_jsonl(examples, cap_out)
-        config = {"plan": plan_path, "out": out, "cap": cap}
-        _write_manifest(cap_out, "mix", config, plan.seed, inputs, manifest)
-        summary.append(
-            {
-                "cap": cap,
-                "path": cap_out,
-                "total": manifest["total"],
-                "errorful": round(error_rate(examples), 6),
-            }
-        )
-    summary_path = out + ".sweep.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, ensure_ascii=False, indent=2)
-        fh.write("\n")
-    for row in summary:
-        print(f"cap={row['cap']} total={row['total']} errorful={row['errorful']:.4f}")
-    _log("stage", command="mix", phase="end", sweep=len(summary), summary=summary_path)
-    return 0
+        caps = _parse_caps(sweep)
+        root, ext = os.path.splitext(out)
+        summary = []
+        for cap, examples, manifest in ratio_sweep(plan, caps):
+            cap_out = f"{root}.cap{cap}{ext}"
+            write_jsonl(examples, st.path(cap_out))
+            config = {"plan": plan_path, "out": out, "cap": cap}
+            st.manifest(cap_out, config, plan.seed, inputs, manifest)
+            summary.append(
+                {
+                    "cap": cap,
+                    "path": cap_out,
+                    "total": manifest["total"],
+                    "errorful": round(error_rate(examples), 6),
+                }
+            )
+        summary_path = out + ".sweep.json"
+        _write_json(st.path(summary_path), summary)
+        for row in summary:
+            print(f"cap={row['cap']} total={row['total']} errorful={row['errorful']:.4f}")
+        st.end = {"sweep": len(summary), "summary": summary_path}
 
 
 def _parse_caps(sweep) -> list[int]:
@@ -422,7 +454,7 @@ def _parse_caps(sweep) -> list[int]:
     raise CliError("CONFIG", "sweep must be a comma-separated int list", 2)
 
 
-def _cmd_stats(opts: _Options) -> int:
+def _cmd_stats(opts: _Options) -> None:
     pool_path = opts.get("pool")
     ref_path = opts.get("ref_pool")
     if (pool_path is None) == (ref_path is None):
@@ -430,77 +462,59 @@ def _cmd_stats(opts: _Options) -> int:
     n = opts.get_n()
 
     if pool_path is not None:
-        _log("stage", command="stats", phase="start", pool=pool_path)
-        counts = pool_stats(load_pool(pool_path, n))
-        print(_canonical(counts))
-        _log("stage", command="stats", phase="end", **counts)
-        return 0
+        with _stage("stats", pool=pool_path) as st:
+            st.end = pool_stats(load_pool(pool_path, n))
+            print(_canonical(st.end))
+        return
 
     corpus_path = opts.get("corpus", required=True)
     top_k = opts.get_int("top_k", default=100)
-    _log("stage", command="stats", phase="start", ref_pool=ref_path, corpus=corpus_path)
-    reference = load_pool(ref_path, n)
-    candidate = build_pool(read_pairs(corpus_path), n)
-    report = distribution_from_counts(reference, candidate.counts, top_k)
-    print(
-        _canonical(
-            {"cosine": report.cosine, "spearman": report.spearman, "top_k": report.top_k}
-        )
-    )
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True, ensure_ascii=False, indent=2)
-            fh.write("\n")
-        config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
-        _write_manifest(
-            out, "stats", config, None, [ref_path, corpus_path], {"top_k": report.top_k}
-        )
-    csv_path = opts.get("csv")
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["pattern_wrong", "pattern_correct", "reference_count", "candidate_count"]
-            )
-            for p, rc, cc in zip(
-                report.patterns, report.reference_counts, report.candidate_counts
-            ):
-                writer.writerow([" ".join(p.wrong), " ".join(p.correct), rc, cc])
-    _log(
-        "stage", command="stats", phase="end",
-        cosine=report.cosine, spearman=report.spearman,
-    )
-    return 0
+    with _stage("stats", ref_pool=ref_path, corpus=corpus_path) as st:
+        reference = load_pool(ref_path, n)
+        candidate = build_pool(read_pairs(corpus_path), n)
+        report = distribution_from_counts(reference, candidate.counts, top_k)
+        summary = {"cosine": report.cosine, "spearman": report.spearman, "top_k": report.top_k}
+        print(_canonical(summary))
+        out = opts.get("out")
+        if out:
+            _write_json(st.path(out), report.as_dict())
+            config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
+            st.manifest(out, config, None, [ref_path, corpus_path], {"top_k": report.top_k})
+        csv_path = opts.get("csv")
+        if csv_path:
+            with open(st.path(csv_path), "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(
+                    ["pattern_wrong", "pattern_correct", "reference_count", "candidate_count"]
+                )
+                for p, rc, cc in zip(
+                    report.patterns, report.reference_counts, report.candidate_counts
+                ):
+                    writer.writerow([" ".join(p.wrong), " ".join(p.correct), rc, cc])
+        st.end = {"cosine": report.cosine, "spearman": report.spearman}
 
 
-def _cmd_score(opts: _Options) -> int:
+def _cmd_score(opts: _Options) -> None:
     hyp_path = opts.get("hyp", required=True)
     gold_path = opts.get("gold", required=True)
     beta = float(opts.get("beta", default=0.5))
-    _log("stage", command="score", phase="start", hyp=hyp_path, gold=gold_path)
-    report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
-    label = f"F{beta:g}"
-    print(f"TP {report.tp}")
-    print(f"FP {report.fp}")
-    print(f"FN {report.fn}")
-    print(f"Precision {report.precision:.4f}")
-    print(f"Recall {report.recall:.4f}")
-    print(f"{label} {report.f_beta:.4f}")
-    for cat, c in sorted(report.per_category.items()):
-        print(f"category {cat} tp={c.tp} fp={c.fp} fn={c.fn} f={c.f_beta:.4f}")
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True, ensure_ascii=False, indent=2)
-            fh.write("\n")
-        config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}
-        _write_manifest(
-            out, "score", config, None, [hyp_path, gold_path],
-            {"tp": report.tp, "fp": report.fp, "fn": report.fn},
-        )
-    _log("stage", command="score", phase="end", f=report.f_beta)
-    return 0
+    with _stage("score", hyp=hyp_path, gold=gold_path) as st:
+        report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
+        print(f"TP {report.tp}")
+        print(f"FP {report.fp}")
+        print(f"FN {report.fn}")
+        print(f"Precision {report.precision:.4f}")
+        print(f"Recall {report.recall:.4f}")
+        print(f"F{beta:g} {report.f_beta:.4f}")
+        for cat, c in sorted(report.per_category.items()):
+            print(f"category {cat} tp={c.tp} fp={c.fp} fn={c.fn} f={c.f_beta:.4f}")
+        out = opts.get("out")
+        if out:
+            _write_json(st.path(out), report.as_dict())
+            config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}
+            counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
+            st.manifest(out, config, None, [hyp_path, gold_path], counts)
+        st.end = {"f": report.f_beta}
 
 
 # ---------------------------------------------------------------------------
@@ -595,31 +609,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("USAGE", "no subcommand given", 2)
-        handler = _COMMANDS[args.command]
-        return handler(_Options(args))
-    except CliError as exc:
-        _emit_error(exc.code, str(exc))
-        return exc.exit_code
-    except MalformedLine as exc:
-        _emit_error("MALFORMED_LINE", str(exc))
-    except SpanOutOfBounds as exc:
-        _emit_error("SPAN_OUT_OF_BOUNDS", str(exc))
-    except SchemaError as exc:
-        _emit_error("SCHEMA", str(exc))
-    except CorpusError as exc:
-        _emit_error("CORPUS", str(exc))
-    except ScoringError as exc:
-        _emit_error("SCORING", str(exc))
-    except SynthesisBudgetError as exc:
-        _emit_error("BUDGET_EXHAUSTED", str(exc))
-    except TransportError as exc:
-        _emit_error("TRANSPORT", str(exc))
-    except FileNotFoundError as exc:
-        _emit_error("IO", str(exc))
+        _COMMANDS[args.command](_Options(args))
+        return 0
+    except _CODED_ERRORS as exc:
+        _log("error", code=exc.code, message=str(exc))
+        return exc.exit_code if isinstance(exc, CliError) else 1
     except ValueError as exc:
-        _emit_error("INVALID_ARGUMENT", str(exc))
+        _log("error", code="INVALID_ARGUMENT", message=str(exc))
     except OSError as exc:
-        _emit_error("IO", str(exc))
+        _log("error", code="IO", message=str(exc))
     return 1
 
 

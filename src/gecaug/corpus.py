@@ -24,37 +24,30 @@ from typing import Iterable, Iterator, Mapping
 
 
 class CorpusError(Exception):
-    """Base class for corpus ingest and validation failures."""
+    """A corpus ingest or validation failure at one line of one file."""
+
+    code = "CORPUS"
+
+    def __init__(self, path: str, line_no: int, reason: str):
+        super().__init__(f"{path}:{line_no}: {reason}")
+        self.path = path
+        self.line_no = line_no
+        self.reason = reason
 
 
 class MalformedLine(CorpusError):
     """A line that cannot be parsed under the declared format."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
+    code = "MALFORMED_LINE"
 
 
 class SpanOutOfBounds(CorpusError):
     """An edit span that does not fit the source sentence."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
+    code = "SPAN_OUT_OF_BOUNDS"
 
 
 class SchemaError(CorpusError):
     """A structurally valid record missing required fields or types."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
+    code = "SCHEMA"
 
 
 def _check_tokens(tokens: tuple[str, ...], label: str) -> None:
@@ -396,10 +389,10 @@ def jsonl_line(ex: ParallelExample) -> str:
     return json.dumps(row, ensure_ascii=False, sort_keys=True)
 
 
-def write_jsonl(examples: Iterable[ParallelExample], path, append: bool = False) -> int:
+def write_jsonl(examples: Iterable[ParallelExample], path) -> int:
     """Write pairs as JSONL. Returns the number of rows written."""
     count = 0
-    with open(os.fspath(path), "a" if append else "w", encoding="utf-8") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(jsonl_line(ex) + "\n")
             count += 1

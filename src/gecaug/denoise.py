@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import requests
 
 from ._concurrent import map_ordered
-from ._http import JsonHttpClient, TransportError
+from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
 from .corpus import ParallelExample
 from .synthesis import SyntheticSample
@@ -120,27 +120,26 @@ def relabel(
     max_in_flight: int = 8,
     checkpoint_path=None,
     checkpoint_every: int = 1000,
+    start: int = 0,
 ) -> Iterator[ParallelExample]:
     """Yield (source, corrector(source)) pairs in input order.
 
     Up to ``max_in_flight`` corrector calls run at once (see
-    ``map_ordered``). If a call fails, every pair before the failing input
-    is still yielded, then the checkpoint records the last pair actually
-    yielded, so a resume can skip exactly that many inputs. The
-    checkpoint file is removed when the run finishes. An empty corrector
-    reply falls back to the uncorrected source. Meta flags on each pair:
-    matches_target (corrector agreed with the generated sentence) and
-    matches_source (corrector left the input unchanged).
+    ``map_ordered``). The checkpoint counts pairs yielded from ``start``
+    on; it is written every ``checkpoint_every`` pairs and whenever the
+    run stops early, and removed when the run finishes. An empty
+    corrector reply falls back to the uncorrected source. Meta flags on
+    each pair: matches_target (corrector agreed with the generated
+    sentence) and matches_source (corrector left the input unchanged).
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
     checkpoint = os.fspath(checkpoint_path) if checkpoint_path is not None else None
-    completed = 0
+    completed = start
     last_id = ""
+    finished = False
 
     def write_checkpoint() -> None:
-        if checkpoint is None:
-            return
         with open(checkpoint, "w", encoding="utf-8") as fh:
             json.dump({"completed": completed, "last_id": last_id}, fh, sort_keys=True)
             fh.write("\n")
@@ -163,13 +162,14 @@ def relabel(
             last_id = s.id
             if checkpoint is not None and completed % checkpoint_every == 0:
                 write_checkpoint()
-    except TransportError:
-        write_checkpoint()
-        raise
+        finished = True
     finally:
         corrected.close()
-    if checkpoint is not None and os.path.exists(checkpoint):
-        os.remove(checkpoint)
+        if checkpoint is not None:
+            if not finished:
+                write_checkpoint()
+            elif os.path.exists(checkpoint):
+                os.remove(checkpoint)
 
 
 def relabel_diff_stats(

@@ -25,6 +25,7 @@ from .patterns import ErrorPattern, PatternPool, build_pool
 
 class ScoringError(Exception):
     """Hypothesis and gold corpora that cannot be compared."""
+    code = "SCORING"
 
 
 def f_beta(tp: int, fp: int, fn: int, beta: float = 0.5) -> float:

@@ -43,6 +43,8 @@ Match = tuple[ErrorPattern, tuple[int, int]]
 class SynthesisBudgetError(Exception):
     """Raised when retries exhaust the global attempt budget."""
 
+    code = "BUDGET_EXHAUSTED"
+
     def __init__(self, message: str, stats: "SynthStats"):
         super().__init__(message)
         self.stats = stats

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import gecaug._concurrent
+from gecaug import IdentityCorrector, cli
 from gecaug.cli import main
+
+from conftest import cli_env
 
 TABLE_LINE = (
     "Public transport enables our body to move one place to another .\t"
@@ -160,6 +167,17 @@ def test_integer_config_values_are_type_checked(workdir: Path, capsys, value):
             {"event": "error", "code": "CONFIG", "message": f"'{key}' must be an integer"}
         ]
         assert events[-1]["event"] == "error"
+
+
+@pytest.mark.parametrize("command", ["sample", "synthesize"])
+def test_bool_seed_is_rejected(workdir: Path, capsys, command):
+    config = {"pool": "pool.jsonl", "n": 3, "count": 10, "seed": True, "out": "out.jsonl"}
+    (workdir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+    rc, _, events = _run(capsys, command, "--config", "job.json")
+    assert rc == 2
+    assert events == [
+        {"event": "error", "code": "CONFIG", "message": "seed must be an integer"}
+    ]
 
 
 def test_pool_merges_counts(workdir: Path, capsys):
@@ -338,7 +356,94 @@ def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
     manifest = json.loads(
         (workdir / "resumed.jsonl.manifest.json").read_text(encoding="utf-8")
     )
-    assert manifest["counts"]["pairs"] == 7
+    assert manifest["counts"]["pairs"] == 12
+
+
+_DENOISE = (
+    "denoise", "--in", "syn.jsonl", "--backend", "identity",
+    "--checkpoint", "relabel.ckpt", "--checkpoint-every", "10", "--out", "denoised.jsonl",
+)
+
+
+def _uninterrupted_denoise(workdir: Path) -> tuple[bytes, bytes]:
+    assert main(list(_DENOISE)) == 0
+    out = workdir / "denoised.jsonl"
+    manifest = workdir / "denoised.jsonl.manifest.json"
+    expected = out.read_bytes(), manifest.read_bytes()
+    out.unlink()
+    manifest.unlink()
+    return expected
+
+
+@pytest.mark.parametrize("checkpoint_lags", [False, True], ids=["finally", "killed"])
+def test_denoise_resumes_from_output_after_interrupt(
+    workdir: Path, capsys, monkeypatch, checkpoint_lags
+):
+    _synthesize_fixture(workdir, count=50)
+    expected = _uninterrupted_denoise(workdir)
+
+    def interrupt_at_25(self, text, request_id="0"):
+        if request_id == "25":
+            raise KeyboardInterrupt
+        return text
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IdentityCorrector, "correct_text", interrupt_at_25)
+        with pytest.raises(KeyboardInterrupt):
+            main(list(_DENOISE))
+    out = workdir / "denoised.jsonl"
+    checkpoint = workdir / "relabel.ckpt"
+    assert len(out.read_bytes().splitlines()) == 25
+    assert json.loads(checkpoint.read_text(encoding="utf-8"))["completed"] == 25
+    assert not (workdir / "denoised.jsonl.manifest.json").exists()
+    if checkpoint_lags:
+        # A kill between saves leaves the checkpoint behind the output.
+        checkpoint.write_text(json.dumps({"completed": 20, "last_id": "19"}), encoding="utf-8")
+
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 25
+    assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
+    assert not checkpoint.exists()
+
+
+def test_denoise_resume_drops_a_torn_last_line(workdir: Path, capsys):
+    _synthesize_fixture(workdir, count=50)
+    expected = _uninterrupted_denoise(workdir)
+    lines = expected[0].splitlines(True)
+    (workdir / "denoised.jsonl").write_bytes(b"".join(lines[:17]) + lines[17][:30])
+    (workdir / "relabel.ckpt").write_text(
+        json.dumps({"completed": 10, "last_id": "9"}), encoding="utf-8"
+    )
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 17
+    out = workdir / "denoised.jsonl"
+    assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
+
+
+def test_denoise_resume_cross_checks(workdir: Path, capsys):
+    _synthesize_fixture(workdir, count=50)
+    lines = _uninterrupted_denoise(workdir)[0].splitlines(True)
+    out = workdir / "denoised.jsonl"
+    checkpoint = workdir / "relabel.ckpt"
+
+    out.write_bytes(b"".join(lines[:5]))
+    checkpoint.write_text(json.dumps({"completed": 9, "last_id": "8"}), encoding="utf-8")
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 2
+    assert events[-1]["code"] == "CONFIG"
+    assert "records 9 pairs" in events[-1]["message"]
+
+    out.write_bytes(b"".join(lines[:3] + lines[4:6]))
+    checkpoint.write_text(json.dumps({"completed": 5, "last_id": "5"}), encoding="utf-8")
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 2
+    assert events[-1]["code"] == "CONFIG"
+    assert events[-1]["message"].startswith("denoised.jsonl:4: ")
+    assert out.read_bytes() == b"".join(lines[:3] + lines[4:6])
 
 
 def test_denoise_http_needs_endpoint(workdir: Path, capsys, monkeypatch):
@@ -391,6 +496,7 @@ def test_mix_and_sweep(workdir: Path, capsys):
     printed = out.splitlines()
     assert printed[0].startswith("cap=0 total=6 errorful=")
     assert len(printed) == 3
+
 
 
 def test_mix_bad_sweep_value(workdir: Path, capsys):
@@ -513,3 +619,125 @@ def test_stage_events_are_json_lines(workdir: Path, capsys):
     assert [e["event"] for e in events] == ["stage", "stage"]
     assert events[0]["phase"] == "start"
     assert events[1]["phase"] == "end"
+
+def _write_plan(root: Path, seed: int) -> None:
+    plan = {
+        "stage": "II",
+        "real": ["corpus.tsv"],
+        "synthetic": "denoised.jsonl",
+        "synthetic_count": 10,
+        "seed": seed,
+    }
+    (root / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+_SYNTHESIZE = (
+    "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "12",
+    "--error-rate", "0.7", "--backend", "stub", "--out", "syn2.jsonl", "--seed",
+)
+_SWEEP = ("mix", "--plan", "plan.json", "--sweep", "0,6,12", "--out", "train.jsonl")
+
+# Runs the CLI on argv[2:] and SIGKILLs itself right after the argv[1]-th
+# return of os.replace or an artifact writer.
+_KILL_AFTER = """
+import os, signal, sys
+from gecaug import cli
+
+k, calls = int(sys.argv[1]), 0
+
+def kill_after_kth(fn):
+    def wrapper(*args, **kwargs):
+        global calls
+        result = fn(*args, **kwargs)
+        calls += 1
+        if calls == k:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return result
+    return wrapper
+
+os.replace = kill_after_kth(os.replace)
+cli.write_samples = kill_after_kth(cli.write_samples)
+cli.write_jsonl = kill_after_kth(cli.write_jsonl)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_killed_rerun_leaves_no_stale_manifest(workdir: Path, capsys, monkeypatch):
+    _synthesize_fixture(workdir)
+    assert main(["denoise", "--in", "syn.jsonl", "--backend", "oracle",
+                 "--out", "denoised.jsonl"]) == 0
+    # Seeds 1 and 4 make tree A, seeds 2 and 5 tree B: a manifest's seed
+    # names the clean tree its artifacts must match.
+    clean: dict[int, dict[str, bytes]] = {}
+    for synth_seed, plan_seed in ((1, 4), (2, 5)):
+        root = workdir / f"clean{synth_seed}"
+        shutil.copytree(workdir, root, ignore=shutil.ignore_patterns("clean*"))
+        monkeypatch.chdir(root)
+        _write_plan(root, plan_seed)
+        assert main([*_SYNTHESIZE, str(synth_seed)]) == 0
+        assert main(list(_SWEEP)) == 0
+        clean[synth_seed] = clean[plan_seed] = _files(root)
+    capsys.readouterr()
+    assert clean[1]["syn2.jsonl"] != clean[2]["syn2.jsonl"]
+    assert clean[4]["train.cap6.jsonl"] != clean[5]["train.cap6.jsonl"]
+    assert not [name for name in clean[1] if name.endswith(".tmp")]
+
+    # The manifests each rerun writes, and the sidecars they cover.
+    outputs = {
+        "synthesize": ("syn2.", ["syn2.jsonl.stats.json"]),
+        "mix": ("train.", ["train.jsonl.sweep.json"]),
+    }
+    for argv in ([*_SYNTHESIZE, "2"], list(_SWEEP)):
+        for k in range(1, 30):
+            root = workdir / f"{argv[0]}-{k}"
+            shutil.copytree(workdir / "clean1", root)
+            _write_plan(root, 5)
+            proc = subprocess.run(
+                [sys.executable, "-c", _KILL_AFTER, str(k), *argv],
+                cwd=root, env=cli_env(), capture_output=True, text=True,
+            )
+            files = _files(root)
+            prefix, sidecars = outputs[argv[0]]
+            if proc.returncode == 0:
+                assert {n: b for n, b in files.items() if n.startswith(prefix)} == {
+                    n: b for n, b in clean[2].items() if n.startswith(prefix)
+                }
+                assert not [name for name in files if name.endswith(".tmp")]
+                break
+            assert proc.returncode == -signal.SIGKILL, proc.stderr
+            for name, data in files.items():
+                if not (name.startswith(prefix) and name.endswith(".manifest.json")):
+                    continue
+                ref = clean[json.loads(data)["seed"]]
+                artifact = name[: -len(".manifest.json")]
+                for path in (name, artifact, *sidecars):
+                    assert files[path] == ref[path], (argv[0], k, path)
+        assert k > 3, argv[0]
+
+
+def test_failed_stage_removes_its_temporaries(workdir: Path, capsys, monkeypatch):
+    _synthesize_fixture(workdir)
+    assert main(["denoise", "--in", "syn.jsonl", "--backend", "oracle",
+                 "--out", "denoised.jsonl"]) == 0
+    _write_plan(workdir, 4)
+    assert main(list(_SWEEP)) == 0
+    before = _files(workdir)
+    write_jsonl = cli.write_jsonl
+
+    def fail_on_second_cap(examples, path):
+        if any(name.endswith(".tmp") for name in _files(workdir)):
+            raise OSError("disk full")
+        return write_jsonl(examples, path)
+
+    monkeypatch.setattr(cli, "write_jsonl", fail_on_second_cap)
+    _write_plan(workdir, 5)
+    rc, _, events = _run(capsys, *_SWEEP)
+    assert rc == 1
+    assert events[-1] == {"event": "error", "code": "IO", "message": "disk full"}
+    after = _files(workdir)
+    assert after.pop("plan.json") != before.pop("plan.json")
+    assert after == before

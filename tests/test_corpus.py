@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gecaug import (
     AnnotatedExample,
@@ -262,13 +264,6 @@ def test_jsonl_line_is_canonical():
     assert row == '{"id": "z", "meta": {"a": 2, "b": 1}, "source": "a", "target": "b"}'
 
 
-def test_jsonl_append_mode(tmp_path: Path):
-    path = tmp_path / "pairs.jsonl"
-    write_jsonl([ParallelExample(("a",), ("b",), id="1")], path)
-    write_jsonl([ParallelExample(("c",), ("d",), id="2")], path, append=True)
-    assert [ex.id for ex in read_jsonl(path)] == ["1", "2"]
-
-
 def test_jsonl_ignores_unknown_keys(tmp_path: Path):
     path = tmp_path / "pairs.jsonl"
     path.write_text(
@@ -332,3 +327,67 @@ def test_jsonl_fuzz_round_trip(tmp_path: Path):
     path2 = tmp_path / "fuzz2.jsonl"
     write_jsonl(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Write -> read round trips over generated corpora
+
+# A token is any non-empty run of printable, non-space characters; M2
+# tokens also avoid "|", which its field separator "|||" is made of.
+_TOKEN = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda tok: not any(ch.isspace() for ch in tok))
+_M2_TOKEN = _TOKEN.filter(lambda tok: "|" not in tok)
+_SENTENCE = st.lists(_TOKEN, min_size=1, max_size=6).map(tuple)
+_META = st.none() | st.dictionaries(
+    st.text(max_size=4), st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    max_size=3,
+)
+_EDIT_TYPES = ("R:VERB:SVA", "M:DET", "U:PUNCT", "R:OTHER")
+_ROUND_TRIP = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def _m2_block(draw) -> tuple[tuple[str, ...], dict[int, tuple[GoldEdit, ...]]]:
+    source = tuple(draw(st.lists(_M2_TOKEN, min_size=1, max_size=6)))
+    edits = {}
+    for annotator in draw(st.sets(st.integers(0, 3), max_size=3)):
+        # Sorted cut points paired up give sorted, disjoint spans.
+        points = sorted(draw(st.lists(st.integers(0, len(source)), max_size=6)))
+        edits[annotator] = tuple(
+            GoldEdit(
+                start, end, draw(st.sampled_from(_EDIT_TYPES)),
+                tuple(draw(st.lists(_M2_TOKEN, max_size=3).filter(lambda c: c != ["-NONE-"]))),
+            )
+            for start, end in zip(points[::2], points[1::2])
+        )
+    return source, edits
+
+
+@_ROUND_TRIP
+@given(st.lists(st.tuples(_SENTENCE, _SENTENCE), max_size=8))
+def test_tsv_write_read_round_trip(tmp_path: Path, sides):
+    pairs = [ParallelExample(s, t, id=str(i)) for i, (s, t) in enumerate(sides, start=1)]
+    path = tmp_path / "pairs.tsv"
+    assert write_parallel_tsv(pairs, path) == len(pairs)
+    assert list(read_parallel_tsv(path)) == pairs
+
+
+@_ROUND_TRIP
+@given(st.lists(st.tuples(st.text(max_size=5), _SENTENCE, _SENTENCE, _META), max_size=8))
+def test_jsonl_write_read_round_trip(tmp_path: Path, rows):
+    pairs = [ParallelExample(s, t, id=i, meta=m) for i, s, t, m in rows]
+    path = tmp_path / "pairs.jsonl"
+    assert write_jsonl(pairs, path) == len(pairs)
+    assert list(read_jsonl(path)) == pairs
+
+
+@_ROUND_TRIP
+@given(st.lists(_m2_block(), max_size=5))
+def test_m2_write_read_round_trip(tmp_path: Path, blocks):
+    examples = [AnnotatedExample(s, e, id=str(i)) for i, (s, e) in enumerate(blocks)]
+    path = tmp_path / "gold.m2"
+    assert write_m2(examples, path) == len(examples)
+    assert list(read_m2(path)) == examples
