@@ -34,7 +34,10 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from ._http import TransportError
-from .corpus import CorpusError, jsonl_line, read_jsonl, read_m2, read_pairs, write_jsonl
+from .corpus import (
+    CorpusError, canonical_json, is_int, jsonl_line, read_jsonl, read_m2, read_pairs,
+    write_jsonl, write_lines,
+)
 from .denoise import (
     HttpCorrector,
     IdentityCorrector,
@@ -48,6 +51,7 @@ from .patterns import (
     build_pool,
     load_pool,
     merge_pools,
+    pattern_row,
     pool_stats,
     restrict_sendable,
     sample_patterns,
@@ -88,10 +92,6 @@ def _sha256_file(path: str) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
 def _write_json(path: str, obj) -> None:
@@ -135,7 +135,7 @@ class _Stage:
         self.manifests[out + ".manifest.json"] = {
             "command": self.command,
             "config": config,
-            "config_hash": hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest(),
+            "config_hash": hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest(),
             "seed": seed,
             "inputs": {p: _sha256_file(p) for p in sorted(set(inputs))},
             "counts": counts,
@@ -200,19 +200,19 @@ class _Options:
 
     def get_n(self) -> int:
         n = self.get("n", required=True)
-        if n not in VALID_N_CHOICES:
+        if not is_int(n) or n not in VALID_N_CHOICES:
             raise CliError("CONFIG", f"n must be one of {VALID_N_CHOICES}, got {n}", 2)
         return n
 
     def get_int(self, dest: str, default=None, required: bool = False) -> int | None:
         value = self.get(dest, default=default, required=required)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        if value is not None and not is_int(value):
             raise CliError("CONFIG", f"'{dest}' must be an integer", 2)
         return value
 
     def get_seed(self) -> int:
         seed = self.get("seed", required=True)
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not is_int(seed):
             raise CliError("CONFIG", "seed must be an integer", 2)
         return seed
 
@@ -264,19 +264,16 @@ def _cmd_sample(opts: _Options) -> None:
         pool = restrict_sendable(load_pool(pool_path, n))
         if len(pool) == 0:
             raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
-        with open(st.path(out), "w", encoding="utf-8") as fh:
-            for i in range(count):
-                rng = slot_rng(seed, i)
-                pats = sample_patterns(pool, rng)
-                request = assemble_input([p.correct for p in pats], rng, request_id=str(i))
-                row = {
-                    "id": request.id,
-                    "patterns": [
-                        {"wrong": list(p.wrong), "correct": list(p.correct)} for p in pats
-                    ],
-                    "template": request.template,
-                }
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+        def line(i: int) -> str:
+            rng = slot_rng(seed, i)
+            pats = sample_patterns(pool, rng)
+            request = assemble_input([p.correct for p in pats], rng, request_id=str(i))
+            patterns = [pattern_row(p) for p in pats]
+            row = {"id": request.id, "patterns": patterns, "template": request.template}
+            return canonical_json(row)
+
+        write_lines(map(line, range(count)), st.path(out))
         config = {"pool": pool_path, "n": n, "count": count, "seed": seed, "out": out}
         st.manifest(out, config, seed, [pool_path], {"rows": count})
 
@@ -295,13 +292,12 @@ def _cmd_synthesize(opts: _Options) -> None:
     budget = opts.get_int("attempt_budget")
     if count < 0:
         raise CliError("CONFIG", "count must be non-negative", 2)
+    # Checked before any work: the manifest records both rates whatever the backend.
+    drop_rate = opts.get_rate("stub_drop_rate", 0.0)
+    refuse_rate = opts.get_rate("stub_refuse_rate", 0.0)
 
     if backend_name == "stub":
-        backend = StubGenerator(
-            seed=seed,
-            drop_rate=opts.get_rate("stub_drop_rate", 0.0),
-            refuse_rate=opts.get_rate("stub_refuse_rate", 0.0),
-        )
+        backend = StubGenerator(seed=seed, drop_rate=drop_rate, refuse_rate=refuse_rate)
     elif backend_name == "http":
         try:
             backend = HttpGenerator(fewshot=bool(opts.get("fewshot", default=False)))
@@ -323,8 +319,7 @@ def _cmd_synthesize(opts: _Options) -> None:
         config = {
             "pool": pool_path, "n": n, "count": count, "seed": seed, "out": out,
             "error_rate": error_rate_, "backend": backend_name,
-            "stub_drop_rate": opts.get_rate("stub_drop_rate", 0.0),
-            "stub_refuse_rate": opts.get_rate("stub_refuse_rate", 0.0),
+            "stub_drop_rate": drop_rate, "stub_refuse_rate": refuse_rate,
         }
         counts = {"samples": stats.samples, "errorful": stats.errorful}
         st.manifest(out, config, seed, [pool_path], counts)
@@ -449,7 +444,7 @@ def _parse_caps(sweep) -> list[int]:
             return [int(p) for p in parts]
         except ValueError:
             raise CliError("CONFIG", f"bad sweep value {sweep!r}; want e.g. 0,100,200", 2)
-    if isinstance(sweep, list) and all(isinstance(c, int) for c in sweep):
+    if isinstance(sweep, list) and all(map(is_int, sweep)):
         return list(sweep)
     raise CliError("CONFIG", "sweep must be a comma-separated int list", 2)
 
@@ -464,7 +459,7 @@ def _cmd_stats(opts: _Options) -> None:
     if pool_path is not None:
         with _stage("stats", pool=pool_path) as st:
             st.end = pool_stats(load_pool(pool_path, n))
-            print(_canonical(st.end))
+            print(canonical_json(st.end))
         return
 
     corpus_path = opts.get("corpus", required=True)
@@ -474,7 +469,7 @@ def _cmd_stats(opts: _Options) -> None:
         candidate = build_pool(read_pairs(corpus_path), n)
         report = distribution_from_counts(reference, candidate.counts, top_k)
         summary = {"cosine": report.cosine, "spearman": report.spearman, "top_k": report.top_k}
-        print(_canonical(summary))
+        print(canonical_json(summary))
         out = opts.get("out")
         if out:
             _write_json(st.path(out), report.as_dict())

@@ -13,6 +13,12 @@ Three interchange formats are supported:
 All readers are strict. Undecodable bytes, ragged rows, out-of-range edit
 spans and schema violations raise typed errors carrying the file path and
 line number instead of letting garbage flow downstream.
+
+This module is also the one row layer for every JSONL file of the
+pipeline (pairs, pools, samples): ``read_json_rows`` is the one strict
+reader, ``canonical_json`` the one row encoder, and ``is_int`` the one
+integer check, which rejects ``true``/``false``. Every reader reports a
+byte that is not UTF-8 at the line that holds it.
 """
 
 from __future__ import annotations
@@ -50,8 +56,14 @@ class SchemaError(CorpusError):
     code = "SCHEMA"
 
 
-def _check_tokens(tokens: tuple[str, ...], label: str) -> None:
-    if not tokens:
+def is_int(value) -> bool:
+    """True for an int that is not a bool, as an integer field must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_tokens(tokens: tuple[str, ...], label: str, allow_empty: bool = False) -> None:
+    """Raise ValueError on an empty or whitespace token, or no tokens unless ``allow_empty``."""
+    if not tokens and not allow_empty:
         raise ValueError(f"{label} side is empty")
     for tok in tokens:
         if tok == "":
@@ -72,8 +84,8 @@ class ParallelExample:
     def __post_init__(self):
         object.__setattr__(self, "source", tuple(self.source))
         object.__setattr__(self, "target", tuple(self.target))
-        _check_tokens(self.source, "source")
-        _check_tokens(self.target, "target")
+        check_tokens(self.source, "source")
+        check_tokens(self.target, "target")
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,7 @@ class AnnotatedExample:
 
     def __post_init__(self):
         object.__setattr__(self, "source", tuple(self.source))
-        _check_tokens(self.source, "source")
+        check_tokens(self.source, "source")
         fixed = {int(a): tuple(es) for a, es in self.edits.items()}
         object.__setattr__(self, "edits", fixed)
         n = len(self.source)
@@ -141,6 +153,75 @@ def apply_gold_edits(source: tuple[str, ...], edits: Iterable[GoldEdit]) -> tupl
 
 
 # ---------------------------------------------------------------------------
+# Lines and JSON rows
+
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for each line of a UTF-8 file.
+
+    The file is read in text mode with universal newlines. A byte that is
+    not UTF-8 raises MalformedLine at the line that holds it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                yield line_no, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        line_no, line_exc = _bad_utf8(path, exc)
+        raise MalformedLine(path, line_no, f"invalid UTF-8: {line_exc}") from exc
+
+
+def _bad_utf8(path: str, exc: UnicodeDecodeError) -> tuple[int, UnicodeDecodeError]:
+    """The first line of ``path`` that is not UTF-8, and its decode error.
+
+    Lines split as in text mode. No newline byte occurs inside a UTF-8
+    sequence, so the first line that fails on its own holds the first bad byte.
+    """
+    line_no = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for line in chunk.splitlines():
+                line_no += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    return line_no, line_exc
+    return line_no, exc
+
+
+def read_json_rows(path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each row of a JSONL file; callers check the fields.
+
+    Raises MalformedLine for bad UTF-8 or JSON, SchemaError for a non-object row.
+    """
+    path = os.fspath(path)
+    for line_no, line in _lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise SchemaError(path, line_no, "row is not an object")
+        yield line_no, obj
+
+
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
+def canonical_json(obj) -> str:
+    """The one text of a JSON row or hashed config: sorted keys, UTF-8 kept."""
+    return _ROW_ENCODER.encode(obj)
+
+
+def write_lines(lines: Iterable[str], path) -> int:
+    """Write each line plus a newline to ``path``. Returns the number written."""
+    count = 0
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        for count, line in enumerate(lines, start=1):
+            fh.write(line + "\n")
+    return count
+
+
+# ---------------------------------------------------------------------------
 # TSV
 
 def read_parallel_tsv(path) -> Iterator[ParallelExample]:
@@ -150,36 +231,26 @@ def read_parallel_tsv(path) -> Iterator[ParallelExample]:
     ragged rows, empty sides, whitespace-broken tokens or undecodable bytes.
     """
     path = os.fspath(path)
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise MalformedLine(
-                        path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-                    )
-                try:
-                    yield ParallelExample(
-                        source=tuple(fields[0].split(" ")),
-                        target=tuple(fields[1].split(" ")),
-                        id=str(line_no),
-                    )
-                except ValueError as exc:
-                    raise MalformedLine(path, line_no, str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(path, line_no + 1, f"invalid UTF-8: {exc}") from exc
+    for line_no, line in _lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MalformedLine(
+                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
+            )
+        try:
+            yield ParallelExample(
+                source=tuple(fields[0].split(" ")),
+                target=tuple(fields[1].split(" ")),
+                id=str(line_no),
+            )
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
 
 
 def write_parallel_tsv(examples: Iterable[ParallelExample], path) -> int:
     """Write pairs as TSV. Returns the number of lines written."""
-    count = 0
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(" ".join(ex.source) + "\t" + " ".join(ex.target) + "\n")
-            count += 1
-    return count
+    lines = (" ".join(ex.source) + "\t" + " ".join(ex.target) for ex in examples)
+    return write_lines(lines, path)
 
 
 # ---------------------------------------------------------------------------
@@ -260,46 +331,40 @@ def read_m2(path) -> Iterator[AnnotatedExample]:
         block_index += 1
         return ex
 
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if line.strip() == "":
-                    if source is not None:
-                        yield flush()
-                    continue
-                if line.startswith("S "):
-                    if source is not None:
-                        yield flush()
-                    source = tuple(line[2:].split(" "))
-                    source_line = line_no
-                    try:
-                        _check_tokens(source, "source")
-                    except ValueError as exc:
-                        raise MalformedLine(path, line_no, str(exc)) from exc
-                elif line.startswith("A "):
-                    if source is None:
-                        raise MalformedLine(path, line_no, "A-line before any S-line")
-                    annotator, edit = _parse_a_line(path, line_no, line[2:], len(source))
-                    if edit is None:
-                        if annotator in edits:
-                            raise MalformedLine(
-                                path, line_no, f"annotator {annotator} mixes noop and edits"
-                            )
-                        noop.add(annotator)
-                    else:
-                        if annotator in noop:
-                            raise MalformedLine(
-                                path, line_no, f"annotator {annotator} mixes noop and edits"
-                            )
-                        edits.setdefault(annotator, []).append(edit)
-                else:
-                    raise MalformedLine(path, line_no, f"unrecognized line {line[:40]!r}")
-        if source is not None:
-            yield flush()
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(path, line_no + 1, f"invalid UTF-8: {exc}") from exc
+    for line_no, line in _lines(path):
+        if line.strip() == "":
+            if source is not None:
+                yield flush()
+            continue
+        if line.startswith("S "):
+            if source is not None:
+                yield flush()
+            source = tuple(line[2:].split(" "))
+            source_line = line_no
+            try:
+                check_tokens(source, "source")
+            except ValueError as exc:
+                raise MalformedLine(path, line_no, str(exc)) from exc
+        elif line.startswith("A "):
+            if source is None:
+                raise MalformedLine(path, line_no, "A-line before any S-line")
+            annotator, edit = _parse_a_line(path, line_no, line[2:], len(source))
+            if edit is None:
+                if annotator in edits:
+                    raise MalformedLine(
+                        path, line_no, f"annotator {annotator} mixes noop and edits"
+                    )
+                noop.add(annotator)
+            else:
+                if annotator in noop:
+                    raise MalformedLine(
+                        path, line_no, f"annotator {annotator} mixes noop and edits"
+                    )
+                edits.setdefault(annotator, []).append(edit)
+        else:
+            raise MalformedLine(path, line_no, f"unrecognized line {line[:40]!r}")
+    if source is not None:
+        yield flush()
 
 
 def write_m2(examples: Iterable[AnnotatedExample], path) -> int:
@@ -345,36 +410,24 @@ def read_jsonl(path) -> Iterator[ParallelExample]:
     required keys.
     """
     path = os.fspath(path)
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise SchemaError(path, line_no, "row is not an object")
-                for key in ("id", "source", "target"):
-                    if key not in obj:
-                        raise SchemaError(path, line_no, f"missing key {key!r}")
-                    if not isinstance(obj[key], str):
-                        raise SchemaError(path, line_no, f"key {key!r} is not a string")
-                meta = obj.get("meta")
-                if meta is not None and not isinstance(meta, dict):
-                    raise SchemaError(path, line_no, "key 'meta' is not an object")
-                try:
-                    yield ParallelExample(
-                        source=tuple(obj["source"].split(" ")),
-                        target=tuple(obj["target"].split(" ")),
-                        id=obj["id"],
-                        meta=meta,
-                    )
-                except ValueError as exc:
-                    raise MalformedLine(path, line_no, str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(path, line_no + 1, f"invalid UTF-8: {exc}") from exc
+    for line_no, obj in read_json_rows(path):
+        for key in ("id", "source", "target"):
+            if key not in obj:
+                raise SchemaError(path, line_no, f"missing key {key!r}")
+            if not isinstance(obj[key], str):
+                raise SchemaError(path, line_no, f"key {key!r} is not a string")
+        meta = obj.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise SchemaError(path, line_no, "key 'meta' is not an object")
+        try:
+            yield ParallelExample(
+                source=tuple(obj["source"].split(" ")),
+                target=tuple(obj["target"].split(" ")),
+                id=obj["id"],
+                meta=meta,
+            )
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
 
 
 def jsonl_line(ex: ParallelExample) -> str:
@@ -386,17 +439,12 @@ def jsonl_line(ex: ParallelExample) -> str:
     }
     if ex.meta is not None:
         row["meta"] = ex.meta
-    return json.dumps(row, ensure_ascii=False, sort_keys=True)
+    return canonical_json(row)
 
 
 def write_jsonl(examples: Iterable[ParallelExample], path) -> int:
     """Write pairs as JSONL. Returns the number of rows written."""
-    count = 0
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(jsonl_line(ex) + "\n")
-            count += 1
-    return count
+    return write_lines(map(jsonl_line, examples), path)
 
 
 def read_pairs(path) -> Iterator[ParallelExample]:

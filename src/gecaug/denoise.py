@@ -21,7 +21,7 @@ import requests
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
-from .corpus import ParallelExample
+from .corpus import ParallelExample, is_int
 from .synthesis import SyntheticSample
 
 
@@ -108,8 +108,8 @@ def completed_from_checkpoint(checkpoint_path) -> int:
         return 0
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    completed = obj.get("completed")
-    if not isinstance(completed, int) or completed < 0:
+    completed = obj.get("completed") if isinstance(obj, dict) else None
+    if not is_int(completed) or completed < 0:
         raise ValueError(f"{path}: bad checkpoint, 'completed' must be a non-negative int")
     return completed
 

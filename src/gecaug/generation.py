@@ -21,6 +21,7 @@ from typing import Sequence
 import requests
 
 from ._http import JsonHttpClient, TransportError
+from .corpus import check_tokens
 from .seeding import stable_seed
 
 __all__ = [
@@ -94,10 +95,7 @@ def assemble_input(
     if not 1 <= len(pats) <= 2:
         raise ValueError(f"expected 1 or 2 patterns, got {len(pats)}")
     for p in pats:
-        if not p:
-            raise ValueError("pattern has no tokens")
-        if any(tok == "" or any(ch.isspace() for ch in tok) for tok in p):
-            raise ValueError(f"pattern {p!r} has empty or whitespace tokens")
+        check_tokens(p, "pattern")
     template = f" {MASK} ".join(" ".join(p) for p in pats)
     if rng.random() < 0.5:
         template = f"{MASK} {template}"

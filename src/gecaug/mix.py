@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Sequence
 
-from .corpus import ParallelExample, SchemaError, read_jsonl, read_pairs
+from .corpus import ParallelExample, SchemaError, is_int, read_jsonl, read_pairs
 
 STAGES = ("I", "II", "III")
 
@@ -70,10 +70,10 @@ def load_plan(path) -> StagePlan:
     if synthetic is not None and not isinstance(synthetic, str):
         raise SchemaError(path, 0, "key 'synthetic' must be a path")
     count = obj.get("synthetic_count")
-    if count is not None and not isinstance(count, int):
+    if count is not None and not is_int(count):
         raise SchemaError(path, 0, "key 'synthetic_count' must be an int")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not is_int(seed):
         raise SchemaError(path, 0, "key 'seed' must be an int")
     try:
         return StagePlan(obj["stage"], tuple(real), synthetic, count, seed)

@@ -12,7 +12,6 @@ error distribution of the corpus the pool came from.
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_right
 from collections import Counter
@@ -21,15 +20,12 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .align import Edit, extract_edits
-from .corpus import MalformedLine, ParallelExample, SchemaError
+from .corpus import (
+    ParallelExample, SchemaError, canonical_json, check_tokens, is_int, read_json_rows,
+    write_lines,
+)
 
 VALID_N = (1, 3, 5)
-
-
-def _check_side(tokens: tuple[str, ...], label: str) -> None:
-    for tok in tokens:
-        if tok == "" or any(ch.isspace() for ch in tok):
-            raise ValueError(f"{label} side token {tok!r} is empty or has whitespace")
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,8 @@ class ErrorPattern:
         object.__setattr__(self, "correct", tuple(self.correct))
         if self.n not in VALID_N:
             raise ValueError(f"context width must be one of {VALID_N}, got {self.n}")
-        _check_side(self.wrong, "wrong")
-        _check_side(self.correct, "correct")
+        check_tokens(self.wrong, "wrong", allow_empty=True)
+        check_tokens(self.correct, "correct", allow_empty=True)
         if self.wrong == self.correct:
             raise ValueError("pattern sides are identical")
 
@@ -129,7 +125,7 @@ class PatternPool:
                 raise ValueError(
                     f"pattern width {pattern.n} does not match pool width {n}"
                 )
-            if not isinstance(count, int) or count < 1:
+            if not is_int(count) or count < 1:
                 raise ValueError(f"count for {pattern} must be a positive int")
         self.counts: dict[ErrorPattern, int] = dict(counts)
         self.n = n
@@ -286,25 +282,20 @@ def save_pool(pool: PatternPool, path) -> int:
     equal pools serialize to identical bytes. Width and provenance are not
     stored; loading takes the width explicitly.
     """
-    count = 0
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for pattern in pool.patterns_by_frequency():
-            row = {
-                "wrong": list(pattern.wrong),
-                "correct": list(pattern.correct),
-                "count": pool.counts[pattern],
-            }
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-            count += 1
-    return count
+    rows = ({**pattern_row(p), "count": pool.counts[p]} for p in pool.patterns_by_frequency())
+    return write_lines(map(canonical_json, rows), path)
+
+
+def pattern_row(pattern: ErrorPattern) -> dict:
+    """The {wrong, correct} row of a pool, sample or report entry."""
+    return {"wrong": list(pattern.wrong), "correct": list(pattern.correct)}
 
 
 def pattern_from_row(obj: dict, n: int, path: str, line_no: int) -> ErrorPattern:
     """The pattern of a pool or sample row; a bad row raises SchemaError."""
     for key in ("wrong", "correct"):
-        if key not in obj or not isinstance(obj[key], list) or any(
-            not isinstance(t, str) for t in obj[key]
-        ):
+        side = obj.get(key)
+        if not isinstance(side, list) or not all(isinstance(t, str) for t in side):
             raise SchemaError(path, line_no, f"key {key!r} must be a string list")
     try:
         return ErrorPattern(tuple(obj["wrong"]), tuple(obj["correct"]), n)
@@ -316,20 +307,13 @@ def load_pool(path, n: int, provenance: Sequence[str] = ()) -> PatternPool:
     """Read a pool written by save_pool. ``n`` must be supplied by the caller."""
     path = os.fspath(path)
     counts: dict[ErrorPattern, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(path, line_no, "row is not an object")
-            pattern = pattern_from_row(obj, n, path, line_no)
-            if not isinstance(obj.get("count"), int) or obj["count"] < 1:
-                raise SchemaError(path, line_no, "key 'count' must be a positive int")
-            if pattern in counts:
-                raise SchemaError(path, line_no, "duplicate pattern row")
-            counts[pattern] = obj["count"]
+    for line_no, obj in read_json_rows(path):
+        pattern = pattern_from_row(obj, n, path, line_no)
+        if not is_int(obj.get("count")) or obj["count"] < 1:
+            raise SchemaError(path, line_no, "key 'count' must be a positive int")
+        if pattern in counts:
+            raise SchemaError(path, line_no, "duplicate pattern row")
+        counts[pattern] = obj["count"]
     return PatternPool(counts, n, provenance)
 
 

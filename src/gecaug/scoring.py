@@ -20,7 +20,7 @@ import numpy as np
 
 from .align import extract_edits
 from .corpus import AnnotatedExample, ParallelExample
-from .patterns import ErrorPattern, PatternPool, build_pool
+from .patterns import ErrorPattern, PatternPool, build_pool, pattern_row
 
 
 class ScoringError(Exception):
@@ -201,12 +201,7 @@ class DistributionReport:
             "cosine": self.cosine,
             "spearman": self.spearman,
             "patterns": [
-                {
-                    "wrong": list(p.wrong),
-                    "correct": list(p.correct),
-                    "reference_count": rc,
-                    "candidate_count": cc,
-                }
+                {**pattern_row(p), "reference_count": rc, "candidate_count": cc}
                 for p, rc, cc in zip(
                     self.patterns, self.reference_counts, self.candidate_counts
                 )

@@ -15,7 +15,6 @@ faulty backends force retries.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import Counter
@@ -24,7 +23,9 @@ from random import Random
 from typing import Iterable, Sequence
 
 from ._concurrent import map_ordered
-from .corpus import MalformedLine, SchemaError, SpanOutOfBounds
+from .corpus import (
+    SchemaError, SpanOutOfBounds, canonical_json, is_int, read_json_rows, write_lines,
+)
 from .generation import (
     STATUS_OK,
     STATUS_REFUSED,
@@ -33,7 +34,8 @@ from .generation import (
     generate,
 )
 from .patterns import (
-    ErrorPattern, PatternPool, pattern_from_row, restrict_sendable, sample_patterns,
+    ErrorPattern, PatternPool, pattern_from_row, pattern_row, restrict_sendable,
+    sample_patterns,
 )
 from .seeding import slot_rng
 
@@ -304,79 +306,56 @@ def planted_counts(samples: Iterable[SyntheticSample]) -> Counter[ErrorPattern]:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _pattern_obj(p: ErrorPattern) -> dict:
-    return {"wrong": list(p.wrong), "correct": list(p.correct)}
-
-
 def write_samples(samples: Iterable[SyntheticSample], path) -> int:
     """Write one JSON object per sample. Returns the number written."""
-    count = 0
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for s in samples:
-            witness = s.requested or tuple(p for p, _ in s.planted)
-            row = {
-                "id": s.id,
-                "source": " ".join(s.source),
-                "target": " ".join(s.target),
-                "planted": [
-                    {**_pattern_obj(p), "span": list(span)} for p, span in s.planted
-                ],
-                "requested": [_pattern_obj(p) for p in s.requested],
-                "generator": s.generator_id,
-                "n": witness[0].n if witness else None,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_lines(map(_sample_line, samples), path)
+
+
+def _sample_line(s: SyntheticSample) -> str:
+    witness = s.requested or tuple(p for p, _ in s.planted)
+    return canonical_json({
+        "id": s.id,
+        "source": " ".join(s.source),
+        "target": " ".join(s.target),
+        "planted": [{**pattern_row(p), "span": list(span)} for p, span in s.planted],
+        "requested": [pattern_row(p) for p in s.requested],
+        "generator": s.generator_id,
+        "n": witness[0].n if witness else None,
+    })
 
 
 def read_samples(path) -> Iterable[SyntheticSample]:
     """Yield samples written by write_samples, validating spans."""
     path = os.fspath(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(path, line_no, "row is not an object")
-            for key in ("id", "source", "target", "generator"):
-                if not isinstance(obj.get(key), str):
-                    raise SchemaError(path, line_no, f"key {key!r} must be a string")
-            for key in ("planted", "requested"):
-                if not isinstance(obj.get(key), list):
-                    raise SchemaError(path, line_no, f"key {key!r} must be a list")
-            n = obj.get("n")
-            if (obj["planted"] or obj["requested"]) and not isinstance(n, int):
-                raise SchemaError(path, line_no, "key 'n' must be an int")
-            source = tuple(obj["source"].split(" ")) if obj["source"] else ()
-            target = tuple(obj["target"].split(" ")) if obj["target"] else ()
-            planted: list[Match] = []
-            for entry in obj["planted"]:
-                if not isinstance(entry, dict) or "span" not in entry:
-                    raise SchemaError(path, line_no, "planted entry must carry a span")
-                p = pattern_from_row(entry, n, path, line_no)
-                span = entry["span"]
-                if (
-                    not isinstance(span, list)
-                    or len(span) != 2
-                    or any(not isinstance(v, int) for v in span)
-                ):
-                    raise SchemaError(path, line_no, "planted span must be [start, end]")
-                a, b = span
-                if a < 0 or b < a or b > len(source):
-                    raise SpanOutOfBounds(
-                        path, line_no, f"planted span ({a}, {b}) outside source"
-                    )
-                if source[a:b] != p.wrong:
-                    raise SchemaError(
-                        path, line_no, "planted span does not carry its wrong side"
-                    )
-                planted.append((p, (a, b)))
-            requested = tuple(
-                pattern_from_row(entry, n, path, line_no) for entry in obj["requested"]
-            )
-            yield SyntheticSample(
-                source, target, tuple(planted), requested, obj["generator"], obj["id"]
-            )
+    for line_no, obj in read_json_rows(path):
+        for key in ("id", "source", "target", "generator"):
+            if not isinstance(obj.get(key), str):
+                raise SchemaError(path, line_no, f"key {key!r} must be a string")
+        for key in ("planted", "requested"):
+            if not isinstance(obj.get(key), list):
+                raise SchemaError(path, line_no, f"key {key!r} must be a list")
+        n = obj.get("n")
+        if (obj["planted"] or obj["requested"]) and not is_int(n):
+            raise SchemaError(path, line_no, "key 'n' must be an int")
+        source = tuple(obj["source"].split(" ")) if obj["source"] else ()
+        target = tuple(obj["target"].split(" ")) if obj["target"] else ()
+        planted: list[Match] = []
+        for entry in obj["planted"]:
+            if not isinstance(entry, dict) or "span" not in entry:
+                raise SchemaError(path, line_no, "planted entry must carry a span")
+            p = pattern_from_row(entry, n, path, line_no)
+            span = entry["span"]
+            if not isinstance(span, list) or len(span) != 2 or not all(map(is_int, span)):
+                raise SchemaError(path, line_no, "planted span must be [start, end]")
+            a, b = span
+            if a < 0 or b < a or b > len(source):
+                raise SpanOutOfBounds(path, line_no, f"planted span ({a}, {b}) outside source")
+            if source[a:b] != p.wrong:
+                raise SchemaError(path, line_no, "planted span does not carry its wrong side")
+            planted.append((p, (a, b)))
+        requested = tuple(
+            pattern_from_row(entry, n, path, line_no) for entry in obj["requested"]
+        )
+        yield SyntheticSample(
+            source, target, tuple(planted), requested, obj["generator"], obj["id"]
+        )

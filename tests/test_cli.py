@@ -13,6 +13,7 @@ import gecaug._concurrent
 from gecaug import IdentityCorrector, cli
 from gecaug.cli import main
 
+from _server import ScriptedServer
 from conftest import cli_env
 
 TABLE_LINE = (
@@ -113,6 +114,23 @@ def test_runtime_error_codes(workdir: Path, capsys):
     assert "broken.tsv:1" in events[-1]["message"]
 
 
+def test_invalid_utf8_is_a_malformed_line_at_its_line(workdir: Path, capsys):
+    _synthesize_fixture(workdir)
+    for name, argv in (
+        ("pool.jsonl", ("stats", "--pool", "pool.jsonl", "--n", "3")),
+        ("syn.jsonl", ("denoise", "--in", "syn.jsonl", "--out", "denoised.jsonl")),
+    ):
+        lines = (workdir / name).read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"', b'"\xff', 1)
+        (workdir / name).write_bytes(b"".join(lines))
+        rc, _, events = _run(capsys, *argv)
+        assert rc == 1, argv
+        errors = [e for e in events if e["event"] == "error"]
+        assert errors == [events[-1]]
+        assert errors[0]["code"] == "MALFORMED_LINE"
+        assert errors[0]["message"].startswith(f"{name}:2: invalid UTF-8: ")
+
+
 def test_config_file_resolution(workdir: Path, capsys):
     _write_corpus(workdir)
     config = {"in_path": "corpus.tsv", "n": 3, "out": "pool3.jsonl"}
@@ -178,6 +196,35 @@ def test_bool_seed_is_rejected(workdir: Path, capsys, command):
     assert events == [
         {"event": "error", "code": "CONFIG", "message": "seed must be an integer"}
     ]
+
+
+def test_bool_width_and_caps_are_rejected(workdir: Path, capsys):
+    _write_corpus(workdir)
+    config = {"in_path": "corpus.tsv", "n": True, "out": "pool.jsonl"}
+    (workdir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+    rc, _, events = _run(capsys, "extract", "--config", "job.json")
+    assert rc == 2
+    assert events[-1]["code"] == "CONFIG"
+    assert not (workdir / "pool.jsonl").exists()
+
+    plan = {"stage": "I", "real": ["corpus.tsv"], "seed": 0}
+    (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    config = {"plan": "plan.json", "sweep": [True], "out": "t.jsonl"}
+    (workdir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+    rc, _, events = _run(capsys, "mix", "--config", "job.json")
+    assert rc == 2
+    assert events[-1] == {
+        "event": "error", "code": "CONFIG",
+        "message": "sweep must be a comma-separated int list",
+    }
+
+    (workdir / "plan.json").write_text(json.dumps({**plan, "seed": True}), encoding="utf-8")
+    rc, _, events = _run(capsys, "mix", "--plan", "plan.json", "--out", "t.jsonl")
+    assert rc == 1
+    assert events[-1] == {
+        "event": "error", "code": "SCHEMA", "message": "plan.json:0: key 'seed' must be an int",
+    }
+    assert not (workdir / "t.jsonl").exists()
 
 
 def test_pool_merges_counts(workdir: Path, capsys):
@@ -284,6 +331,26 @@ def test_synthesize_budget_error(workdir: Path, capsys):
     )
     assert rc == 1
     assert events[-1]["code"] == "BUDGET_EXHAUSTED"
+
+
+def test_stub_rates_are_checked_before_remote_synthesis(workdir: Path, capsys, monkeypatch):
+    _write_corpus(workdir)
+    assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
+    capsys.readouterr()
+    (workdir / "job.json").write_text(json.dumps({"stub_drop_rate": 5}), encoding="utf-8")
+    with ScriptedServer([(200, {"text": "move from one"})]) as server:
+        monkeypatch.setenv("GECAUG_GENERATOR_URL", server.url)
+        rc, _, events = _run(
+            capsys, "synthesize", "--config", "job.json", "--pool", "pool.jsonl",
+            "--n", "3", "--count", "20", "--seed", "1", "--backend", "http",
+            "--workers", "1", "--out", "syn.jsonl",
+        )
+    assert rc == 2
+    assert events == [
+        {"event": "error", "code": "CONFIG", "message": "'stub_drop_rate' must lie in [0, 1]"}
+    ]
+    assert server.requests == []
+    assert not (workdir / "syn.jsonl").exists()
 
 
 def _synthesize_fixture(workdir: Path, count: int = 12) -> None:
@@ -444,6 +511,20 @@ def test_denoise_resume_cross_checks(workdir: Path, capsys):
     assert events[-1]["code"] == "CONFIG"
     assert events[-1]["message"].startswith("denoised.jsonl:4: ")
     assert out.read_bytes() == b"".join(lines[:3] + lines[4:6])
+
+
+@pytest.mark.parametrize("checkpoint", ["[1]", '{"completed": true}'], ids=["list", "bool"])
+def test_bad_checkpoint_is_one_error_line(workdir: Path, capsys, checkpoint):
+    _synthesize_fixture(workdir)
+    capsys.readouterr()
+    (workdir / "relabel.ckpt").write_text(checkpoint, encoding="utf-8")
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 1
+    assert events == [{
+        "event": "error", "code": "INVALID_ARGUMENT",
+        "message": "relabel.ckpt: bad checkpoint, 'completed' must be a non-negative int",
+    }]
+    assert not (workdir / "denoised.jsonl").exists()
 
 
 def test_denoise_http_needs_endpoint(workdir: Path, capsys, monkeypatch):

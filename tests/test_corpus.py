@@ -17,10 +17,12 @@ from gecaug import (
     SpanOutOfBounds,
     apply_gold_edits,
     jsonl_line,
+    load_pool,
     read_jsonl,
     read_m2,
     read_pairs,
     read_parallel_tsv,
+    read_samples,
     write_jsonl,
     write_m2,
     write_parallel_tsv,
@@ -89,8 +91,48 @@ def test_tsv_rejects_double_space(tmp_path: Path):
 def test_tsv_rejects_invalid_utf8(tmp_path: Path):
     path = tmp_path / "bad.tsv"
     path.write_bytes(b"a\tb\n\xff\xfe\tc\n")
-    with pytest.raises(MalformedLine):
+    with pytest.raises(MalformedLine) as err:
         list(read_parallel_tsv(path))
+    assert err.value.line_no == 2
+
+
+# One valid line per format, for line index i (pool rows must be distinct).
+_LINES = {
+    "tsv": lambda i: f"a{i}\tb{i}",
+    "m2": lambda i: ("S a b", "A 0 1|||R:X|||c|||REQUIRED|||-NONE-|||0", "")[i % 3],
+    "jsonl": lambda i: json.dumps({"id": str(i), "source": "a", "target": "b"}),
+    "pool": lambda i: json.dumps({"wrong": [f"a{i}"], "correct": ["b"], "count": 1}),
+    "samples": lambda i: json.dumps({
+        "id": str(i), "source": "a", "target": "a", "planted": [], "requested": [],
+        "generator": "stub", "n": None,
+    }),
+}
+_READERS = {
+    "tsv": read_parallel_tsv,
+    "m2": read_m2,
+    "jsonl": read_jsonl,
+    "pool": lambda path: [load_pool(path, 1)],
+    "samples": read_samples,
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("fmt", sorted(_LINES))
+def test_invalid_utf8_is_reported_at_its_line(tmp_path: Path, fmt, newline):
+    # Text mode decodes in chunks far longer than a line, so the bad byte on
+    # line 1000 of 1010 lies deep inside the chunk whose decode fails.
+    lines = [_LINES[fmt](i).encode("utf-8") for i in range(1010)]
+    lines[999] = lines[999].replace(b"a", b"a\xff", 1)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(newline.encode("ascii").join(lines) + newline.encode("ascii"))
+    with pytest.raises(MalformedLine) as err:
+        list(_READERS[fmt](path))
+    assert err.value.line_no == 1000
+    assert err.value.reason.startswith("invalid UTF-8: ")
+    # The same lines without the bad byte read cleanly.
+    lines[999] = _LINES[fmt](999).encode("utf-8")
+    path.write_bytes(newline.encode("ascii").join(lines) + newline.encode("ascii"))
+    assert list(_READERS[fmt](path))
 
 
 def test_gold_edit_validates_span():

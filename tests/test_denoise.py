@@ -180,6 +180,10 @@ def test_completed_from_checkpoint_validation(tmp_path: Path):
     path.write_text('{"completed": "five"}', encoding="utf-8")
     with pytest.raises(ValueError):
         completed_from_checkpoint(path)
+    for text in ("[1]", '{"completed": true}'):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="bad checkpoint"):
+            completed_from_checkpoint(path)
 
 
 def test_relabel_argument_validation():

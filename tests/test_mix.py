@@ -97,6 +97,17 @@ def test_load_plan(tmp_path: Path):
         load_plan(path)
 
 
+@pytest.mark.parametrize("key", ["seed", "synthetic_count"])
+def test_load_plan_rejects_bool_integers(tmp_path: Path, key):
+    path = tmp_path / "plan.json"
+    plan = {"stage": "II", "real": ["r.tsv"], "synthetic": "s.jsonl",
+            "synthetic_count": 1, "seed": 4}
+    path.write_text(json.dumps({**plan, key: True}), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_plan(path)
+    assert err.value.reason == f"key {key!r} must be an int"
+
+
 def test_mix_counts_ids_and_manifest(tmp_path: Path):
     real = _real_tsv(tmp_path, 50)
     syn = _synthetic_jsonl(tmp_path, 40)

@@ -216,6 +216,17 @@ def test_load_pool_errors(tmp_path: Path):
     assert "duplicate" in err.value.reason
 
 
+def test_bool_counts_are_rejected(tmp_path: Path):
+    # JSON true loads as a bool, which is an int; a count must not be one.
+    with pytest.raises(ValueError):
+        PatternPool({ErrorPattern(("a",), ("b",), 1): True}, n=1)
+    path = tmp_path / "pool.jsonl"
+    path.write_text('{"wrong": ["a"], "correct": ["b"], "count": true}\n', encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_pool(path, 1)
+    assert err.value.reason == "key 'count' must be a positive int"
+
+
 def test_draw_pattern_marginals():
     a = ErrorPattern(("a",), ("b",), 1)
     b = ErrorPattern(("c",), ("d",), 1)

@@ -271,3 +271,29 @@ def test_read_samples_rejects_bad_rows(tmp_path: Path):
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         list(read_samples(path))
+
+
+def test_read_samples_rejects_bool_integers(tmp_path: Path):
+    path = tmp_path / "bad.jsonl"
+    row = {
+        "id": "0",
+        "source": "x b",
+        "target": "c b",
+        "planted": [{"wrong": ["x"], "correct": ["c"], "span": [0, 1]}],
+        "requested": [{"wrong": ["x"], "correct": ["c"]}],
+        "generator": "stub",
+        "n": 1,
+    }
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert len(list(read_samples(path))) == 1
+
+    path.write_text(json.dumps({**row, "n": True}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        list(read_samples(path))
+    assert err.value.reason == "key 'n' must be an int"
+
+    planted = [{"wrong": ["x"], "correct": ["c"], "span": [False, True]}]
+    path.write_text(json.dumps({**row, "planted": planted}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        list(read_samples(path))
+    assert err.value.reason == "planted span must be [start, end]"
