@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, Sequence
 
 from ._http import TransportError
 from .corpus import (
-    CorpusError, canonical_json, is_int, jsonl_line, read_jsonl, read_m2, read_pairs,
-    write_jsonl, write_lines,
+    CorpusError, MalformedLine, canonical_json, is_int, jsonl_line, read_json_file, read_jsonl,
+    read_m2, read_pairs, write_jsonl, write_lines,
 )
 from .denoise import (
     HttpCorrector,
@@ -48,6 +48,7 @@ from .denoise import (
 from .generation import HttpGenerator, StubGenerator, assemble_input
 from .mix import load_plan, mix, ratio_sweep
 from .patterns import (
+    VALID_N,
     build_pool,
     load_pool,
     merge_pools,
@@ -60,8 +61,6 @@ from .patterns import (
 from .scoring import ScoringError, distribution_from_counts, error_rate, score
 from .seeding import slot_rng
 from .synthesis import SynthesisBudgetError, read_samples, synthesize, write_samples
-
-VALID_N_CHOICES = (1, 3, 5)
 
 
 class CliError(Exception):
@@ -178,12 +177,11 @@ class _Options:
         config_path = getattr(args, "config", None)
         if config_path:
             try:
-                with open(config_path, encoding="utf-8") as fh:
-                    loaded = json.load(fh)
+                loaded = read_json_file(config_path)
             except FileNotFoundError:
                 raise CliError("CONFIG", f"config file not found: {config_path}", 2)
-            except json.JSONDecodeError as exc:
-                raise CliError("CONFIG", f"config file is not valid JSON: {exc}", 2)
+            except MalformedLine as exc:
+                raise CliError("CONFIG", f"config file {config_path}: {exc.reason}", 2)
             if not isinstance(loaded, dict):
                 raise CliError("CONFIG", "config file must hold a JSON object", 2)
             self.config = loaded
@@ -198,10 +196,16 @@ class _Options:
             raise CliError("CONFIG", f"missing required option '{dest}'", 2)
         return value
 
+    def get_path(self, dest: str, required: bool = False) -> str | None:
+        value = self.get(dest, required=required)
+        if value is not None and not isinstance(value, str):
+            raise CliError("CONFIG", f"'{dest}' must be a path string", 2)
+        return value
+
     def get_n(self) -> int:
         n = self.get("n", required=True)
-        if not is_int(n) or n not in VALID_N_CHOICES:
-            raise CliError("CONFIG", f"n must be one of {VALID_N_CHOICES}, got {n}", 2)
+        if not is_int(n) or n not in VALID_N:
+            raise CliError("CONFIG", f"n must be one of {VALID_N}, got {n}", 2)
         return n
 
     def get_int(self, dest: str, default=None, required: bool = False) -> int | None:
@@ -231,9 +235,9 @@ class _Options:
 # Subcommands
 
 def _cmd_extract(opts: _Options) -> None:
-    in_path = opts.get("in_path", required=True)
+    in_path = opts.get_path("in_path", required=True)
     n = opts.get_n()
-    out = opts.get("out", required=True)
+    out = opts.get_path("out", required=True)
     with _stage("extract", input=in_path, n=n) as st:
         pool = build_pool(read_pairs(in_path), n, provenance=(in_path,))
         save_pool(pool, st.path(out))
@@ -243,21 +247,25 @@ def _cmd_extract(opts: _Options) -> None:
 
 def _cmd_pool(opts: _Options) -> None:
     in_paths = opts.get("in_paths", required=True)
+    if not isinstance(in_paths, list) or not in_paths or any(
+        not isinstance(p, str) for p in in_paths
+    ):
+        raise CliError("CONFIG", "'in_paths' must be a non-empty list of path strings", 2)
     n = opts.get_n()
-    out = opts.get("out", required=True)
-    with _stage("pool", inputs=list(in_paths), n=n) as st:
+    out = opts.get_path("out", required=True)
+    with _stage("pool", inputs=in_paths, n=n) as st:
         merged = merge_pools([load_pool(p, n, provenance=(p,)) for p in in_paths])
         save_pool(merged, st.path(out))
-        config = {"in": list(in_paths), "n": n, "out": out}
+        config = {"in": in_paths, "n": n, "out": out}
         st.manifest(out, config, None, in_paths, pool_stats(merged))
 
 
 def _cmd_sample(opts: _Options) -> None:
-    pool_path = opts.get("pool", required=True)
+    pool_path = opts.get_path("pool", required=True)
     n = opts.get_n()
     count = opts.get_int("count", required=True)
     seed = opts.get_seed()
-    out = opts.get("out", required=True)
+    out = opts.get_path("out", required=True)
     if count < 0:
         raise CliError("CONFIG", "count must be non-negative", 2)
     with _stage("sample", pool=pool_path, count=count) as st:
@@ -279,11 +287,11 @@ def _cmd_sample(opts: _Options) -> None:
 
 
 def _cmd_synthesize(opts: _Options) -> None:
-    pool_path = opts.get("pool", required=True)
+    pool_path = opts.get_path("pool", required=True)
     n = opts.get_n()
     count = opts.get_int("count", required=True)
     seed = opts.get_seed()
-    out = opts.get("out", required=True)
+    out = opts.get_path("out", required=True)
     error_rate_ = opts.get_rate("error_rate", 0.5)
     backend_name = opts.get("backend", default="stub")
     workers = opts.get_int(
@@ -326,10 +334,10 @@ def _cmd_synthesize(opts: _Options) -> None:
 
 
 def _cmd_denoise(opts: _Options) -> None:
-    in_path = opts.get("in_path", required=True)
+    in_path = opts.get_path("in_path", required=True)
     backend_name = opts.get("backend", default="identity")
-    out = opts.get("out", required=True)
-    checkpoint = opts.get("checkpoint")
+    out = opts.get_path("out", required=True)
+    checkpoint = opts.get_path("checkpoint")
     in_flight = opts.get_int("max_in_flight", default=8 if backend_name == "http" else 1)
     every = opts.get_int("checkpoint_every", default=1000)
 
@@ -401,8 +409,8 @@ def _resume_point(out: str, checkpoint: str, samples: Iterator, counts: dict) ->
 
 
 def _cmd_mix(opts: _Options) -> None:
-    plan_path = opts.get("plan", required=True)
-    out = opts.get("out", required=True)
+    plan_path = opts.get_path("plan", required=True)
+    out = opts.get_path("out", required=True)
     sweep = opts.get("sweep")
     plan = load_plan(plan_path)
     inputs = [plan_path, *plan.real] + ([plan.synthetic] if plan.synthetic else [])
@@ -450,8 +458,8 @@ def _parse_caps(sweep) -> list[int]:
 
 
 def _cmd_stats(opts: _Options) -> None:
-    pool_path = opts.get("pool")
-    ref_path = opts.get("ref_pool")
+    pool_path = opts.get_path("pool")
+    ref_path = opts.get_path("ref_pool")
     if (pool_path is None) == (ref_path is None):
         raise CliError("CONFIG", "pass exactly one of --pool or --ref-pool", 2)
     n = opts.get_n()
@@ -462,7 +470,7 @@ def _cmd_stats(opts: _Options) -> None:
             print(canonical_json(st.end))
         return
 
-    corpus_path = opts.get("corpus", required=True)
+    corpus_path = opts.get_path("corpus", required=True)
     top_k = opts.get_int("top_k", default=100)
     with _stage("stats", ref_pool=ref_path, corpus=corpus_path) as st:
         reference = load_pool(ref_path, n)
@@ -470,12 +478,12 @@ def _cmd_stats(opts: _Options) -> None:
         report = distribution_from_counts(reference, candidate.counts, top_k)
         summary = {"cosine": report.cosine, "spearman": report.spearman, "top_k": report.top_k}
         print(canonical_json(summary))
-        out = opts.get("out")
+        out = opts.get_path("out")
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
             st.manifest(out, config, None, [ref_path, corpus_path], {"top_k": report.top_k})
-        csv_path = opts.get("csv")
+        csv_path = opts.get_path("csv")
         if csv_path:
             with open(st.path(csv_path), "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -490,9 +498,14 @@ def _cmd_stats(opts: _Options) -> None:
 
 
 def _cmd_score(opts: _Options) -> None:
-    hyp_path = opts.get("hyp", required=True)
-    gold_path = opts.get("gold", required=True)
-    beta = float(opts.get("beta", default=0.5))
+    hyp_path = opts.get_path("hyp", required=True)
+    gold_path = opts.get_path("gold", required=True)
+    beta = opts.get("beta", default=0.5)
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
+        raise CliError("CONFIG", "'beta' must be a number", 2)
+    if not beta > 0:
+        raise CliError("CONFIG", "beta must be positive", 2)
+    beta = float(beta)
     with _stage("score", hyp=hyp_path, gold=gold_path) as st:
         report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
         print(f"TP {report.tp}")
@@ -503,7 +516,7 @@ def _cmd_score(opts: _Options) -> None:
         print(f"F{beta:g} {report.f_beta:.4f}")
         for cat, c in sorted(report.per_category.items()):
             print(f"category {cat} tp={c.tp} fp={c.fp} fn={c.fn} f={c.f_beta:.4f}")
-        out = opts.get("out")
+        out = opts.get_path("out")
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}
@@ -526,24 +539,24 @@ def _build_parser() -> _Parser:
 
     p = add("extract", "build a pattern pool from a parallel corpus")
     p.add_argument("--in", dest="in_path", help="corpus file (.tsv or .jsonl)")
-    p.add_argument("--n", type=int, choices=VALID_N_CHOICES, help="context width")
+    p.add_argument("--n", type=int, choices=VALID_N, help="context width")
     p.add_argument("--out", help="pool file to write")
 
     p = add("pool", "merge pattern pools")
     p.add_argument("--in", dest="in_paths", nargs="+", help="pool files")
-    p.add_argument("--n", type=int, choices=VALID_N_CHOICES)
+    p.add_argument("--n", type=int, choices=VALID_N)
     p.add_argument("--out")
 
     p = add("sample", "draw generation inputs from a pool")
     p.add_argument("--pool")
-    p.add_argument("--n", type=int, choices=VALID_N_CHOICES)
+    p.add_argument("--n", type=int, choices=VALID_N)
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
     p = add("synthesize", "generate a synthetic corpus from a pool")
     p.add_argument("--pool")
-    p.add_argument("--n", type=int, choices=VALID_N_CHOICES)
+    p.add_argument("--n", type=int, choices=VALID_N)
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--error-rate", dest="error_rate", type=float)
@@ -572,7 +585,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", help="print {patterns, total} for this pool")
     p.add_argument("--ref-pool", dest="ref_pool", help="reference pool for a report")
     p.add_argument("--corpus", help="candidate corpus for a report")
-    p.add_argument("--n", type=int, choices=VALID_N_CHOICES)
+    p.add_argument("--n", type=int, choices=VALID_N)
     p.add_argument("--top-k", dest="top_k", type=int)
     p.add_argument("--out", help="write the full report JSON here")
     p.add_argument("--csv", help="write the per-pattern frequency table here")

@@ -18,7 +18,8 @@ This module is also the one row layer for every JSONL file of the
 pipeline (pairs, pools, samples): ``read_json_rows`` is the one strict
 reader, ``canonical_json`` the one row encoder, and ``is_int`` the one
 integer check, which rejects ``true``/``false``. Every reader reports a
-byte that is not UTF-8 at the line that holds it.
+byte that is not UTF-8 at the line that holds it. Whole-file JSON
+(configs, plans, checkpoints) is read by ``read_json_file``, as strictly.
 """
 
 from __future__ import annotations
@@ -202,6 +203,23 @@ def read_json_rows(path) -> Iterator[tuple[int, dict]]:
         if not isinstance(obj, dict):
             raise SchemaError(path, line_no, "row is not an object")
         yield line_no, obj
+
+
+def read_json_file(path):
+    """The JSON value of a whole UTF-8 file (a config, plan or checkpoint).
+
+    Raises MalformedLine at line 0 for bad UTF-8 or JSON; each caller
+    re-raises its ``reason`` under its own error.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(path, 0, f"invalid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(path, 0, f"invalid JSON: {exc}") from exc
 
 
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)

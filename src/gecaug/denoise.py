@@ -21,7 +21,7 @@ import requests
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
-from .corpus import ParallelExample, is_int
+from .corpus import MalformedLine, ParallelExample, is_int, read_json_file
 from .synthesis import SyntheticSample
 
 
@@ -60,7 +60,8 @@ class OracleCorrector(CorrectorBackend):
         self._table: dict[tuple[str, str], str] = {}
         for s in samples:
             out = list(s.source)
-            for p, (a, b) in sorted(s.planted, key=lambda m: m[1], reverse=True):
+            # Right to left; of two empty plants at one point, the later goes first.
+            for p, (a, b) in reversed(sorted(s.planted, key=lambda m: m[1])):
                 out[a:b] = p.correct
             self._table[s.id, " ".join(s.source)] = " ".join(out)
 
@@ -106,8 +107,10 @@ def completed_from_checkpoint(checkpoint_path) -> int:
     path = os.fspath(checkpoint_path)
     if not os.path.exists(path):
         return 0
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        obj = read_json_file(path)
+    except MalformedLine as exc:
+        raise ValueError(f"{path}: bad checkpoint, {exc.reason}") from exc
     completed = obj.get("completed") if isinstance(obj, dict) else None
     if not is_int(completed) or completed < 0:
         raise ValueError(f"{path}: bad checkpoint, 'completed' must be a non-negative int")

@@ -11,13 +11,14 @@ on the same multiset of pairs.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, replace
 from random import Random
 from typing import Sequence
 
-from .corpus import ParallelExample, SchemaError, is_int, read_jsonl, read_pairs
+from .corpus import (
+    MalformedLine, ParallelExample, SchemaError, is_int, read_json_file, read_jsonl, read_pairs,
+)
 
 STAGES = ("I", "II", "III")
 
@@ -54,11 +55,10 @@ class StagePlan:
 def load_plan(path) -> StagePlan:
     """Read a plan JSON object: {stage, real, synthetic?, synthetic_count?, seed}."""
     path = os.fspath(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(path, 0, f"invalid JSON: {exc}") from exc
+    try:
+        obj = read_json_file(path)
+    except MalformedLine as exc:
+        raise SchemaError(path, 0, exc.reason) from exc
     if not isinstance(obj, dict):
         raise SchemaError(path, 0, "plan is not an object")
     if not isinstance(obj.get("stage"), str):

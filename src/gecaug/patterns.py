@@ -28,6 +28,11 @@ from .corpus import (
 VALID_N = (1, 3, 5)
 
 
+def _check_width(n) -> None:
+    if not (is_int(n) and n in VALID_N):
+        raise ValueError(f"context width must be one of {VALID_N}, got {n}")
+
+
 @dataclass(frozen=True)
 class ErrorPattern:
     """One (wrong, correct) n-gram pair. Either side may be empty at n=1."""
@@ -39,8 +44,7 @@ class ErrorPattern:
     def __post_init__(self):
         object.__setattr__(self, "wrong", tuple(self.wrong))
         object.__setattr__(self, "correct", tuple(self.correct))
-        if self.n not in VALID_N:
-            raise ValueError(f"context width must be one of {VALID_N}, got {self.n}")
+        _check_width(self.n)
         check_tokens(self.wrong, "wrong", allow_empty=True)
         check_tokens(self.correct, "correct", allow_empty=True)
         if self.wrong == self.correct:
@@ -63,8 +67,7 @@ def extend_to_ngram(
     conditions coincide, so omitting ``edits`` only matters for pairs with
     pathological multi-edit geometry.
     """
-    if n not in VALID_N:
-        raise ValueError(f"context width must be one of {VALID_N}, got {n}")
+    _check_width(n)
     k = (n - 1) // 2
     start, end = edit.src_span
     t_start, t_end = edit.tgt_span
@@ -118,8 +121,7 @@ class PatternPool:
         n: int,
         provenance: Sequence[str] = (),
     ):
-        if n not in VALID_N:
-            raise ValueError(f"context width must be one of {VALID_N}, got {n}")
+        _check_width(n)
         for pattern, count in counts.items():
             if pattern.n != n:
                 raise ValueError(

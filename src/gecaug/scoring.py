@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import mul
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .align import extract_edits
 from .corpus import AnnotatedExample, ParallelExample
@@ -209,6 +209,19 @@ class DistributionReport:
         }
 
 
+def _centred_ranks(values: Sequence[int]) -> list[int]:
+    """Twice each value's average rank minus twice the mean rank, as exact ints."""
+    out = [0] * len(values)
+    start = 0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for _, tied in groupby(order, key=values.__getitem__):
+        tied = list(tied)
+        for i in tied:
+            out[i] = 2 * start + len(tied) - len(values)
+        start += len(tied)
+    return out
+
+
 def distribution_from_counts(
     reference: PatternPool,
     candidate_counts: Mapping[ErrorPattern, int],
@@ -220,37 +233,43 @@ def distribution_from_counts(
     frequent patterns (ties broken lexicographically); candidate patterns
     outside that head are ignored. Cosine of a zero candidate vector is 0;
     Spearman of a constant vector is 0.
+
+    Both follow the operation order of NumPy's cosine and SciPy's
+    ``spearmanr`` (average ranks, covariances times ``1/(n-1)``,
+    ``cxy / sy / sx``, clipped to [-1, 1]), so reports keep the bits they
+    had when those libraries computed them. With integer counts and
+    half-integer ranks every sum is exact while it stays below 2**53, and
+    each remaining step is one correctly rounded float operation.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     head = reference.patterns_by_frequency()[:top_k]
     if not head:
         raise ValueError("reference pool is empty")
-    ref = np.array([reference.counts[p] for p in head], dtype=float)
-    cand = np.array([candidate_counts.get(p, 0) for p in head], dtype=float)
+    ref = [reference.counts[p] for p in head]
+    cand = [candidate_counts.get(p, 0) for p in head]
 
-    ref_norm = float(np.linalg.norm(ref))
-    cand_norm = float(np.linalg.norm(cand))
+    ref_norm = math.sqrt(sum(c * c for c in ref))
+    cand_norm = math.sqrt(sum(c * c for c in cand))
     if ref_norm == 0.0 or cand_norm == 0.0:
         cosine = 0.0
     else:
-        cosine = float(np.dot(ref, cand) / (ref_norm * cand_norm))
+        cosine = sum(map(mul, ref, cand)) / (ref_norm * cand_norm)
 
-    if len(head) < 2 or np.all(ref == ref[0]) or np.all(cand == cand[0]):
+    if len(head) < 2 or len(set(ref)) == 1 or len(set(cand)) == 1:
         spearman = 0.0
     else:
-        # Imported here: SciPy takes most of a second to load, and no
-        # other stage uses it.
-        from scipy import stats as _scipy_stats
-
-        rho = _scipy_stats.spearmanr(ref, cand).statistic
-        spearman = 0.0 if math.isnan(rho) else float(rho)
+        dx, dy = _centred_ranks(ref), _centred_ranks(cand)
+        f = 1 / (len(head) - 1)
+        sx = math.sqrt(sum(d * d for d in dx) / 4 * f)
+        sy = math.sqrt(sum(d * d for d in dy) / 4 * f)
+        spearman = max(-1.0, min(1.0, sum(map(mul, dx, dy)) / 4 * f / sy / sx))
 
     return DistributionReport(
         top_k=len(head),
         patterns=tuple(head),
-        reference_counts=tuple(int(c) for c in ref),
-        candidate_counts=tuple(int(c) for c in cand),
+        reference_counts=tuple(ref),
+        candidate_counts=tuple(cand),
         cosine=cosine,
         spearman=spearman,
     )

@@ -527,6 +527,54 @@ def test_bad_checkpoint_is_one_error_line(workdir: Path, capsys, checkpoint):
     assert not (workdir / "denoised.jsonl").exists()
 
 
+@pytest.mark.parametrize("kind", ["config", "plan", "checkpoint"])
+def test_whole_file_json_with_bad_utf8_is_one_error_line(workdir: Path, capsys, kind):
+    _synthesize_fixture(workdir)
+    capsys.readouterr()
+    if kind == "config":
+        (workdir / "job.json").write_bytes(b'{"in_path": "corpus.tsv\xff", "n": 3}')
+        argv, rc_want = ("extract", "--config", "job.json"), 2
+        code, prefix = "CONFIG", "config file job.json: invalid UTF-8: "
+    elif kind == "plan":
+        (workdir / "plan.json").write_bytes(b'{"stage": "I", "real": ["corpus.tsv\xff"]}')
+        argv, rc_want = ("mix", "--plan", "plan.json", "--out", "denoised.jsonl"), 1
+        code, prefix = "SCHEMA", "plan.json:0: invalid UTF-8: "
+    else:
+        (workdir / "relabel.ckpt").write_bytes(b'{"completed": 1, "last_id": "\xff"}')
+        argv, rc_want = _DENOISE, 1
+        code, prefix = "INVALID_ARGUMENT", "relabel.ckpt: bad checkpoint, invalid UTF-8: "
+    rc, _, events = _run(capsys, *argv)
+    assert rc == rc_want
+    assert len(events) == 1
+    assert (events[0]["code"], events[0]["message"][:len(prefix)]) == (code, prefix)
+    assert not (workdir / "denoised.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("score", {"beta": [1]}, "'beta' must be a number"),
+        ("score", {"beta": "x"}, "'beta' must be a number"),
+        ("score", {"beta": True}, "'beta' must be a number"),
+        ("score", {"beta": 0}, "beta must be positive"),
+        ("extract", {"in_path": 5, "n": 3}, "'in_path' must be a path string"),
+        ("pool", {"in_paths": "p.jsonl", "n": 3},
+         "'in_paths' must be a non-empty list of path strings"),
+        ("pool", {"in_paths": [], "n": 3},
+         "'in_paths' must be a non-empty list of path strings"),
+    ],
+    ids=["beta-list", "beta-string", "beta-bool", "beta-zero", "in-path-int",
+         "in-paths-string", "in-paths-empty"],
+)
+def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
+    base = {"hyp": "hyp.tsv", "gold": "gold.m2", "out": "out.jsonl"}
+    (workdir / "job.json").write_text(json.dumps({**base, **config}), encoding="utf-8")
+    rc, _, events = _run(capsys, command, "--config", "job.json")
+    assert rc == 2
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
+    assert not (workdir / "out.jsonl").exists()
+
+
 def test_denoise_http_needs_endpoint(workdir: Path, capsys, monkeypatch):
     monkeypatch.delenv("GECAUG_CORRECTOR_URL", raising=False)
     _synthesize_fixture(workdir)

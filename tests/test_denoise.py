@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gecaug import (
     CorrectorBackend,
@@ -18,6 +21,7 @@ from gecaug import (
     completed_from_checkpoint,
     relabel,
     relabel_diff_stats,
+    substitute,
     synthesize,
 )
 
@@ -66,6 +70,40 @@ def test_oracle_relabels_by_sample_not_by_sentence():
     assert [ex.target for ex in pairs] == [("x", "a", "y"), ("x", "the", "y")]
     assert all(ex.meta["matches_target"] for ex in pairs)
     assert OracleCorrector(samples).correct_text("x a y", "3") == "x a y"
+
+
+_TOKEN = st.sampled_from(("a", "b", "ab", "c", "."))
+
+
+@st.composite
+def _planting(draw):
+    """A token tuple and non-overlapping width-1 matches over it.
+
+    Sorted cut points pair up into spans; a span may be empty (an
+    insertion point) or touch its neighbour.
+    """
+    tokens = tuple(draw(st.lists(_TOKEN, min_size=1, max_size=10)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(tokens)), max_size=8)))
+    matches = []
+    for start, end in zip(cuts[::2], cuts[1::2]):
+        correct = tokens[start:end]
+        wrong = tuple(draw(st.lists(_TOKEN, max_size=3).filter(lambda w: tuple(w) != correct)))
+        matches.append((ErrorPattern(wrong, correct, 1), (start, end)))
+    return tokens, matches
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planting())
+@example((
+    ("a", "b"),  # two deletions planted at the same point
+    [(ErrorPattern((), ("a",), 1), (0, 1)), (ErrorPattern((), ("b",), 1), (1, 2))],
+))
+def test_oracle_inverts_substitute_property(planting):
+    tokens, matches = planting
+    sample = substitute(tokens, matches, Random(0), error_rate=1.0, sample_id="s")
+    assert len(sample.planted) == len(matches)
+    corrector = OracleCorrector([sample])
+    assert corrector.correct_text(" ".join(sample.source), sample.id) == " ".join(sample.target)
 
 
 def test_relabel_third_string_flags():
@@ -184,6 +222,9 @@ def test_completed_from_checkpoint_validation(tmp_path: Path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="bad checkpoint"):
             completed_from_checkpoint(path)
+    path.write_bytes(b'{"completed": "\xff"}')
+    with pytest.raises(ValueError, match=f"^{path}: bad checkpoint, invalid UTF-8: "):
+        completed_from_checkpoint(path)
 
 
 def test_relabel_argument_validation():

@@ -127,16 +127,18 @@ def test_planted_edit_fuzz_matches_slice_arithmetic():
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        ErrorPattern(("a",), ("b",), 2)
+    for n in (2, True):
+        with pytest.raises(ValueError, match="context width"):
+            ErrorPattern(("a",), ("b",), n)
     with pytest.raises(ValueError):
         ErrorPattern(("a",), ("a",), 1)
     with pytest.raises(ValueError):
         ErrorPattern(("a b",), ("c",), 1)
-    with pytest.raises(ValueError):
-        extend_to_ngram(
-            extract_edits(TABLE_PAIR)[0], TABLE_PAIR.source, TABLE_PAIR.target, 4
-        )
+    for n in (4, True):
+        with pytest.raises(ValueError, match="context width"):
+            extend_to_ngram(
+                extract_edits(TABLE_PAIR)[0], TABLE_PAIR.source, TABLE_PAIR.target, n
+            )
 
 
 def test_build_pool_counts_repeats():
@@ -155,6 +157,8 @@ def test_pool_validation():
     key = ErrorPattern(("a",), ("b",), 1)
     with pytest.raises(ValueError):
         PatternPool({key: 1}, n=3)
+    with pytest.raises(ValueError, match="context width"):
+        PatternPool({}, n=True)
     with pytest.raises(ValueError):
         PatternPool({key: 0}, n=1)
 

@@ -1,26 +1,38 @@
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from gecaug import (
     AnnotatedExample,
+    ErrorPattern,
     GoldEdit,
     ParallelExample,
+    PatternPool,
     ScoringError,
     StubGenerator,
     apply_gold_edits,
+    build_pool,
     distribution_consistency,
     distribution_from_counts,
     error_rate,
     f_beta,
     f_beta_from_rates,
     planted_counts,
+    read_pairs,
+    save_pool,
     score,
     synthesize,
+    write_jsonl,
 )
 
 from conftest import cli_env, insertion_pool
@@ -212,9 +224,8 @@ def test_distribution_self_comparison():
 
 
 def test_import_does_not_load_scipy():
-    # SciPy is imported only where a Spearman correlation is computed;
-    # every CLI stage imports the package and most never need it.
-    code = "import gecaug, sys; assert 'scipy' not in sys.modules"
+    # The package has no numeric dependencies; tests use them as references.
+    code = "import gecaug, sys; assert not {'scipy', 'numpy'} & set(sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True
     )
@@ -276,3 +287,97 @@ def test_distribution_report_as_dict():
     assert len(obj["patterns"]) == 3
     entry = obj["patterns"][0]
     assert set(entry) == {"wrong", "correct", "reference_count", "candidate_count"}
+
+
+def _reference(ref, cand) -> tuple[float, float]:
+    """Cosine and Spearman as NumPy and SciPy compute them."""
+    r = np.array(ref, dtype=float)
+    c = np.array(cand, dtype=float)
+    norms = np.linalg.norm(r) * np.linalg.norm(c)
+    cosine = float(np.dot(r, c) / norms) if norms else 0.0
+    if len(r) < 2 or np.all(r == r[0]) or np.all(c == c[0]):
+        return cosine, 0.0
+    return cosine, float(stats.spearmanr(r, c).statistic)
+
+
+def _report(ref, cand):
+    patterns = [ErrorPattern((f"w{i}",), (f"c{i}",), 1) for i in range(len(ref))]
+    pool = PatternPool(dict(zip(patterns, ref)), n=1)
+    return distribution_from_counts(pool, dict(zip(patterns, cand)), top_k=len(ref))
+
+
+# Reference (positive) and candidate counts, 2-300 of them, up to a bound
+# drawn from 4, 100 and 10**6: the small bounds give many ties.
+_COUNT_PAIRS = st.tuples(st.integers(2, 300), st.sampled_from([4, 100, 10**6])).flatmap(
+    lambda size: st.lists(
+        st.tuples(st.integers(1, size[1]), st.integers(0, size[1])),
+        min_size=size[0], max_size=size[0],
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COUNT_PAIRS)
+def test_distribution_matches_numpy_and_scipy_bit_for_bit(pairs):
+    report = _report(*zip(*pairs))
+    # The report orders the head by reference count; compare in that order.
+    expected = _reference(report.reference_counts, report.candidate_counts)
+    assert (report.cosine, report.spearman) == expected
+
+
+@pytest.mark.parametrize(
+    "ref, cand",
+    [([5, 5, 5], [1, 2, 3]), ([3, 2, 1], [4, 4, 4]), ([3, 2, 1], [0, 0, 0]), ([7], [7])],
+    ids=["constant-ref", "constant-cand", "zero-cand", "single"],
+)
+def test_distribution_constant_and_zero_vectors(ref, cand):
+    report = _report(ref, cand)
+    assert report.spearman == 0.0
+    assert (report.cosine, report.spearman) == _reference(
+        report.reference_counts, report.candidate_counts
+    )
+    if not any(cand):
+        assert report.cosine == 0.0
+
+
+# A child that cannot import NumPy or SciPy, running the CLI.
+_WITHOUT_NUMERIC = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, Refuse())
+from gecaug.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_stats_report_runs_without_numpy_or_scipy(tmp_path: Path):
+    pool = insertion_pool(40)
+    samples, _ = synthesize(pool, 300, StubGenerator(seed=5), base_seed=17, error_rate=0.8)
+    save_pool(pool, tmp_path / "pool.jsonl")
+    write_jsonl(
+        (ParallelExample(s.source, s.target, id=s.id) for s in samples),
+        tmp_path / "corpus.jsonl",
+    )
+    argv = [
+        "stats", "--ref-pool", "pool.jsonl", "--corpus", "corpus.jsonl", "--n", "3",
+        "--top-k", "30", "--out", "report.json", "--csv", "table.csv",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMERIC, *argv],
+        cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = json.loads(proc.stdout)
+    candidate = build_pool(read_pairs(tmp_path / "corpus.jsonl"), 3)
+    head = pool.patterns_by_frequency()[:30]
+    expected = _reference(
+        [pool.counts[p] for p in head], [candidate.counts.get(p, 0) for p in head]
+    )
+    assert (printed["cosine"], printed["spearman"]) == expected
+    assert 0.0 < printed["spearman"] < 1.0
+    assert (tmp_path / "report.json").exists() and (tmp_path / "table.csv").exists()
