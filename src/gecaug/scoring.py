@@ -256,7 +256,7 @@ def distribution_from_counts(
     else:
         cosine = sum(map(mul, ref, cand)) / (ref_norm * cand_norm)
 
-    if len(head) < 2 or len(set(ref)) == 1 or len(set(cand)) == 1:
+    if len(set(ref)) == 1 or len(set(cand)) == 1:
         spearman = 0.0
     else:
         dx, dy = _centred_ranks(ref), _centred_ranks(cand)
