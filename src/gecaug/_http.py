@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 
 class TransportError(Exception):
@@ -39,12 +40,17 @@ class JsonHttpClient:
     ):
         if not endpoint:
             raise ValueError("endpoint is empty")
+        # Imported here, not at module top: only the http backends need it,
+        # and it is most of the package's import time.
+        import requests
+
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self._session = session or requests.Session()
+        self._retryable = (requests.Timeout, requests.ConnectionError)
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
@@ -81,7 +87,7 @@ class JsonHttpClient:
                     headers=self._headers,
                     timeout=self.timeout,
                 )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except self._retryable as exc:
                 last_reason = f"connection failure: {exc}"
             else:
                 if 200 <= resp.status_code < 300:

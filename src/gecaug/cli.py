@@ -222,10 +222,9 @@ class _Options:
 
     def get_rate(self, dest: str, default: float) -> float:
         value = self.get(dest, default=default)
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CliError("CONFIG", f"'{dest}' must be a number", 2)
+        value = float(value)
         if not 0.0 <= value <= 1.0:
             raise CliError("CONFIG", f"'{dest}' must lie in [0, 1]", 2)
         return value

@@ -64,6 +64,11 @@ def is_int(value) -> bool:
 
 def check_tokens(tokens: tuple[str, ...], label: str, allow_empty: bool = False) -> None:
     """Raise ValueError on an empty or whitespace token, or no tokens unless ``allow_empty``."""
+    # Fast path: ``str.split()`` and ``str.isspace()`` share one whitespace
+    # table, so the tokens split back to themselves exactly when none is
+    # empty or holds whitespace. The loop below finds the error message.
+    if tokens and " ".join(tokens).split() == list(tokens):
+        return
     if not tokens and not allow_empty:
         raise ValueError(f"{label} side is empty")
     for tok in tokens:

@@ -14,15 +14,16 @@ import json
 import os
 from abc import ABC, abstractmethod
 from itertools import zip_longest
-from typing import Iterable, Iterator
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
 from .corpus import MalformedLine, ParallelExample, is_int, read_json_file
 from .synthesis import SyntheticSample
+
+if TYPE_CHECKING:
+    import requests
 
 
 class CorrectorBackend(ABC):

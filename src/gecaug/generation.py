@@ -16,13 +16,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
-
-import requests
+from typing import TYPE_CHECKING, Sequence
 
 from ._http import JsonHttpClient, TransportError
 from .corpus import check_tokens
 from .seeding import stable_seed
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "MASK",

@@ -5,7 +5,8 @@ cap, and a shuffle seed. Mixing concatenates the real corpora with the
 first ``synthetic_count`` synthetic pairs, shuffles at sentence
 granularity, and reports a manifest with per-origin counts and an
 order-independent content hash so downstream runs can prove they trained
-on the same multiset of pairs.
+on the same multiset of pairs. A ratio sweep reads each input once and
+mixes it once per cap; the shuffle and the hash are per cap.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .corpus import (
 )
 
 STAGES = ("I", "II", "III")
+
+# The real corpora, one list per path, and the synthetic corpus of a plan.
+Corpora = tuple[list[list[ParallelExample]], list[ParallelExample]]
 
 
 @dataclass(frozen=True)
@@ -93,28 +97,48 @@ def content_hash(examples: Sequence[ParallelExample]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def mix(plan: StagePlan) -> tuple[list[ParallelExample], dict]:
+def read_corpora(plan: StagePlan) -> Corpora:
+    """Read each input of ``plan`` once: one list per real corpus, then the synthetic one.
+
+    Pair ids are prefixed with the input's index to stay unique across
+    inputs. The synthetic list is empty when the plan names no synthetic
+    corpus.
+    """
+    real = [_prefixed(k, read_pairs(path)) for k, path in enumerate(plan.real)]
+    synthetic: list[ParallelExample] = []
+    if plan.synthetic is not None:
+        synthetic = _prefixed(len(plan.real), read_jsonl(plan.synthetic))
+    return real, synthetic
+
+
+def _prefixed(k: int, examples) -> list[ParallelExample]:
+    return [replace(ex, id=f"{k}:{ex.id}") for ex in examples]
+
+
+def mix(
+    plan: StagePlan, corpora: Corpora | None = None
+) -> tuple[list[ParallelExample], dict]:
     """Build one stage's training corpus plus its manifest.
 
-    Pair ids are prefixed with the origin index to stay unique across
-    inputs. The synthetic cap takes the first ``synthetic_count`` pairs;
-    a cap larger than the corpus is an error, never a silent truncation.
+    ``corpora`` is what ``read_corpora(plan)`` returns; the inputs are read
+    when it is not given. The synthetic cap takes the first
+    ``synthetic_count`` pairs; a cap larger than the corpus is an error,
+    never a silent truncation. The shuffle runs on a new list, so the
+    corpora are left as they are.
     """
-    combined: list[ParallelExample] = []
-    origins: list[dict] = []
-    for k, path in enumerate(plan.real):
-        items = list(read_pairs(path))
-        combined.extend(replace(ex, id=f"{k}:{ex.id}") for ex in items)
-        origins.append({"path": path, "kind": "real", "count": len(items)})
+    real, synthetic = read_corpora(plan) if corpora is None else corpora
+    combined = [ex for rows in real for ex in rows]
+    origins = [
+        {"path": path, "kind": "real", "count": len(rows)}
+        for path, rows in zip(plan.real, real)
+    ]
     if plan.synthetic is not None:
-        items = list(read_jsonl(plan.synthetic))
         cap = plan.synthetic_count or 0
-        if cap > len(items):
+        if cap > len(synthetic):
             raise ValueError(
-                f"synthetic_count {cap} exceeds corpus size {len(items)}"
+                f"synthetic_count {cap} exceeds corpus size {len(synthetic)}"
             )
-        k = len(plan.real)
-        combined.extend(replace(ex, id=f"{k}:{ex.id}") for ex in items[:cap])
+        combined.extend(synthetic[:cap])
         origins.append({"path": plan.synthetic, "kind": "synthetic", "count": cap})
     rng = Random(plan.seed)
     rng.shuffle(combined)
@@ -131,14 +155,19 @@ def mix(plan: StagePlan) -> tuple[list[ParallelExample], dict]:
 def ratio_sweep(
     plan: StagePlan, caps: Sequence[int]
 ) -> list[tuple[int, list[ParallelExample], dict]]:
-    """Mix once per synthetic cap. Caps must be unique; order is preserved."""
+    """Mix once per synthetic cap. Caps must be unique; order is preserved.
+
+    The inputs are read once and shared by every cap, so the returned
+    corpora share their pair objects. Each cap shuffles its own list with
+    ``plan.seed`` and hashes it, as ``mix`` alone would.
+    """
     if plan.synthetic is None:
         raise ValueError("ratio sweep needs a plan with a synthetic corpus")
     if len(set(caps)) != len(caps):
         raise ValueError("duplicate caps in sweep")
+    corpora = read_corpora(plan)
     out = []
     for cap in caps:
-        capped = replace(plan, synthetic_count=cap)
-        examples, manifest = mix(capped)
+        examples, manifest = mix(replace(plan, synthetic_count=cap), corpora)
         out.append((cap, examples, manifest))
     return out

@@ -10,14 +10,25 @@ is scanned), kept so that optimisations of ``gecaug.align.align_tokens``
 can be required to return the same op sequence, tie-breaks included.
 Only the ``AlignOp`` record and the op-kind names are shared, so op lists
 compare with ``==``.
+
+``reference_check_tokens`` is a frozen copy of the original per-character
+token check, and ``reference_mix`` / ``reference_ratio_sweep`` of the
+original mixer, which read every input once per cap. They share the
+package's readers and ``StagePlan``, so examples and manifests compare
+with ``==``.
 """
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
 from functools import lru_cache
+from random import Random
 from typing import Sequence
 
 from gecaug.align import DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp
+from gecaug.corpus import ParallelExample, read_jsonl, read_pairs
+from gecaug.mix import StagePlan
 
 
 def _lcs_len(a: str, b: str) -> int:
@@ -181,3 +192,70 @@ def reference_align_tokens(source: Sequence[str], target: Sequence[str]) -> list
             i, j = i - k, j - k
     ops.reverse()
     return ops
+
+
+def reference_check_tokens(
+    tokens: tuple[str, ...], label: str, allow_empty: bool = False
+) -> None:
+    """Frozen copy of the original ``gecaug.corpus.check_tokens``; do not edit."""
+    if not tokens and not allow_empty:
+        raise ValueError(f"{label} side is empty")
+    for tok in tokens:
+        if tok == "":
+            raise ValueError(f"{label} side contains an empty token")
+        if any(ch.isspace() for ch in tok):
+            raise ValueError(f"{label} token {tok!r} contains whitespace")
+
+
+def _reference_content_hash(examples: Sequence[ParallelExample]) -> str:
+    hashes = []
+    for ex in examples:
+        text = " ".join(ex.source) + "\t" + " ".join(ex.target)
+        hashes.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return hashlib.sha256("\n".join(sorted(hashes)).encode("utf-8")).hexdigest()
+
+
+def reference_mix(plan: StagePlan) -> tuple[list[ParallelExample], dict]:
+    """Frozen copy of the original ``gecaug.mix.mix``; do not edit."""
+    combined: list[ParallelExample] = []
+    origins: list[dict] = []
+    for k, path in enumerate(plan.real):
+        items = list(read_pairs(path))
+        combined.extend(replace(ex, id=f"{k}:{ex.id}") for ex in items)
+        origins.append({"path": path, "kind": "real", "count": len(items)})
+    if plan.synthetic is not None:
+        items = list(read_jsonl(plan.synthetic))
+        cap = plan.synthetic_count or 0
+        if cap > len(items):
+            raise ValueError(
+                f"synthetic_count {cap} exceeds corpus size {len(items)}"
+            )
+        k = len(plan.real)
+        combined.extend(replace(ex, id=f"{k}:{ex.id}") for ex in items[:cap])
+        origins.append({"path": plan.synthetic, "kind": "synthetic", "count": cap})
+    rng = Random(plan.seed)
+    rng.shuffle(combined)
+    manifest = {
+        "stage": plan.stage,
+        "seed": plan.seed,
+        "origins": origins,
+        "total": len(combined),
+        "content_hash": _reference_content_hash(combined),
+    }
+    return combined, manifest
+
+
+def reference_ratio_sweep(
+    plan: StagePlan, caps: Sequence[int]
+) -> list[tuple[int, list[ParallelExample], dict]]:
+    """Frozen copy of the original ``gecaug.mix.ratio_sweep``; do not edit."""
+    if plan.synthetic is None:
+        raise ValueError("ratio sweep needs a plan with a synthetic corpus")
+    if len(set(caps)) != len(caps):
+        raise ValueError("duplicate caps in sweep")
+    out = []
+    for cap in caps:
+        capped = replace(plan, synthetic_count=cap)
+        examples, manifest = reference_mix(capped)
+        out.append((cap, examples, manifest))
+    return out

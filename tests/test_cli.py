@@ -550,6 +550,9 @@ def test_whole_file_json_with_bad_utf8_is_one_error_line(workdir: Path, capsys, 
     assert not (workdir / "denoised.jsonl").exists()
 
 
+_SYNTH_CONFIG = {"pool": "pool.jsonl", "n": 3, "count": 1, "seed": 0}
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -562,9 +565,13 @@ def test_whole_file_json_with_bad_utf8_is_one_error_line(workdir: Path, capsys, 
          "'in_paths' must be a non-empty list of path strings"),
         ("pool", {"in_paths": [], "n": 3},
          "'in_paths' must be a non-empty list of path strings"),
+        ("synthesize", {**_SYNTH_CONFIG, "error_rate": True}, "'error_rate' must be a number"),
+        ("synthesize", {**_SYNTH_CONFIG, "error_rate": "0.5"}, "'error_rate' must be a number"),
+        ("synthesize", {**_SYNTH_CONFIG, "stub_drop_rate": False},
+         "'stub_drop_rate' must be a number"),
     ],
     ids=["beta-list", "beta-string", "beta-bool", "beta-zero", "in-path-int",
-         "in-paths-string", "in-paths-empty"],
+         "in-paths-string", "in-paths-empty", "rate-true", "rate-string", "rate-false"],
 )
 def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
     base = {"hyp": "hyp.tsv", "gold": "gold.m2", "out": "out.jsonl"}

@@ -27,7 +27,9 @@ from gecaug import (
     write_m2,
     write_parallel_tsv,
 )
+from gecaug.corpus import check_tokens
 
+from _oracles import reference_check_tokens
 from conftest import random_pair
 
 
@@ -433,3 +435,27 @@ def test_m2_write_read_round_trip(tmp_path: Path, blocks):
     path = tmp_path / "gold.m2"
     assert write_m2(examples, path) == len(examples)
     assert list(read_m2(path)) == examples
+
+
+# ASCII and Unicode whitespace, plus zero-width space and BOM, which are not.
+_TRICKY = st.text(
+    st.sampled_from(["a", "b", "\u00e9", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0",
+                     "\u2003", "\u3000", "\u200b", "\ufeff"]),
+    max_size=4,
+)
+
+
+def _check_outcome(check, tokens, allow_empty):
+    try:
+        check(tokens, "side", allow_empty=allow_empty)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_TRICKY, max_size=5).map(tuple), st.booleans())
+def test_check_tokens_matches_reference(tokens, allow_empty):
+    assert _check_outcome(check_tokens, tokens, allow_empty) == _check_outcome(
+        reference_check_tokens, tokens, allow_empty
+    )

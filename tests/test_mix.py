@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import random
 from collections import Counter
@@ -21,6 +22,8 @@ from gecaug import (
     write_jsonl,
     write_parallel_tsv,
 )
+
+from _oracles import reference_mix, reference_ratio_sweep
 
 
 def _real_tsv(tmp_path: Path, count: int = 50) -> Path:
@@ -222,3 +225,55 @@ def test_mix_shuffle_matches_stdlib(tmp_path: Path):
     expected = [f"0:{i + 1}" for i in range(12)]
     random.Random(77).shuffle(expected)
     assert [ex.id for ex in examples] == expected
+
+
+def _two_real_inputs(tmp_path: Path) -> tuple[str, str, str]:
+    real_tsv = _real_tsv(tmp_path, 30)
+    real_jsonl = tmp_path / "real.jsonl"
+    write_jsonl(
+        [ParallelExample(("j", str(i)), ("j", str(i), "!"), id=f"j{i}", meta={"i": i})
+         for i in range(12)],
+        real_jsonl,
+    )
+    return str(real_tsv), str(real_jsonl), str(_synthetic_jsonl(tmp_path, 40))
+
+
+def test_mix_and_sweep_match_reference(tmp_path: Path):
+    real_tsv, real_jsonl, syn = _two_real_inputs(tmp_path)
+    plan = StagePlan("II", (real_tsv, real_jsonl), syn, 7, seed=13)
+    caps = [40, 0, 7, 25]  # 40 is the whole synthetic corpus
+    sweep = ratio_sweep(plan, caps)
+    want = reference_ratio_sweep(plan, caps)
+    assert [cap for cap, _, _ in sweep] == caps
+    for (cap, examples, manifest), (_, ref_examples, ref_manifest) in zip(sweep, want):
+        assert examples == ref_examples, cap
+        assert manifest == ref_manifest, cap
+    for one in (plan, StagePlan("I", (real_tsv, real_jsonl), seed=13)):
+        examples, manifest = mix(one)
+        ref_examples, ref_manifest = reference_mix(one)
+        assert (examples, manifest) == (ref_examples, ref_manifest)
+    for bad in ([0, 41], [5, 5]):
+        with pytest.raises(ValueError) as got:
+            ratio_sweep(plan, bad)
+        with pytest.raises(ValueError) as ref:
+            reference_ratio_sweep(plan, bad)
+        assert str(got.value) == str(ref.value)
+
+
+def test_ratio_sweep_reads_each_input_once(tmp_path: Path, monkeypatch):
+    real_tsv, real_jsonl, syn = _two_real_inputs(tmp_path)
+    opened: Counter[str] = Counter()
+
+    def counting(read):
+        def wrapper(path):
+            opened[str(path)] += 1
+            return read(path)
+        return wrapper
+
+    # ``gecaug.mix`` as an attribute is the function the package re-exports.
+    module = importlib.import_module("gecaug.mix")
+    monkeypatch.setattr(module, "read_pairs", counting(module.read_pairs))
+    monkeypatch.setattr(module, "read_jsonl", counting(module.read_jsonl))
+    plan = StagePlan("II", (real_tsv, real_jsonl), syn, 0, seed=3)
+    assert len(ratio_sweep(plan, [0, 10, 20, 40])) == 4
+    assert opened == {real_tsv: 1, real_jsonl: 1, syn: 1}
