@@ -220,11 +220,14 @@ class _Options:
             raise CliError("CONFIG", "seed must be an integer", 2)
         return seed
 
-    def get_rate(self, dest: str, default: float) -> float:
+    def get_number(self, dest: str, default: float) -> float:
         value = self.get(dest, default=default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CliError("CONFIG", f"'{dest}' must be a number", 2)
-        value = float(value)
+        return float(value)
+
+    def get_rate(self, dest: str, default: float) -> float:
+        value = self.get_number(dest, default)
         if not 0.0 <= value <= 1.0:
             raise CliError("CONFIG", f"'{dest}' must lie in [0, 1]", 2)
         return value
@@ -499,12 +502,9 @@ def _cmd_stats(opts: _Options) -> None:
 def _cmd_score(opts: _Options) -> None:
     hyp_path = opts.get_path("hyp", required=True)
     gold_path = opts.get_path("gold", required=True)
-    beta = opts.get("beta", default=0.5)
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        raise CliError("CONFIG", "'beta' must be a number", 2)
+    beta = opts.get_number("beta", 0.5)
     if not beta > 0:
         raise CliError("CONFIG", "beta must be positive", 2)
-    beta = float(beta)
     with _stage("score", hyp=hyp_path, gold=gold_path) as st:
         report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
         print(f"TP {report.tp}")
