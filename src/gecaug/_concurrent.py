@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -28,6 +30,10 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T], max_in_flight: int) ->
     if max_in_flight == 1:
         yield from map(fn, items)
         return
+    # Imported here: only this branch starts threads, and the module (with
+    # the logging it loads) would otherwise cost every process its import.
+    from concurrent.futures import ThreadPoolExecutor
+
     pending: deque[Future[R]] = deque()
     executor = ThreadPoolExecutor(max_in_flight, thread_name_prefix="map_ordered")
     try:

@@ -247,11 +247,12 @@ def write_lines(lines: Iterable[str], path) -> int:
 # ---------------------------------------------------------------------------
 # TSV
 
-def read_parallel_tsv(path) -> Iterator[ParallelExample]:
+def read_parallel_tsv(path, id_prefix: str = "") -> Iterator[ParallelExample]:
     """Yield pairs from a ``wrong<TAB>correct`` file.
 
-    Pair ids are 1-based line numbers as strings. Raises MalformedLine on
-    ragged rows, empty sides, whitespace-broken tokens or undecodable bytes.
+    Pair ids are ``id_prefix`` plus 1-based line numbers as strings. Raises
+    MalformedLine on ragged rows, empty sides, whitespace-broken tokens or
+    undecodable bytes.
     """
     path = os.fspath(path)
     for line_no, line in _lines(path):
@@ -264,7 +265,7 @@ def read_parallel_tsv(path) -> Iterator[ParallelExample]:
             yield ParallelExample(
                 source=tuple(fields[0].split(" ")),
                 target=tuple(fields[1].split(" ")),
-                id=str(line_no),
+                id=id_prefix + str(line_no),
             )
         except ValueError as exc:
             raise MalformedLine(path, line_no, str(exc)) from exc
@@ -424,10 +425,10 @@ def write_m2(examples: Iterable[AnnotatedExample], path) -> int:
 # ---------------------------------------------------------------------------
 # JSONL
 
-def read_jsonl(path) -> Iterator[ParallelExample]:
+def read_jsonl(path, id_prefix: str = "") -> Iterator[ParallelExample]:
     """Yield pairs from a JSONL file of {id, source, target, meta?} objects.
 
-    Unknown keys are ignored so enriched rows (synthesis output, relabeled
+    Pair ids are ``id_prefix`` plus the row's ``id``. Unknown keys are ignored so enriched rows (synthesis output, relabeled
     corpora) load with the same reader. Raises MalformedLine for broken
     JSON or token-level problems and SchemaError for missing or mistyped
     required keys.
@@ -446,7 +447,7 @@ def read_jsonl(path) -> Iterator[ParallelExample]:
             yield ParallelExample(
                 source=tuple(obj["source"].split(" ")),
                 target=tuple(obj["target"].split(" ")),
-                id=obj["id"],
+                id=id_prefix + obj["id"],
                 meta=meta,
             )
         except ValueError as exc:
@@ -470,11 +471,11 @@ def write_jsonl(examples: Iterable[ParallelExample], path) -> int:
     return write_lines(map(jsonl_line, examples), path)
 
 
-def read_pairs(path) -> Iterator[ParallelExample]:
+def read_pairs(path, id_prefix: str = "") -> Iterator[ParallelExample]:
     """Read a parallel corpus, dispatching on extension (.tsv or .jsonl)."""
     name = os.fspath(path)
     if name.endswith(".tsv"):
-        return read_parallel_tsv(name)
+        return read_parallel_tsv(name, id_prefix)
     if name.endswith(".jsonl"):
-        return read_jsonl(name)
+        return read_jsonl(name, id_prefix)
     raise ValueError(f"unsupported corpus format: {name!r} (want .tsv or .jsonl)")

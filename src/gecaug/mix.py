@@ -104,15 +104,11 @@ def read_corpora(plan: StagePlan) -> Corpora:
     inputs. The synthetic list is empty when the plan names no synthetic
     corpus.
     """
-    real = [_prefixed(k, read_pairs(path)) for k, path in enumerate(plan.real)]
+    real = [list(read_pairs(path, id_prefix=f"{k}:")) for k, path in enumerate(plan.real)]
     synthetic: list[ParallelExample] = []
     if plan.synthetic is not None:
-        synthetic = _prefixed(len(plan.real), read_jsonl(plan.synthetic))
+        synthetic = list(read_jsonl(plan.synthetic, id_prefix=f"{len(plan.real)}:"))
     return real, synthetic
-
-
-def _prefixed(k: int, examples) -> list[ParallelExample]:
-    return [replace(ex, id=f"{k}:{ex.id}") for ex in examples]
 
 
 def mix(

@@ -17,8 +17,13 @@ from gecaug import (
     merge_edits,
     substitution_cost,
 )
+from gecaug.align import _char_similarity
 
-from _oracles import oracle_alignment_cost, reference_align_tokens
+from _oracles import (
+    _reference_char_similarity,
+    oracle_alignment_cost,
+    reference_align_tokens,
+)
 from conftest import random_pair
 
 
@@ -235,6 +240,52 @@ def test_align_matches_reference_on_shuffled_pairs(seed):
                 target.insert(rng.randint(0, len(target)), rng.choice(vocab))
         got = align_tokens(source, target)
         assert got == reference_align_tokens(source, target), (source, target)
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (("A", "A", "b", "ab", "c", "a"), ("A", "c", "ab", "a", "b", "A", "a")),
+        (("on", "The", "no", "a", "in", "teh"), ("a", "teh", "in", "no", "The", "on", "teh")),
+    ],
+)
+def test_transposition_may_end_before_an_equal_last_token(source, target):
+    # The optimum transposes a window that takes in the source's last token
+    # and then inserts the target's, equal, last token (5.5 and 6.5);
+    # matching the equal last tokens first costs 6 and 7.
+    assert align_tokens(source, target) == reference_align_tokens(source, target)
+    assert alignment_cost(source, target) == oracle_alignment_cost(source, target)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_align_matches_reference_on_shuffled_pairs_with_a_repeated_last_token(seed):
+    # A permuted target that ends with a copy of the source's last token:
+    # the two sentences share a last token that the optimum need not match.
+    rng = random.Random(3000 + seed)
+    for _ in range(5000):
+        vocab = _SHUFFLE_VOCAB[: rng.randint(2, len(_SHUFFLE_VOCAB))]
+        source = [rng.choice(vocab) for _ in range(rng.randint(1, 9))]
+        target = list(source)
+        rng.shuffle(target)
+        target.append(source[-1])
+        got = align_tokens(source, target)
+        assert got == reference_align_tokens(source, target), (source, target)
+
+
+# Each pair shares a small alphabet: two letters, case variants, or
+# non-ASCII letters.
+_WORD_PAIRS = st.sampled_from(("ab", "aAbB", "abcéÉßİ")).flatmap(
+    lambda alphabet: st.tuples(
+        st.text(alphabet, max_size=20), st.text(alphabet, max_size=20)
+    )
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_WORD_PAIRS)
+def test_char_similarity_matches_reference(pair):
+    a, b = pair
+    assert _char_similarity.__wrapped__(a, b) == _reference_char_similarity.__wrapped__(a, b)
 
 
 # "A" is a case variant of "a" (substitution cost 1) and "ab" a near miss

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import shutil
 import signal
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import gecaug._concurrent
 from gecaug import IdentityCorrector, cli
 from gecaug.cli import main
 
@@ -309,7 +309,9 @@ def test_local_backends_default_to_one_in_flight(workdir: Path, capsys, monkeypa
     def no_threads(*args, **kwargs):
         raise AssertionError("a local backend started a thread pool")
 
-    monkeypatch.setattr(gecaug._concurrent, "ThreadPoolExecutor", no_threads)
+    # ``map_ordered`` imports the pool where it starts one, so it is
+    # replaced at its source.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
     _write_corpus(workdir)
     assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
     assert main([

@@ -356,6 +356,18 @@ def test_read_pairs_dispatch(tmp_path: Path):
         read_pairs(tmp_path / "x.txt")
 
 
+def test_readers_prefix_ids(tmp_path: Path):
+    tsv = tmp_path / "x.tsv"
+    write_parallel_tsv([ParallelExample(("a",), ("b",), id="7")], tsv)
+    jl = tmp_path / "x.jsonl"
+    write_jsonl([ParallelExample(("c",), ("d",), id="r7", meta={"k": 1})], jl)
+    assert next(read_pairs(tsv, id_prefix="0:")) == ParallelExample(("a",), ("b",), id="0:1")
+    assert next(read_pairs(jl, id_prefix="1:")) == ParallelExample(
+        ("c",), ("d",), id="1:r7", meta={"k": 1}
+    )
+    assert next(read_pairs(jl)).id == "r7"
+
+
 def test_jsonl_fuzz_round_trip(tmp_path: Path):
     rng = random.Random(20260818)
     pairs = []

@@ -265,9 +265,9 @@ def test_ratio_sweep_reads_each_input_once(tmp_path: Path, monkeypatch):
     opened: Counter[str] = Counter()
 
     def counting(read):
-        def wrapper(path):
+        def wrapper(path, *args, **kwargs):
             opened[str(path)] += 1
-            return read(path)
+            return read(path, *args, **kwargs)
         return wrapper
 
     # ``gecaug.mix`` as an attribute is the function the package re-exports.
