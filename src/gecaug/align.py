@@ -50,9 +50,11 @@ would give them:
 * The character LCS of the substitution tiers is bit-parallel over Python
   ints (Hyyrö 2004), with the same integer length and so the same ratio.
 
-A common-suffix trim, matching equal last tokens before the table is
-filled, is not exact: a transposition window may end on the source's last
-token while the target's equal last token is inserted.
+Trimming a common prefix or suffix before the table is filled is not
+exact. A prefix trim moves the table's origin, and with it which of
+several equal-cost alignments the tie order picks. A suffix trim misses
+the transposition windows that end on the source's last token while the
+target's equal last token is inserted.
 
 Runs of consecutive non-match operations merge into span-level ``Edit``
 objects, the unit every downstream module consumes.

@@ -428,10 +428,11 @@ def write_m2(examples: Iterable[AnnotatedExample], path) -> int:
 def read_jsonl(path, id_prefix: str = "") -> Iterator[ParallelExample]:
     """Yield pairs from a JSONL file of {id, source, target, meta?} objects.
 
-    Pair ids are ``id_prefix`` plus the row's ``id``. Unknown keys are ignored so enriched rows (synthesis output, relabeled
-    corpora) load with the same reader. Raises MalformedLine for broken
-    JSON or token-level problems and SchemaError for missing or mistyped
-    required keys.
+    Pair ids are ``id_prefix`` plus the row's ``id``. Unknown keys are
+    ignored so enriched rows (synthesis output, relabeled corpora) load
+    with the same reader. Raises MalformedLine for broken JSON or
+    token-level problems and SchemaError for missing or mistyped required
+    keys.
     """
     path = os.fspath(path)
     for line_no, obj in read_json_rows(path):
