@@ -220,6 +220,12 @@ class _Options:
             raise CliError("CONFIG", "seed must be an integer", 2)
         return seed
 
+    def get_bool(self, dest: str) -> bool:
+        value = self.get(dest, default=False)
+        if not isinstance(value, bool):
+            raise CliError("CONFIG", f"'{dest}' must be true or false", 2)
+        return value
+
     def get_number(self, dest: str, default: float) -> float:
         value = self.get(dest, default=default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -305,12 +311,13 @@ def _cmd_synthesize(opts: _Options) -> None:
     # Checked before any work: the manifest records both rates whatever the backend.
     drop_rate = opts.get_rate("stub_drop_rate", 0.0)
     refuse_rate = opts.get_rate("stub_refuse_rate", 0.0)
+    fewshot = opts.get_bool("fewshot")
 
     if backend_name == "stub":
         backend = StubGenerator(seed=seed, drop_rate=drop_rate, refuse_rate=refuse_rate)
     elif backend_name == "http":
         try:
-            backend = HttpGenerator(fewshot=bool(opts.get("fewshot", default=False)))
+            backend = HttpGenerator(fewshot=fewshot)
         except ValueError as exc:
             raise CliError("CONFIG", str(exc), 2)
     else:

@@ -14,16 +14,13 @@ import json
 import os
 from abc import ABC, abstractmethod
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
 from .corpus import MalformedLine, ParallelExample, is_int, read_json_file
 from .synthesis import SyntheticSample
-
-if TYPE_CHECKING:
-    import requests
 
 
 class CorrectorBackend(ABC):
@@ -87,7 +84,6 @@ class HttpCorrector(CorrectorBackend):
         timeout: float = 30.0,
         max_attempts: int = 5,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
     ):
         self._client = JsonHttpClient.from_env(
             "corrector",
@@ -96,7 +92,6 @@ class HttpCorrector(CorrectorBackend):
             timeout=timeout,
             max_attempts=max_attempts,
             backoff_base=backoff_base,
-            session=session,
         )
 
     def correct_text(self, text: str, request_id: str = "0") -> str:

@@ -16,14 +16,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ._http import JsonHttpClient, TransportError
 from .corpus import check_tokens
 from .seeding import stable_seed
-
-if TYPE_CHECKING:
-    import requests
 
 __all__ = [
     "MASK",
@@ -297,7 +294,6 @@ class HttpGenerator(GeneratorBackend):
         fewshot: bool = False,
         max_attempts: int = 5,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
     ):
         self.max_tokens = max_tokens
         self.fewshot = fewshot
@@ -308,7 +304,6 @@ class HttpGenerator(GeneratorBackend):
             timeout=timeout,
             max_attempts=max_attempts,
             backoff_base=backoff_base,
-            session=session,
         )
 
     def generate_text(self, request: GenerationRequest) -> str:

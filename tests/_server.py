@@ -3,8 +3,16 @@
 The server runs a ThreadingHTTPServer on an ephemeral port and answers
 each POST by popping the next step from a script. A step is either a
 callable (request payload dict -> (status, body bytes)) or a plain
-(status, json-serializable) tuple. Requests beyond the script repeat the
-last step. All received payloads and headers are recorded for assertions.
+(status, json-serializable) tuple, optionally with a third item, a dict of
+extra response headers. Requests beyond the script repeat the last step.
+All received payloads, headers and request targets are recorded for
+assertions, and so is the number of connections accepted.
+
+By default every reply closes its connection (HTTP/1.0). ``keep_alive``
+answers HTTP/1.1 and keeps connections open; ``drop_idle`` also answers
+HTTP/1.1 without ``Connection: close`` but closes each connection after
+its reply, as a server that times out idle connections does. A CONNECT
+request is recorded in ``targets`` and refused with 502.
 """
 
 from __future__ import annotations
@@ -15,14 +23,29 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class ScriptedServer:
-    def __init__(self, script):
+    def __init__(self, script, keep_alive: bool = False, drop_idle: bool = False):
         self.script = list(script)
         self.requests: list[dict] = []
         self.headers: list[dict] = []
+        self.targets: list[str] = []
+        self.connections = 0
         self._lock = threading.Lock()
         recorder = self
 
         class Handler(BaseHTTPRequestHandler):
+            if keep_alive or drop_idle:
+                protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with recorder._lock:
+                    recorder.connections += 1
+
+            def do_CONNECT(self):
+                with recorder._lock:
+                    recorder.targets.append(self.path)
+                self.send_error(502)
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 raw = self.rfile.read(length)
@@ -33,19 +56,26 @@ class ScriptedServer:
                 with recorder._lock:
                     recorder.requests.append(payload)
                     recorder.headers.append(dict(self.headers))
+                    recorder.targets.append(self.path)
                     step = recorder.script[0]
                     if len(recorder.script) > 1:
                         recorder.script.pop(0)
+                extra = {}
                 if callable(step):
                     status, body = step(payload)
                 else:
-                    status, obj = step
+                    status, obj, *rest = step
                     body = json.dumps(obj).encode("utf-8")
+                    extra = rest[0] if rest else {}
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in extra.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
+                if drop_idle:
+                    self.close_connection = True
 
             def log_message(self, fmt, *args):
                 pass

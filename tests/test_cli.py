@@ -571,9 +571,13 @@ _SYNTH_CONFIG = {"pool": "pool.jsonl", "n": 3, "count": 1, "seed": 0}
         ("synthesize", {**_SYNTH_CONFIG, "error_rate": "0.5"}, "'error_rate' must be a number"),
         ("synthesize", {**_SYNTH_CONFIG, "stub_drop_rate": False},
          "'stub_drop_rate' must be a number"),
+        ("synthesize", {**_SYNTH_CONFIG, "fewshot": "no"}, "'fewshot' must be true or false"),
+        ("synthesize", {**_SYNTH_CONFIG, "backend": "http", "fewshot": 1},
+         "'fewshot' must be true or false"),
     ],
     ids=["beta-list", "beta-string", "beta-bool", "beta-zero", "in-path-int",
-         "in-paths-string", "in-paths-empty", "rate-true", "rate-string", "rate-false"],
+         "in-paths-string", "in-paths-empty", "rate-true", "rate-string", "rate-false",
+         "fewshot-string", "fewshot-int-http"],
 )
 def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
     base = {"hyp": "hyp.tsv", "gold": "gold.m2", "out": "out.jsonl"}
@@ -592,6 +596,30 @@ def test_denoise_http_needs_endpoint(workdir: Path, capsys, monkeypatch):
     )
     assert rc == 2
     assert events[-1]["code"] == "CONFIG"
+
+
+@pytest.mark.parametrize(
+    "command, variable, endpoint",
+    [
+        ("synthesize", "GECAUG_GENERATOR_URL", "localhost:9/x"),
+        ("denoise", "GECAUG_CORRECTOR_URL", "ftp://gecaug.invalid/x"),
+    ],
+)
+def test_bad_endpoint_is_a_config_error_before_the_stage(
+    workdir: Path, capsys, monkeypatch, command, variable, endpoint
+):
+    _synthesize_fixture(workdir)
+    capsys.readouterr()
+    monkeypatch.setenv(variable, endpoint)
+    args = {
+        "synthesize": ["--pool", "pool.jsonl", "--n", "3", "--count", "2", "--seed", "1"],
+        "denoise": ["--in", "syn.jsonl"],
+    }[command]
+    rc, _, events = _run(capsys, command, *args, "--backend", "http", "--out", "out.jsonl")
+    assert rc == 2
+    message = f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}"
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
+    assert not (workdir / "out.jsonl").exists()
 
 
 def test_mix_and_sweep(workdir: Path, capsys):

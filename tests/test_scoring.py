@@ -225,11 +225,12 @@ def test_distribution_self_comparison():
 
 def test_import_does_not_load_scipy():
     # The package has no numeric dependencies; tests use them as references.
-    # Only the http backends need requests, and they import it themselves;
-    # only a map with more than one call in flight needs a thread pool.
+    # Nothing imports requests; only the http backends need http.client, and
+    # they import it when they build their client; only a map with more than
+    # one call in flight needs a thread pool.
     code = (
         "import gecaug, sys; assert not "
-        "{'scipy', 'numpy', 'requests', 'concurrent.futures'} & set(sys.modules)"
+        "{'scipy', 'numpy', 'requests', 'http.client', 'concurrent.futures'} & set(sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True
