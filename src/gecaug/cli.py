@@ -11,7 +11,8 @@ One executable, one subcommand per pipeline stage:
 * stats       pool stats, or reference-vs-corpus distribution report
 * score       hypothesis corpus vs gold M2 annotations
 
-Options resolve flag > config file > default. Every artifact-producing
+Options resolve flag > config file > default, and a config key that no
+option declares (``_OPTIONS``) is an error. Every artifact-producing
 command writes ``<out>.manifest.json`` recording the resolved config, a
 config hash, the seed, input file hashes and row counts, and is
 idempotent: identical config and seed reproduce identical bytes, whatever
@@ -31,7 +32,7 @@ import os
 import sys
 from contextlib import closing, contextmanager, suppress
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._http import TransportError
 from .corpus import (
@@ -168,6 +169,105 @@ def _stage(command: str, **start) -> Iterator[_Stage]:
     _log("stage", command=command, phase="end", **st.end)
 
 
+class _Option(NamedTuple):
+    dest: str  # also the option's config key
+    flag: str
+    kind: str  # how argparse reads the flag (_FLAG_KWARGS) and _check checks the value
+    help: str
+    commands: str  # the subcommands that take it, space-separated
+
+
+# Every option of every subcommand, in the order their flags are listed.
+_OPTIONS = {opt.dest: opt for opt in (
+    _Option("in_path", "--in", "path", "input corpus (.tsv or .jsonl)", "extract denoise"),
+    _Option("in_paths", "--in", "paths", "pool files", "pool"),
+    _Option("pool", "--pool", "path", "pattern pool", "sample synthesize stats"),
+    _Option("ref_pool", "--ref-pool", "path", "reference pool for a report", "stats"),
+    _Option("corpus", "--corpus", "path", "candidate corpus for a report", "stats"),
+    _Option("plan", "--plan", "path", "stage plan JSON", "mix"),
+    _Option("hyp", "--hyp", "path", "hypothesis corpus (.tsv or .jsonl)", "score"),
+    _Option("gold", "--gold", "path", "gold annotations (.m2)", "score"),
+    _Option("n", "--n", "n", "context width", "extract pool sample synthesize stats"),
+    _Option("count", "--count", "nonneg", "rows to make", "sample synthesize"),
+    _Option("seed", "--seed", "seed", "base seed", "sample synthesize"),
+    _Option("error_rate", "--error-rate", "rate", "share of errorful slots", "synthesize"),
+    _Option("backend", "--backend", "backend", "backend name", "synthesize denoise"),
+    _Option("workers", "--workers", "int", "parallel slots (default 1, http: cpus)", "synthesize"),
+    _Option("attempt_budget", "--attempt-budget", "nonneg", "attempts for all slots", "synthesize"),
+    _Option("stub_drop_rate", "--stub-drop-rate", "rate", "stub drop rate", "synthesize"),
+    _Option("stub_refuse_rate", "--stub-refuse-rate", "rate", "stub refusal rate", "synthesize"),
+    _Option("fewshot", "--fewshot", "bool", "send few-shot examples", "synthesize"),
+    _Option("checkpoint", "--checkpoint", "path", "resumable checkpoint file", "denoise"),
+    _Option("checkpoint_every", "--checkpoint-every", "int", "pairs per checkpoint", "denoise"),
+    _Option("max_in_flight", "--max-in-flight", "int", "concurrent requests", "denoise"),
+    _Option("sweep", "--sweep", "caps", "comma-separated synthetic caps", "mix"),
+    _Option("top_k", "--top-k", "int", "patterns in the report", "stats"),
+    _Option("beta", "--beta", "number", "F-beta weight", "score"),
+    _Option(
+        "out", "--out", "path", "file to write",
+        "extract pool sample synthesize denoise mix stats score",
+    ),
+    _Option("csv", "--csv", "path", "write the per-pattern frequency table here", "stats"),
+)}
+
+# How argparse reads each kind's flag; a kind not listed takes one string.
+_FLAG_KWARGS: dict[str, dict] = {
+    "paths": {"nargs": "+"},
+    "n": {"type": int, "choices": VALID_N},
+    "nonneg": {"type": int},
+    "seed": {"type": int},
+    "int": {"type": int},
+    "bool": {"action": "store_const", "const": True},
+    "number": {"type": float},
+    "rate": {"type": float},
+}
+
+_BACKENDS = {"synthesize": ("stub", "http"), "denoise": ("identity", "oracle", "http")}
+
+
+def _check(kind: str, dest: str, value, command: str):
+    """``value`` as option ``dest`` of ``kind`` holds it; a CONFIG error if it does not fit."""
+
+    def fail(message: str):
+        raise CliError("CONFIG", message, 2)
+
+    if kind == "path" and not isinstance(value, str):
+        fail(f"'{dest}' must be a path string")
+    if kind == "paths" and not (
+        isinstance(value, list) and value and all(isinstance(p, str) for p in value)
+    ):
+        fail(f"'{dest}' must be a non-empty list of path strings")
+    if kind == "n" and (not is_int(value) or value not in VALID_N):
+        fail(f"n must be one of {VALID_N}, got {value}")
+    if kind == "seed" and not is_int(value):
+        fail("seed must be an integer")
+    if kind in ("int", "nonneg") and not is_int(value):
+        fail(f"'{dest}' must be an integer")
+    if kind == "nonneg" and value < 0:
+        fail(f"{dest} must be non-negative")
+    if kind == "bool" and not isinstance(value, bool):
+        fail(f"'{dest}' must be true or false")
+    if kind == "backend" and value not in _BACKENDS[command]:
+        fail(f"unknown backend {value!r}")
+    if kind in ("number", "rate"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            fail(f"'{dest}' must be a number")
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            fail(f"'{dest}' must be finite")
+        value = float(value)
+    if kind == "rate" and not 0.0 <= value <= 1.0:
+        fail(f"'{dest}' must lie in [0, 1]")
+    if kind == "caps":
+        if isinstance(value, str):
+            try:
+                value = [int(p) for p in value.split(",") if p != ""]
+            except ValueError:
+                fail(f"bad {dest} value {value!r}; want e.g. 0,100,200")
+        if not (isinstance(value, list) and value and all(map(is_int, value))):
+            fail(f"{dest} must be a comma-separated int list")
+    return value
+
+
 class _Options:
     """Flag > config file > default resolution for one invocation."""
 
@@ -184,68 +284,34 @@ class _Options:
                 raise CliError("CONFIG", f"config file {config_path}: {exc.reason}", 2)
             if not isinstance(loaded, dict):
                 raise CliError("CONFIG", "config file must hold a JSON object", 2)
+            # A key of another subcommand is allowed: one config can drive a pipeline.
+            for key in loaded:
+                if key not in _OPTIONS:
+                    raise CliError("CONFIG", f"unknown config key {key!r}", 2)
             self.config = loaded
 
     def get(self, dest: str, default=None, required: bool = False):
+        """Option ``dest``, checked against its kind; None if unset and not required."""
         value = getattr(self.args, dest, None)
         if value is None:
             value = self.config.get(dest)
         if value is None:
             value = default
-        if value is None and required:
-            raise CliError("CONFIG", f"missing required option '{dest}'", 2)
-        return value
-
-    def get_path(self, dest: str, required: bool = False) -> str | None:
-        value = self.get(dest, required=required)
-        if value is not None and not isinstance(value, str):
-            raise CliError("CONFIG", f"'{dest}' must be a path string", 2)
-        return value
-
-    def get_n(self) -> int:
-        n = self.get("n", required=True)
-        if not is_int(n) or n not in VALID_N:
-            raise CliError("CONFIG", f"n must be one of {VALID_N}, got {n}", 2)
-        return n
-
-    def get_int(self, dest: str, default=None, required: bool = False) -> int | None:
-        value = self.get(dest, default=default, required=required)
-        if value is not None and not is_int(value):
-            raise CliError("CONFIG", f"'{dest}' must be an integer", 2)
-        return value
-
-    def get_seed(self) -> int:
-        seed = self.get("seed", required=True)
-        if not is_int(seed):
-            raise CliError("CONFIG", "seed must be an integer", 2)
-        return seed
-
-    def get_bool(self, dest: str) -> bool:
-        value = self.get(dest, default=False)
-        if not isinstance(value, bool):
-            raise CliError("CONFIG", f"'{dest}' must be true or false", 2)
-        return value
-
-    def get_number(self, dest: str, default: float) -> float:
-        value = self.get(dest, default=default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliError("CONFIG", f"'{dest}' must be a number", 2)
-        return float(value)
-
-    def get_rate(self, dest: str, default: float) -> float:
-        value = self.get_number(dest, default)
-        if not 0.0 <= value <= 1.0:
-            raise CliError("CONFIG", f"'{dest}' must lie in [0, 1]", 2)
-        return value
+        if value is None:
+            if required:
+                raise CliError("CONFIG", f"missing required option '{dest}'", 2)
+            return None
+        return _check(_OPTIONS[dest].kind, dest, value, self.args.command)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def _cmd_extract(opts: _Options) -> None:
-    in_path = opts.get_path("in_path", required=True)
-    n = opts.get_n()
-    out = opts.get_path("out", required=True)
+    """build a pattern pool from a parallel corpus"""
+    in_path = opts.get("in_path", required=True)
+    n = opts.get("n", required=True)
+    out = opts.get("out", required=True)
     with _stage("extract", input=in_path, n=n) as st:
         pool = build_pool(read_pairs(in_path), n, provenance=(in_path,))
         save_pool(pool, st.path(out))
@@ -254,13 +320,10 @@ def _cmd_extract(opts: _Options) -> None:
 
 
 def _cmd_pool(opts: _Options) -> None:
+    """merge pattern pools"""
     in_paths = opts.get("in_paths", required=True)
-    if not isinstance(in_paths, list) or not in_paths or any(
-        not isinstance(p, str) for p in in_paths
-    ):
-        raise CliError("CONFIG", "'in_paths' must be a non-empty list of path strings", 2)
-    n = opts.get_n()
-    out = opts.get_path("out", required=True)
+    n = opts.get("n", required=True)
+    out = opts.get("out", required=True)
     with _stage("pool", inputs=in_paths, n=n) as st:
         merged = merge_pools([load_pool(p, n, provenance=(p,)) for p in in_paths])
         save_pool(merged, st.path(out))
@@ -269,13 +332,12 @@ def _cmd_pool(opts: _Options) -> None:
 
 
 def _cmd_sample(opts: _Options) -> None:
-    pool_path = opts.get_path("pool", required=True)
-    n = opts.get_n()
-    count = opts.get_int("count", required=True)
-    seed = opts.get_seed()
-    out = opts.get_path("out", required=True)
-    if count < 0:
-        raise CliError("CONFIG", "count must be non-negative", 2)
+    """draw generation inputs from a pool"""
+    pool_path = opts.get("pool", required=True)
+    n = opts.get("n", required=True)
+    count = opts.get("count", required=True)
+    seed = opts.get("seed", required=True)
+    out = opts.get("out", required=True)
     with _stage("sample", pool=pool_path, count=count) as st:
         pool = restrict_sendable(load_pool(pool_path, n))
         if len(pool) == 0:
@@ -295,33 +357,30 @@ def _cmd_sample(opts: _Options) -> None:
 
 
 def _cmd_synthesize(opts: _Options) -> None:
-    pool_path = opts.get_path("pool", required=True)
-    n = opts.get_n()
-    count = opts.get_int("count", required=True)
-    seed = opts.get_seed()
-    out = opts.get_path("out", required=True)
-    error_rate_ = opts.get_rate("error_rate", 0.5)
+    """generate a synthetic corpus from a pool"""
+    pool_path = opts.get("pool", required=True)
+    n = opts.get("n", required=True)
+    count = opts.get("count", required=True)
+    seed = opts.get("seed", required=True)
+    out = opts.get("out", required=True)
+    error_rate_ = opts.get("error_rate", 0.5)
     backend_name = opts.get("backend", default="stub")
-    workers = opts.get_int(
+    workers = opts.get(
         "workers", default=(os.cpu_count() or 1) if backend_name == "http" else 1
     )
-    budget = opts.get_int("attempt_budget")
-    if count < 0:
-        raise CliError("CONFIG", "count must be non-negative", 2)
+    budget = opts.get("attempt_budget")
     # Checked before any work: the manifest records both rates whatever the backend.
-    drop_rate = opts.get_rate("stub_drop_rate", 0.0)
-    refuse_rate = opts.get_rate("stub_refuse_rate", 0.0)
-    fewshot = opts.get_bool("fewshot")
+    drop_rate = opts.get("stub_drop_rate", 0.0)
+    refuse_rate = opts.get("stub_refuse_rate", 0.0)
+    fewshot = opts.get("fewshot", default=False)
 
     if backend_name == "stub":
         backend = StubGenerator(seed=seed, drop_rate=drop_rate, refuse_rate=refuse_rate)
-    elif backend_name == "http":
+    else:
         try:
             backend = HttpGenerator(fewshot=fewshot)
         except ValueError as exc:
             raise CliError("CONFIG", str(exc), 2)
-    else:
-        raise CliError("CONFIG", f"unknown backend {backend_name!r}", 2)
 
     with _stage(
         "synthesize", pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_
@@ -343,12 +402,13 @@ def _cmd_synthesize(opts: _Options) -> None:
 
 
 def _cmd_denoise(opts: _Options) -> None:
-    in_path = opts.get_path("in_path", required=True)
+    """relabel synthetic sources with a corrector"""
+    in_path = opts.get("in_path", required=True)
     backend_name = opts.get("backend", default="identity")
-    out = opts.get_path("out", required=True)
-    checkpoint = opts.get_path("checkpoint")
-    in_flight = opts.get_int("max_in_flight", default=8 if backend_name == "http" else 1)
-    every = opts.get_int("checkpoint_every", default=1000)
+    out = opts.get("out", required=True)
+    checkpoint = opts.get("checkpoint")
+    in_flight = opts.get("max_in_flight", default=8 if backend_name == "http" else 1)
+    every = opts.get("checkpoint_every", default=1000)
 
     samples: Iterable = read_samples(in_path)
     if backend_name == "identity":
@@ -356,13 +416,11 @@ def _cmd_denoise(opts: _Options) -> None:
     elif backend_name == "oracle":
         samples = list(samples)
         corrector = OracleCorrector(samples)
-    elif backend_name == "http":
+    else:
         try:
             corrector = HttpCorrector()
         except ValueError as exc:
             raise CliError("CONFIG", str(exc), 2)
-    else:
-        raise CliError("CONFIG", f"unknown backend {backend_name!r}", 2)
 
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
@@ -418,20 +476,20 @@ def _resume_point(out: str, checkpoint: str, samples: Iterator, counts: dict) ->
 
 
 def _cmd_mix(opts: _Options) -> None:
-    plan_path = opts.get_path("plan", required=True)
-    out = opts.get_path("out", required=True)
-    sweep = opts.get("sweep")
+    """build a training corpus from a stage plan"""
+    plan_path = opts.get("plan", required=True)
+    out = opts.get("out", required=True)
+    caps = opts.get("sweep")
     plan = load_plan(plan_path)
     inputs = [plan_path, *plan.real] + ([plan.synthetic] if plan.synthetic else [])
-    with _stage("mix", plan=plan_path, sweep=bool(sweep)) as st:
-        if not sweep:
+    with _stage("mix", plan=plan_path, sweep=caps is not None) as st:
+        if caps is None:
             examples, manifest = mix(plan)
             write_jsonl(examples, st.path(out))
             st.manifest(out, {"plan": plan_path, "out": out}, plan.seed, inputs, manifest)
             st.end = {"out": out, "total": manifest["total"]}
             return
 
-        caps = _parse_caps(sweep)
         root, ext = os.path.splitext(out)
         summary = []
         for cap, examples, manifest in ratio_sweep(plan, caps):
@@ -454,24 +512,13 @@ def _cmd_mix(opts: _Options) -> None:
         st.end = {"sweep": len(summary), "summary": summary_path}
 
 
-def _parse_caps(sweep) -> list[int]:
-    if isinstance(sweep, str):
-        parts = [p for p in sweep.split(",") if p != ""]
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise CliError("CONFIG", f"bad sweep value {sweep!r}; want e.g. 0,100,200", 2)
-    if isinstance(sweep, list) and all(map(is_int, sweep)):
-        return list(sweep)
-    raise CliError("CONFIG", "sweep must be a comma-separated int list", 2)
-
-
 def _cmd_stats(opts: _Options) -> None:
-    pool_path = opts.get_path("pool")
-    ref_path = opts.get_path("ref_pool")
+    """pool stats or distribution consistency report"""
+    pool_path = opts.get("pool")
+    ref_path = opts.get("ref_pool")
     if (pool_path is None) == (ref_path is None):
         raise CliError("CONFIG", "pass exactly one of --pool or --ref-pool", 2)
-    n = opts.get_n()
+    n = opts.get("n", required=True)
 
     if pool_path is not None:
         with _stage("stats", pool=pool_path) as st:
@@ -479,20 +526,20 @@ def _cmd_stats(opts: _Options) -> None:
             print(canonical_json(st.end))
         return
 
-    corpus_path = opts.get_path("corpus", required=True)
-    top_k = opts.get_int("top_k", default=100)
+    corpus_path = opts.get("corpus", required=True)
+    top_k = opts.get("top_k", default=100)
     with _stage("stats", ref_pool=ref_path, corpus=corpus_path) as st:
         reference = load_pool(ref_path, n)
         candidate = build_pool(read_pairs(corpus_path), n)
         report = distribution_from_counts(reference, candidate.counts, top_k)
         summary = {"cosine": report.cosine, "spearman": report.spearman, "top_k": report.top_k}
         print(canonical_json(summary))
-        out = opts.get_path("out")
+        out = opts.get("out")
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
             st.manifest(out, config, None, [ref_path, corpus_path], {"top_k": report.top_k})
-        csv_path = opts.get_path("csv")
+        csv_path = opts.get("csv")
         if csv_path:
             with open(st.path(csv_path), "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -507,9 +554,10 @@ def _cmd_stats(opts: _Options) -> None:
 
 
 def _cmd_score(opts: _Options) -> None:
-    hyp_path = opts.get_path("hyp", required=True)
-    gold_path = opts.get_path("gold", required=True)
-    beta = opts.get_number("beta", 0.5)
+    """score a hypothesis corpus against gold M2"""
+    hyp_path = opts.get("hyp", required=True)
+    gold_path = opts.get("gold", required=True)
+    beta = opts.get("beta", 0.5)
     if not beta > 0:
         raise CliError("CONFIG", "beta must be positive", 2)
     with _stage("score", hyp=hyp_path, gold=gold_path) as st:
@@ -522,7 +570,7 @@ def _cmd_score(opts: _Options) -> None:
         print(f"F{beta:g} {report.f_beta:.4f}")
         for cat, c in sorted(report.per_category.items()):
             print(f"category {cat} tp={c.tp} fp={c.fp} fn={c.fn} f={c.f_beta:.4f}")
-        out = opts.get_path("out")
+        out = opts.get("out")
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}
@@ -534,77 +582,6 @@ def _cmd_score(opts: _Options) -> None:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gecaug", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        return p
-
-    p = add("extract", "build a pattern pool from a parallel corpus")
-    p.add_argument("--in", dest="in_path", help="corpus file (.tsv or .jsonl)")
-    p.add_argument("--n", type=int, choices=VALID_N, help="context width")
-    p.add_argument("--out", help="pool file to write")
-
-    p = add("pool", "merge pattern pools")
-    p.add_argument("--in", dest="in_paths", nargs="+", help="pool files")
-    p.add_argument("--n", type=int, choices=VALID_N)
-    p.add_argument("--out")
-
-    p = add("sample", "draw generation inputs from a pool")
-    p.add_argument("--pool")
-    p.add_argument("--n", type=int, choices=VALID_N)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("synthesize", "generate a synthetic corpus from a pool")
-    p.add_argument("--pool")
-    p.add_argument("--n", type=int, choices=VALID_N)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--error-rate", dest="error_rate", type=float)
-    p.add_argument("--backend", choices=["stub", "http"])
-    p.add_argument("--workers", type=int, help="parallel slots (default 1; cpu count for http)")
-    p.add_argument("--attempt-budget", dest="attempt_budget", type=int)
-    p.add_argument("--stub-drop-rate", dest="stub_drop_rate", type=float)
-    p.add_argument("--stub-refuse-rate", dest="stub_refuse_rate", type=float)
-    p.add_argument("--fewshot", action="store_const", const=True, default=None)
-    p.add_argument("--out")
-
-    p = add("denoise", "relabel synthetic sources with a corrector")
-    p.add_argument("--in", dest="in_path", help="synthetic corpus (synthesize output)")
-    p.add_argument("--backend", choices=["identity", "oracle", "http"])
-    p.add_argument("--checkpoint", help="resumable checkpoint file")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    p.add_argument("--out")
-
-    p = add("mix", "build a training corpus from a stage plan")
-    p.add_argument("--plan", help="stage plan JSON")
-    p.add_argument("--sweep", help="comma-separated synthetic caps")
-    p.add_argument("--out")
-
-    p = add("stats", "pool stats or distribution consistency report")
-    p.add_argument("--pool", help="print {patterns, total} for this pool")
-    p.add_argument("--ref-pool", dest="ref_pool", help="reference pool for a report")
-    p.add_argument("--corpus", help="candidate corpus for a report")
-    p.add_argument("--n", type=int, choices=VALID_N)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--out", help="write the full report JSON here")
-    p.add_argument("--csv", help="write the per-pattern frequency table here")
-
-    p = add("score", "score a hypothesis corpus against gold M2")
-    p.add_argument("--hyp", help="hypothesis corpus (.tsv or .jsonl)")
-    p.add_argument("--gold", help="gold annotations (.m2)")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--out", help="write the report JSON here")
-
-    return parser
-
-
 _COMMANDS = {
     "extract": _cmd_extract,
     "pool": _cmd_pool,
@@ -615,6 +592,21 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "score": _cmd_score,
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="gecaug", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for opt in _OPTIONS.values():
+            if command in opt.commands.split():
+                kwargs = _FLAG_KWARGS.get(opt.kind, {})
+                if opt.kind == "backend":
+                    kwargs = {"choices": _BACKENDS[command]}
+                p.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kwargs)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -221,6 +221,8 @@ def synthesize(
         raise ValueError(f"error_rate must lie in [0, 1], got {error_rate}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if attempt_budget is not None and attempt_budget < 0:
+        raise ValueError("attempt_budget must be non-negative")
     stats = SynthStats()
     if count == 0:
         return [], stats

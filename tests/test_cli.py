@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import json
 import shutil
@@ -156,6 +157,107 @@ def test_config_file_resolution(workdir: Path, capsys):
     assert events[-1]["code"] == "CONFIG"
 
 
+# Every subcommand's {flag: dest} map, as the parser declared it before the
+# option table: a flag that is dropped, renamed or moved fails here.
+_FLAGS = {
+    "extract": {"--config": "config", "--in": "in_path", "--n": "n", "--out": "out"},
+    "pool": {"--config": "config", "--in": "in_paths", "--n": "n", "--out": "out"},
+    "sample": {
+        "--config": "config", "--pool": "pool", "--n": "n", "--count": "count",
+        "--seed": "seed", "--out": "out",
+    },
+    "synthesize": {
+        "--config": "config", "--pool": "pool", "--n": "n", "--count": "count",
+        "--seed": "seed", "--error-rate": "error_rate", "--backend": "backend",
+        "--workers": "workers", "--attempt-budget": "attempt_budget",
+        "--stub-drop-rate": "stub_drop_rate", "--stub-refuse-rate": "stub_refuse_rate",
+        "--fewshot": "fewshot", "--out": "out",
+    },
+    "denoise": {
+        "--config": "config", "--in": "in_path", "--backend": "backend",
+        "--checkpoint": "checkpoint", "--checkpoint-every": "checkpoint_every",
+        "--max-in-flight": "max_in_flight", "--out": "out",
+    },
+    "mix": {"--config": "config", "--plan": "plan", "--sweep": "sweep", "--out": "out"},
+    "stats": {
+        "--config": "config", "--pool": "pool", "--ref-pool": "ref_pool",
+        "--corpus": "corpus", "--n": "n", "--top-k": "top_k", "--out": "out", "--csv": "csv",
+    },
+    "score": {
+        "--config": "config", "--hyp": "hyp", "--gold": "gold", "--beta": "beta",
+        "--out": "out",
+    },
+}
+
+
+def test_flag_surface_is_frozen():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            flag: action.dest
+            for action in sub._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert surface == _FLAGS
+
+    # The flags and values that benchmarks/workloads.py passes parse as before.
+    args = parser.parse_args(["pool", "--in", "a.jsonl", "b.jsonl", "--n", "3", "--out", "m"])
+    assert (args.in_paths, args.n) == (["a.jsonl", "b.jsonl"], 3)
+    args = parser.parse_args([
+        "synthesize", "--error-rate", "0.3", "--backend", "http", "--workers", "2",
+        "--stub-drop-rate", "0.1", "--stub-refuse-rate", "0.05", "--fewshot",
+    ])
+    assert (args.error_rate, args.backend, args.workers) == (0.3, "http", 2)
+    assert (args.stub_drop_rate, args.stub_refuse_rate, args.fewshot) == (0.1, 0.05, True)
+    args = parser.parse_args(["denoise", "--backend", "oracle", "--max-in-flight", "2"])
+    assert (args.backend, args.max_in_flight) == ("oracle", 2)
+    assert parser.parse_args(["stats", "--top-k", "7"]).top_k == 7
+    assert parser.parse_args(["mix", "--sweep", "0,6"]).sweep == "0,6"
+    assert parser.parse_args(["score", "--beta", "1"]).beta == 1.0
+
+
+_VALID_CONFIGS = {
+    "extract": {"in_path": "corpus.tsv", "n": 3},
+    "pool": {"in_paths": ["pool.jsonl"], "n": 3},
+    "sample": {"pool": "pool.jsonl", "n": 3, "count": 2, "seed": 1},
+    "synthesize": {"pool": "pool.jsonl", "n": 3, "count": 2, "seed": 1, "backend": "stub"},
+    "denoise": {"in_path": "syn.jsonl"},
+    "mix": {"plan": "plan.json"},
+    "stats": {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3},
+    "score": {"hyp": "hyp.tsv", "gold": "gold.m2"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_CONFIGS))
+def test_unknown_config_key_is_rejected(workdir: Path, capsys, command):
+    _synthesize_fixture(workdir)
+    _write_score_fixture(workdir)
+    plan = {"stage": "I", "real": ["corpus.tsv"], "seed": 0}
+    (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    capsys.readouterr()
+    # "checkpoint_every" belongs to denoise: one config may drive every stage.
+    config = {**_VALID_CONFIGS[command], "out": "out.jsonl", "checkpoint_every": 10}
+    for key in ("error-rate", "sead", "config"):
+        (workdir / "job.json").write_text(json.dumps({**config, key: 1}), encoding="utf-8")
+        rc, out, events = _run(capsys, command, "--config", "job.json")
+        assert rc == 2, key
+        assert out == ""
+        assert events == [
+            {"event": "error", "code": "CONFIG", "message": f"unknown config key {key!r}"}
+        ]
+        assert not (workdir / "out.jsonl").exists()
+        assert not (workdir / "out.jsonl.manifest.json").exists()
+
+    # Without the unknown key the same config runs.
+    (workdir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", "job.json"]) == 0
+    capsys.readouterr()
+
+
 _INT_OPTIONS = (
     ("sample", "count"),
     ("synthesize", "count"),
@@ -217,6 +319,17 @@ def test_bool_width_and_caps_are_rejected(workdir: Path, capsys):
         "event": "error", "code": "CONFIG",
         "message": "sweep must be a comma-separated int list",
     }
+
+    # An empty sweep is an error, not a plain mix.
+    (workdir / "job.json").write_text(json.dumps({**config, "sweep": []}), encoding="utf-8")
+    for extra in ((), ("--sweep", ","), ("--sweep", "")):
+        rc, _, events = _run(capsys, "mix", "--config", "job.json", *extra)
+        assert rc == 2, extra
+        assert events == [{
+            "event": "error", "code": "CONFIG",
+            "message": "sweep must be a comma-separated int list",
+        }]
+        assert not (workdir / "t.jsonl").exists()
 
     (workdir / "plan.json").write_text(json.dumps({**plan, "seed": True}), encoding="utf-8")
     rc, _, events = _run(capsys, "mix", "--plan", "plan.json", "--out", "t.jsonl")
@@ -333,6 +446,21 @@ def test_synthesize_budget_error(workdir: Path, capsys):
     )
     assert rc == 1
     assert events[-1]["code"] == "BUDGET_EXHAUSTED"
+
+
+def test_negative_attempt_budget_is_a_config_error(workdir: Path, capsys):
+    _write_corpus(workdir)
+    assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
+    capsys.readouterr()
+    rc, _, events = _run(
+        capsys, "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "4",
+        "--seed", "1", "--attempt-budget", "-1", "--out", "syn.jsonl",
+    )
+    assert rc == 2
+    assert events == [
+        {"event": "error", "code": "CONFIG", "message": "attempt_budget must be non-negative"}
+    ]
+    assert not (workdir / "syn.jsonl").exists()
 
 
 def test_stub_rates_are_checked_before_remote_synthesis(workdir: Path, capsys, monkeypatch):
@@ -574,10 +702,20 @@ _SYNTH_CONFIG = {"pool": "pool.jsonl", "n": 3, "count": 1, "seed": 0}
         ("synthesize", {**_SYNTH_CONFIG, "fewshot": "no"}, "'fewshot' must be true or false"),
         ("synthesize", {**_SYNTH_CONFIG, "backend": "http", "fewshot": 1},
          "'fewshot' must be true or false"),
+        ("score", {"beta": float("inf")}, "'beta' must be finite"),
+        ("score", {"beta": float("nan")}, "'beta' must be finite"),
+        ("score", {"beta": 10**400}, "'beta' must be finite"),
+        ("synthesize", {**_SYNTH_CONFIG, "error_rate": float("nan")},
+         "'error_rate' must be finite"),
+        ("sample", {**_SYNTH_CONFIG, "count": -1}, "count must be non-negative"),
+        ("synthesize", {**_SYNTH_CONFIG, "attempt_budget": -1},
+         "attempt_budget must be non-negative"),
     ],
     ids=["beta-list", "beta-string", "beta-bool", "beta-zero", "in-path-int",
          "in-paths-string", "in-paths-empty", "rate-true", "rate-string", "rate-false",
-         "fewshot-string", "fewshot-int-http"],
+         "fewshot-string", "fewshot-int-http", "beta-infinity", "beta-nan", "beta-huge-int",
+         "rate-nan",
+         "count-negative", "budget-negative"],
 )
 def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
     base = {"hyp": "hyp.tsv", "gold": "gold.m2", "out": "out.jsonl"}
@@ -766,6 +904,19 @@ def test_score_beta_label(workdir: Path, capsys):
     rc, out, _ = _run(capsys, "score", "--hyp", "hyp.tsv", "--gold", "gold.m2", "--beta", "1")
     assert rc == 0
     assert any(line.startswith("F1 ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("beta", ["inf", "1e400", "nan"])
+def test_non_finite_beta_flag_is_a_config_error(workdir: Path, capsys, beta):
+    _write_score_fixture(workdir)
+    rc, out, events = _run(
+        capsys, "score", "--hyp", "hyp.tsv", "--gold", "gold.m2", "--beta", beta,
+        "--out", "report.json",
+    )
+    assert rc == 2
+    assert out == ""
+    assert events == [{"event": "error", "code": "CONFIG", "message": "'beta' must be finite"}]
+    assert not (workdir / "report.json").exists()
 
 
 def test_score_mismatch_is_scoring_error(workdir: Path, capsys):

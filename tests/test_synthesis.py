@@ -220,6 +220,13 @@ def test_synthesize_count_validation():
         synthesize(pool, 1, StubGenerator(), base_seed=0, error_rate=2.0)
 
 
+def test_synthesize_rejects_a_negative_attempt_budget():
+    pool = insertion_pool(3)
+    for count in (0, 4):
+        with pytest.raises(ValueError, match="attempt_budget must be non-negative"):
+            synthesize(pool, count, StubGenerator(), base_seed=0, attempt_budget=-1)
+
+
 def test_planted_counts_totals():
     pool = insertion_pool(8)
     samples, _ = synthesize(pool, 100, StubGenerator(seed=3), base_seed=13, error_rate=1.0)
