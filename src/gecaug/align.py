@@ -67,7 +67,7 @@ from functools import lru_cache
 from math import ceil
 from typing import Sequence
 
-from .corpus import ParallelExample
+from .corpus import ParallelExample, splice
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -344,8 +344,6 @@ def extract_edits(pair: ParallelExample) -> list[Edit]:
 
 
 def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> tuple[str, ...]:
-    """Apply edits to ``source`` right to left, reconstructing the target."""
-    out = list(source)
-    for e in sorted(edits, key=lambda e: e.src_span, reverse=True):
-        out[e.src_span[0]:e.src_span[1]] = e.replacement
-    return tuple(out)
+    """The target rebuilt from edits; those at one point apply in list order (see ``splice``)."""
+    ordered = sorted(edits, key=lambda e: e.src_span)
+    return splice(source, [(*e.src_span, e.replacement) for e in ordered])[0]

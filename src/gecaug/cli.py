@@ -245,6 +245,8 @@ def _check(kind: str, dest: str, value, command: str):
         fail(f"'{dest}' must be an integer")
     if kind == "nonneg" and value < 0:
         fail(f"{dest} must be non-negative")
+    if kind == "int" and value < 1:
+        fail(f"{dest} must be at least 1")
     if kind == "bool" and not isinstance(value, bool):
         fail(f"'{dest}' must be true or false")
     if kind == "backend" and value not in _BACKENDS[command]:
@@ -528,18 +530,18 @@ def _cmd_stats(opts: _Options) -> None:
 
     corpus_path = opts.get("corpus", required=True)
     top_k = opts.get("top_k", default=100)
+    out = opts.get("out")
+    csv_path = opts.get("csv")
     with _stage("stats", ref_pool=ref_path, corpus=corpus_path) as st:
         reference = load_pool(ref_path, n)
         candidate = build_pool(read_pairs(corpus_path), n)
         report = distribution_from_counts(reference, candidate.counts, top_k)
         summary = {"cosine": report.cosine, "spearman": report.spearman, "top_k": report.top_k}
         print(canonical_json(summary))
-        out = opts.get("out")
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
             st.manifest(out, config, None, [ref_path, corpus_path], {"top_k": report.top_k})
-        csv_path = opts.get("csv")
         if csv_path:
             with open(st.path(csv_path), "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -560,6 +562,7 @@ def _cmd_score(opts: _Options) -> None:
     beta = opts.get("beta", 0.5)
     if not beta > 0:
         raise CliError("CONFIG", "beta must be positive", 2)
+    out = opts.get("out")
     with _stage("score", hyp=hyp_path, gold=gold_path) as st:
         report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
         print(f"TP {report.tp}")
@@ -570,7 +573,6 @@ def _cmd_score(opts: _Options) -> None:
         print(f"F{beta:g} {report.f_beta:.4f}")
         for cat, c in sorted(report.per_category.items()):
             print(f"category {cat} tp={c.tp} fp={c.fp} fn={c.fn} f={c.f_beta:.4f}")
-        out = opts.get("out")
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}

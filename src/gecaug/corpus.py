@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class CorpusError(Exception):
@@ -134,28 +134,40 @@ class AnnotatedExample:
         check_tokens(self.source, "source")
         fixed = {int(a): tuple(es) for a, es in self.edits.items()}
         object.__setattr__(self, "edits", fixed)
-        n = len(self.source)
         for annotator, edits in fixed.items():
-            prev_end = -1
-            for e in edits:
-                if e.end > n:
-                    raise ValueError(
-                        f"annotator {annotator}: span ({e.start}, {e.end}) "
-                        f"exceeds sentence length {n}"
-                    )
-                if e.start < prev_end:
-                    raise ValueError(
-                        f"annotator {annotator}: edits overlap or are unsorted"
-                    )
-                prev_end = e.end
+            try:
+                splice(self.source, [(e.start, e.end, ()) for e in edits])
+            except ValueError as exc:
+                raise ValueError(f"annotator {annotator}: {exc}") from exc
 
 
-def apply_gold_edits(source: tuple[str, ...], edits: Iterable[GoldEdit]) -> tuple[str, ...]:
-    """Apply edits to ``source`` right to left and return the corrected tokens."""
-    out = list(source)
-    for e in sorted(edits, key=lambda e: (e.start, e.end), reverse=True):
-        out[e.start:e.end] = e.correction
-    return tuple(out)
+def splice(
+    tokens: Sequence[str], edits: Iterable[tuple[int, int, Sequence[str]]]
+) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    """Replace ``tokens[a:b]`` with ``r`` for each ``(a, b, r)`` of sorted ``edits``.
+
+    Edits land left to right, those at one point in the order given. Returns
+    the new tokens and the span each ``r`` takes in them. An edit that
+    overlaps the one before it, or does not fit ``tokens``, is a ValueError.
+    """
+    out: list[str] = []
+    spans = []
+    cursor = 0
+    for a, b, r in edits:
+        if not cursor <= a <= b <= len(tokens):
+            raise ValueError(f"edit ({a}, {b}) overlaps the one before it or does not fit")
+        out.extend(tokens[cursor:a])
+        spans.append((len(out), len(out) + len(r)))
+        out.extend(r)
+        cursor = b
+    out.extend(tokens[cursor:])
+    return tuple(out), spans
+
+
+def apply_gold_edits(source: Sequence[str], edits: Iterable[GoldEdit]) -> tuple[str, ...]:
+    """The corrected tokens; edits at one point apply in list order (see ``splice``)."""
+    ordered = sorted(edits, key=lambda e: (e.start, e.end))
+    return splice(source, [(e.start, e.end, e.correction) for e in ordered])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
-from .corpus import MalformedLine, ParallelExample, is_int, read_json_file
+from .corpus import MalformedLine, ParallelExample, is_int, read_json_file, splice
 from .synthesis import SyntheticSample
 
 
@@ -57,10 +57,8 @@ class OracleCorrector(CorrectorBackend):
     def __init__(self, samples: Iterable[SyntheticSample]):
         self._table: dict[tuple[str, str], str] = {}
         for s in samples:
-            out = list(s.source)
-            # Right to left; of two empty plants at one point, the later goes first.
-            for p, (a, b) in reversed(sorted(s.planted, key=lambda m: m[1])):
-                out[a:b] = p.correct
+            planted = sorted(s.planted, key=lambda m: m[1])
+            out, _ = splice(s.source, [(a, b, p.correct) for p, (a, b) in planted])
             self._table[s.id, " ".join(s.source)] = " ".join(out)
 
     def correct_text(self, text: str, request_id: str = "0") -> str:

@@ -19,7 +19,7 @@ from random import Random
 from typing import Sequence
 
 from ._http import JsonHttpClient, TransportError
-from .corpus import check_tokens
+from .corpus import check_tokens, splice
 from .seeding import stable_seed
 
 __all__ = [
@@ -129,14 +129,7 @@ def build_finetune_example(tokens: Sequence[str], rng: Random) -> FinetuneExampl
         s1 = rng.randint(1, n - 1 - len1)
         spans = [(s1, s1 + len1)]
 
-    masked: list[str] = []
-    cursor = 0
-    for start, end in spans:
-        masked.extend(toks[cursor:start])
-        masked.append(MASK)
-        cursor = end
-    masked.extend(toks[cursor:])
-
+    masked, _ = splice(toks, [(a, b, (MASK,)) for a, b in spans])
     i = len(masked) + 1
     text = " ".join(masked) + f" {SEP} " + " ".join(toks)
     return FinetuneExample(text, (i, i + n), tuple(spans))

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 from ._concurrent import map_ordered
 from .corpus import (
-    SchemaError, SpanOutOfBounds, canonical_json, is_int, read_json_rows, write_lines,
+    MalformedLine, SchemaError, SpanOutOfBounds, canonical_json, check_tokens, is_int,
+    read_json_rows, splice, write_lines,
 )
 from .generation import (
     STATUS_OK,
@@ -68,7 +69,9 @@ class SyntheticSample:
 
 @dataclass
 class SynthStats:
-    """Counters over every generation attempt, not just emitted samples."""
+    """Counters over every generation attempt, not just emitted samples.
+
+    ``zero_match_retries`` also counts plants that would empty the source."""
 
     samples: int = 0
     attempts: int = 0
@@ -182,20 +185,17 @@ def substitute(
     if requested is None:
         requested = tuple(p for p, _ in matches)
     apply = rng.random() < error_rate
-    if not apply or not matches:
-        return SyntheticSample(target, target, (), tuple(requested), generator_id, sample_id)
-    source: list[str] = []
-    planted: list[Match] = []
-    cursor = 0
-    for p, (start, end) in sorted(matches, key=lambda m: m[1]):
-        source.extend(target[cursor:start])
-        planted.append((p, (len(source), len(source) + len(p.wrong))))
-        source.extend(p.wrong)
-        cursor = end
-    source.extend(target[cursor:])
-    return SyntheticSample(
-        tuple(source), target, tuple(planted), tuple(requested), generator_id, sample_id
-    )
+    source, planted = _plant(target, matches) if apply else (target, ())
+    return SyntheticSample(source, target, planted, tuple(requested), generator_id, sample_id)
+
+
+def _plant(
+    target: tuple[str, ...], matches: Sequence[Match]
+) -> tuple[tuple[str, ...], tuple[Match, ...]]:
+    """The source with each matched span swapped for its wrong side, and the planted spans."""
+    ordered = sorted(matches, key=lambda m: m[1])
+    source, spans = splice(target, [(a, b, p.wrong) for p, (a, b) in ordered])
+    return source, tuple((p, span) for (p, _), span in zip(ordered, spans))
 
 
 def synthesize(
@@ -209,10 +209,10 @@ def synthesize(
 ) -> tuple[list[SyntheticSample], SynthStats]:
     """Produce ``count`` synthetic pairs from a pattern pool.
 
-    Slot i derives its RNG from (base_seed, i) and flips its errorful
-    coin first. Failed attempts (refusal, transport error, or an errorful
-    slot where nothing matched) retry with fresh patterns against a global
-    attempt budget (default 3 * count) shared by all slots; exhausting it
+    Slot i derives its RNG from (base_seed, i) and flips its errorful coin
+    first. Failed attempts (refusal, transport error, or an errorful slot that
+    plants nothing or empties its source) retry with fresh patterns against a
+    global attempt budget (default 3 * count) shared by all slots; exhausting it
     raises SynthesisBudgetError with final stats. Output is ordered by slot.
     """
     if count < 0:
@@ -244,54 +244,42 @@ def synthesize(
         rng = slot_rng(base_seed, slot)
         apply = rng.random() < error_rate
         local = SynthStats()
-        attempt = 0
-        sample: SyntheticSample | None = None
-        while sample is None:
-            if not take_attempt():
-                with lock:
-                    stats.add(local)
-                raise SynthesisBudgetError(
-                    f"attempt budget exhausted ({budget} attempts for {count} "
-                    f"samples; slot {slot} still unfilled)",
-                    stats,
+        try:
+            while True:
+                if not take_attempt():
+                    raise SynthesisBudgetError(
+                        f"attempt budget exhausted ({budget} attempts for {count} "
+                        f"samples; slot {slot} still unfilled)",
+                        stats,
+                    )
+                local.attempts += 1
+                pats = tuple(sample_patterns(sendable, rng))
+                request = assemble_input(
+                    [p.correct for p in pats], rng, request_id=f"{slot}.{local.attempts - 1}"
                 )
-            local.attempts += 1
-            pats = sample_patterns(sendable, rng)
-            request = assemble_input(
-                [p.correct for p in pats], rng, request_id=f"{slot}.{attempt}"
-            )
-            attempt += 1
-            result = generate(request, backend)
-            if result.status != STATUS_OK:
-                if result.status == STATUS_REFUSED:
-                    local.refused += 1
-                else:
-                    local.transport_errors += 1
-                continue
-            tokens = tuple(result.text.split())
-            matches, absent, overlap = _match_indexed(tokens, pats)
-            local.patterns_requested += len(pats)
-            local.patterns_matched += len(matches)
-            local.unmatched_absent += len(absent)
-            local.unmatched_overlap += len(overlap)
-            if apply and not matches:
-                local.zero_match_retries += 1
-                continue
-            sample = substitute(
-                tokens,
-                matches,
-                rng,
-                1.0 if apply else 0.0,
-                requested=pats,
-                generator_id=backend.name,
-                sample_id=str(slot),
-            )
-        local.samples += 1
-        if sample.source != sample.target:
-            local.errorful += 1
-        with lock:
-            stats.add(local)
-        return sample
+                result = generate(request, backend)
+                if result.status != STATUS_OK:
+                    if result.status == STATUS_REFUSED:
+                        local.refused += 1
+                    else:
+                        local.transport_errors += 1
+                    continue
+                target = tuple(result.text.split())
+                matches, absent, overlap = _match_indexed(target, pats)
+                local.patterns_requested += len(pats)
+                local.patterns_matched += len(matches)
+                local.unmatched_absent += len(absent)
+                local.unmatched_overlap += len(overlap)
+                source, planted = _plant(target, matches) if apply else (target, ())
+                if apply and not (planted and source):
+                    local.zero_match_retries += 1
+                    continue
+                local.samples += 1
+                local.errorful += source != target
+                return SyntheticSample(source, target, planted, pats, backend.name, str(slot))
+        finally:
+            with lock:
+                stats.add(local)
 
     return list(map_ordered(run_slot, range(count), workers)), stats
 
@@ -327,7 +315,7 @@ def _sample_line(s: SyntheticSample) -> str:
 
 
 def read_samples(path) -> Iterable[SyntheticSample]:
-    """Yield samples written by write_samples, validating spans."""
+    """Yield samples written by write_samples; checks tokens and sorted, disjoint spans."""
     path = os.fspath(path)
     for line_no, obj in read_json_rows(path):
         for key in ("id", "source", "target", "generator"):
@@ -341,6 +329,11 @@ def read_samples(path) -> Iterable[SyntheticSample]:
             raise SchemaError(path, line_no, "key 'n' must be an int")
         source = tuple(obj["source"].split(" ")) if obj["source"] else ()
         target = tuple(obj["target"].split(" ")) if obj["target"] else ()
+        try:
+            check_tokens(source, "source")
+            check_tokens(target, "target")
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
         planted: list[Match] = []
         for entry in obj["planted"]:
             if not isinstance(entry, dict) or "span" not in entry:
@@ -354,6 +347,8 @@ def read_samples(path) -> Iterable[SyntheticSample]:
                 raise SpanOutOfBounds(path, line_no, f"planted span ({a}, {b}) outside source")
             if source[a:b] != p.wrong:
                 raise SchemaError(path, line_no, "planted span does not carry its wrong side")
+            if planted and a < planted[-1][1][1]:
+                raise SchemaError(path, line_no, "planted spans overlap or are unsorted")
             planted.append((p, (a, b)))
         requested = tuple(
             pattern_from_row(entry, n, path, line_no) for entry in obj["requested"]

@@ -16,6 +16,14 @@ token check, and ``reference_mix`` / ``reference_ratio_sweep`` of the
 original mixer, which read every input once per cap. They share the
 package's readers and ``StagePlan``, so examples and manifests compare
 with ``==``.
+
+``reference_apply_edits``, ``reference_apply_gold_edits``,
+``reference_substitute``, ``reference_unplant`` and
+``reference_build_finetune_example`` are frozen copies of the five span
+rewrites that each ran their own loop before ``gecaug.corpus.splice``
+took their place. The first two applied edits right to left, so two
+edits at one point landed in reverse order; on every other input all
+five agree with the package.
 """
 
 from __future__ import annotations
@@ -26,9 +34,12 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence
 
-from gecaug.align import DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp
-from gecaug.corpus import ParallelExample, read_jsonl, read_pairs
+from gecaug.align import DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp, Edit
+from gecaug.corpus import GoldEdit, ParallelExample, read_jsonl, read_pairs
+from gecaug.generation import MASK, SEP, FinetuneExample
 from gecaug.mix import StagePlan
+from gecaug.patterns import ErrorPattern
+from gecaug.synthesis import Match, SyntheticSample
 
 
 def _lcs_len(a: str, b: str) -> int:
@@ -259,3 +270,94 @@ def reference_ratio_sweep(
         examples, manifest = reference_mix(capped)
         out.append((cap, examples, manifest))
     return out
+
+
+def reference_apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> tuple[str, ...]:
+    """Frozen copy of the original ``gecaug.align.apply_edits``; do not edit."""
+    out = list(source)
+    for e in sorted(edits, key=lambda e: e.src_span, reverse=True):
+        out[e.src_span[0]:e.src_span[1]] = e.replacement
+    return tuple(out)
+
+
+def reference_apply_gold_edits(
+    source: tuple[str, ...], edits: Sequence[GoldEdit]
+) -> tuple[str, ...]:
+    """Frozen copy of the original ``gecaug.corpus.apply_gold_edits``; do not edit."""
+    out = list(source)
+    for e in sorted(edits, key=lambda e: (e.start, e.end), reverse=True):
+        out[e.start:e.end] = e.correction
+    return tuple(out)
+
+
+def reference_substitute(
+    tokens: Sequence[str],
+    matches: Sequence[Match],
+    rng: Random,
+    error_rate: float,
+    requested: Sequence[ErrorPattern] | None = None,
+    generator_id: str = "",
+    sample_id: str = "0",
+) -> SyntheticSample:
+    """Frozen copy of the original ``gecaug.synthesis.substitute``; do not edit."""
+    if not 0.0 <= error_rate <= 1.0:
+        raise ValueError(f"error_rate must lie in [0, 1], got {error_rate}")
+    target = tuple(tokens)
+    if requested is None:
+        requested = tuple(p for p, _ in matches)
+    apply = rng.random() < error_rate
+    if not apply or not matches:
+        return SyntheticSample(target, target, (), tuple(requested), generator_id, sample_id)
+    source: list[str] = []
+    planted: list[Match] = []
+    cursor = 0
+    for p, (start, end) in sorted(matches, key=lambda m: m[1]):
+        source.extend(target[cursor:start])
+        planted.append((p, (len(source), len(source) + len(p.wrong))))
+        source.extend(p.wrong)
+        cursor = end
+    source.extend(target[cursor:])
+    return SyntheticSample(
+        tuple(source), target, tuple(planted), tuple(requested), generator_id, sample_id
+    )
+
+
+def reference_unplant(sample: SyntheticSample) -> str:
+    """Frozen copy of the original ``OracleCorrector`` table entry; do not edit."""
+    out = list(sample.source)
+    # Right to left; of two empty plants at one point, the later goes first.
+    for p, (a, b) in reversed(sorted(sample.planted, key=lambda m: m[1])):
+        out[a:b] = p.correct
+    return " ".join(out)
+
+
+def reference_build_finetune_example(tokens: Sequence[str], rng: Random) -> FinetuneExample:
+    """Frozen copy of the original ``gecaug.generation.build_finetune_example``; do not edit."""
+    toks = list(tokens)
+    n = len(toks)
+    if n < 4:
+        raise ValueError(f"sentence too short to mask ({n} tokens)")
+    count = rng.randint(1, 2)
+    max_len = min(4, n // 2)
+    len1 = rng.randint(1, max_len)
+    spans: list[tuple[int, int]]
+    if count == 2 and n - 3 - len1 >= 1:
+        len2 = rng.randint(1, min(max_len, n - 3 - len1))
+        s1 = rng.randint(1, n - 2 - len1 - len2)
+        s2 = rng.randint(s1 + len1 + 1, n - 1 - len2)
+        spans = [(s1, s1 + len1), (s2, s2 + len2)]
+    else:
+        s1 = rng.randint(1, n - 1 - len1)
+        spans = [(s1, s1 + len1)]
+
+    masked: list[str] = []
+    cursor = 0
+    for start, end in spans:
+        masked.extend(toks[cursor:start])
+        masked.append(MASK)
+        cursor = end
+    masked.extend(toks[cursor:])
+
+    i = len(masked) + 1
+    text = " ".join(masked) + f" {SEP} " + " ".join(toks)
+    return FinetuneExample(text, (i, i + n), tuple(spans))

@@ -529,6 +529,26 @@ def test_denoise_identity_and_oracle(workdir: Path, capsys):
     assert [r["target"] for r in oracle_rows] == [r["target"] for r in syn_rows]
 
 
+def test_width_one_pipeline_writes_no_empty_source(workdir: Path, capsys):
+    # At n=1 the pool holds missing-word patterns with an empty wrong side;
+    # planting one into a sentence made of it alone used to empty the source.
+    corpus = Path(__file__).resolve().parent.parent / "demos" / "data" / "learner_sample.tsv"
+    assert main(["extract", "--in", str(corpus), "--n", "1", "--out", "pool.jsonl"]) == 0
+    assert main([
+        "synthesize", "--pool", "pool.jsonl", "--n", "1", "--count", "2000", "--seed", "7",
+        "--out", "syn.jsonl",
+    ]) == 0
+    text = (workdir / "syn.jsonl").read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert len(rows) == 2000
+    assert all(row["source"] for row in rows)
+    rc, _, events = _run(
+        capsys, "denoise", "--in", "syn.jsonl", "--backend", "identity", "--out", "den.jsonl"
+    )
+    assert rc == 0
+    assert events[-1]["pairs"] == 2000
+
+
 def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
     _synthesize_fixture(workdir)
     rc, _, _ = _run(
@@ -681,6 +701,7 @@ def test_whole_file_json_with_bad_utf8_is_one_error_line(workdir: Path, capsys, 
 
 
 _SYNTH_CONFIG = {"pool": "pool.jsonl", "n": 3, "count": 1, "seed": 0}
+_STATS_CONFIG = {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3}
 
 
 @pytest.mark.parametrize(
@@ -710,12 +731,26 @@ _SYNTH_CONFIG = {"pool": "pool.jsonl", "n": 3, "count": 1, "seed": 0}
         ("sample", {**_SYNTH_CONFIG, "count": -1}, "count must be non-negative"),
         ("synthesize", {**_SYNTH_CONFIG, "attempt_budget": -1},
          "attempt_budget must be non-negative"),
+        ("synthesize", {**_SYNTH_CONFIG, "workers": 0}, "workers must be at least 1"),
+        ("synthesize", {**_SYNTH_CONFIG, "workers": -1}, "workers must be at least 1"),
+        ("denoise", {"in_path": "syn.jsonl", "max_in_flight": 0},
+         "max_in_flight must be at least 1"),
+        ("denoise", {"in_path": "syn.jsonl", "max_in_flight": -1},
+         "max_in_flight must be at least 1"),
+        ("denoise", {"in_path": "syn.jsonl", "checkpoint_every": 0},
+         "checkpoint_every must be at least 1"),
+        ("denoise", {"in_path": "syn.jsonl", "checkpoint_every": -1},
+         "checkpoint_every must be at least 1"),
+        ("stats", {**_STATS_CONFIG, "top_k": 0}, "top_k must be at least 1"),
+        ("stats", {**_STATS_CONFIG, "top_k": -1}, "top_k must be at least 1"),
     ],
     ids=["beta-list", "beta-string", "beta-bool", "beta-zero", "in-path-int",
          "in-paths-string", "in-paths-empty", "rate-true", "rate-string", "rate-false",
          "fewshot-string", "fewshot-int-http", "beta-infinity", "beta-nan", "beta-huge-int",
          "rate-nan",
-         "count-negative", "budget-negative"],
+         "count-negative", "budget-negative",
+         "workers-zero", "workers-negative", "in-flight-zero", "in-flight-negative",
+         "checkpoint-every-zero", "checkpoint-every-negative", "top-k-zero", "top-k-negative"],
 )
 def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
     base = {"hyp": "hyp.tsv", "gold": "gold.m2", "out": "out.jsonl"}
@@ -852,6 +887,29 @@ def test_stats_distribution_report(workdir: Path, capsys):
     assert csv_lines[0] == "pattern_wrong,pattern_correct,reference_count,candidate_count"
     assert csv_lines[1] == "move one,move from one,3,3"
     assert len(csv_lines) == 4
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("stats", {**_STATS_CONFIG, "out": 5}, "'out' must be a path string"),
+        ("stats", {**_STATS_CONFIG, "csv": 5}, "'csv' must be a path string"),
+        ("score", {"hyp": "hyp.tsv", "gold": "gold.m2", "out": 5}, "'out' must be a path string"),
+    ],
+    ids=["stats-out", "stats-csv", "score-out"],
+)
+def test_report_outputs_are_checked_before_the_stage(
+    workdir: Path, capsys, command, config, message
+):
+    _write_corpus(workdir)
+    _write_score_fixture(workdir)
+    assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
+    capsys.readouterr()
+    (workdir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+    rc, out, events = _run(capsys, command, "--config", "job.json")
+    assert rc == 2
+    assert out == ""
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
 
 
 def _write_score_fixture(workdir: Path) -> None:

@@ -168,6 +168,17 @@ def test_synthesize_attempt_accounting_under_faults():
     assert 0.16 <= drop_rate <= 0.24
 
 
+def test_a_plant_that_would_empty_the_source_is_retried():
+    # At n=1 a missing-word pattern has an empty wrong side; planting it in
+    # a sentence that is only its correct side would leave no source.
+    pool = PatternPool({ErrorPattern((), ("the",), 1): 1}, 1)
+    samples, stats = synthesize(pool, 200, StubGenerator(seed=5), base_seed=3, error_rate=1.0)
+    assert len(samples) == 200
+    assert all(s.source and s.planted for s in samples)
+    assert stats.zero_match_retries > 0
+    assert stats.attempts == stats.samples + stats.zero_match_retries
+
+
 def test_synthesize_budget_exhaustion():
     pool = insertion_pool(5)
 
@@ -304,3 +315,56 @@ def test_read_samples_rejects_bool_integers(tmp_path: Path):
     with pytest.raises(SchemaError) as err:
         list(read_samples(path))
     assert err.value.reason == "planted span must be [start, end]"
+
+
+_GOOD_SAMPLE = {
+    "id": "0",
+    "source": "x b",
+    "target": "c b",
+    "planted": [{"wrong": ["x"], "correct": ["c"], "span": [0, 1]}],
+    "requested": [{"wrong": ["x"], "correct": ["c"]}],
+    "generator": "stub",
+    "n": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "fields, error, reason",
+    [
+        ({"source": "x  b"}, MalformedLine, "source side contains an empty token"),
+        ({"source": "", "planted": []}, MalformedLine, "source side is empty"),
+        ({"target": ""}, MalformedLine, "target side is empty"),
+        ({"target": "c b "}, MalformedLine, "target side contains an empty token"),
+        ({"target": "c\tb"}, MalformedLine, "target token 'c\\tb' contains whitespace"),
+        (
+            {"source": "x y b", "planted": [
+                {"wrong": ["x", "y"], "correct": ["c"], "span": [0, 2]},
+                {"wrong": ["y"], "correct": ["c"], "span": [1, 2]},
+            ]},
+            SchemaError, "planted spans overlap or are unsorted",
+        ),
+        (
+            {"source": "x y b", "planted": [
+                {"wrong": ["x", "y"], "correct": ["c"], "span": [0, 2]},
+                {"wrong": [], "correct": ["c"], "span": [1, 1]},
+            ]},
+            SchemaError, "planted spans overlap or are unsorted",
+        ),
+        (
+            {"source": "x y b", "planted": [
+                {"wrong": ["y"], "correct": ["c"], "span": [1, 2]},
+                {"wrong": ["x"], "correct": ["c"], "span": [0, 1]},
+            ]},
+            SchemaError, "planted spans overlap or are unsorted",
+        ),
+    ],
+    ids=["double-space", "empty-source", "empty-target", "trailing-space", "tab",
+         "overlap", "insertion-inside", "unsorted"],
+)
+def test_read_samples_checks_tokens_and_spans_at_their_line(tmp_path: Path, fields, error, reason):
+    path = tmp_path / "samples.jsonl"
+    rows = [_GOOD_SAMPLE, {**_GOOD_SAMPLE, "id": "1", **fields}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(error) as err:
+        list(read_samples(path))
+    assert (err.value.line_no, err.value.reason) == (2, reason)
