@@ -39,7 +39,6 @@ from .denoise import (
     HttpCorrector,
     IdentityCorrector,
     OracleCorrector,
-    completed_from_checkpoint,
     relabel,
     relabel_diff_stats,
 )

@@ -9,6 +9,8 @@ fail immediately; retrying cannot fix them.
 
 The client is built on ``http.client``: each thread that posts keeps one
 keep-alive connection, to the endpoint or to its proxy, for all its calls.
+``close()``, or leaving a ``with`` block, closes the connections of every
+thread; a thread that posts again opens a new one.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ class JsonHttpClient:
         self._max_delay = max(map(self._delay, range(1, max_attempts)), default=0.0)
         self._retryable = (OSError, http.client.HTTPException)
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
@@ -137,6 +141,21 @@ class JsonHttpClient:
                 f"{kind} endpoint not configured (pass endpoint= or set {var}_URL)"
             )
         return cls(endpoint, auth_token=auth_token or os.environ.get(f"{var}_TOKEN"), **options)
+
+    def __enter__(self) -> JsonHttpClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection. Call it with no post in flight."""
+        with self._lock:
+            conns = list(self._conns.values())
+            self._conns.clear()
+            self._local = threading.local()
+        for conn in conns:
+            conn.close()
 
     def post_text(self, payload: dict) -> str:
         """POST ``payload`` and return the string ``text`` of the reply."""
@@ -187,6 +206,11 @@ class JsonHttpClient:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
+            with self._lock:
+                # A thread that has ended posts no more: close its connection now.
+                for thread in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(thread).close()
+                self._conns[threading.current_thread()] = conn
         try:
             reused = conn.sock is not None
             try:

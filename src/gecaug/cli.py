@@ -39,13 +39,7 @@ from .corpus import (
     CorpusError, MalformedLine, canonical_json, is_int, jsonl_line, read_json_file, read_jsonl,
     read_m2, read_pairs, write_jsonl, write_lines,
 )
-from .denoise import (
-    HttpCorrector,
-    IdentityCorrector,
-    OracleCorrector,
-    completed_from_checkpoint,
-    relabel,
-)
+from .denoise import HttpCorrector, IdentityCorrector, OracleCorrector, relabel
 from .generation import HttpGenerator, StubGenerator, assemble_input
 from .mix import load_plan, mix, ratio_sweep
 from .patterns import (
@@ -197,8 +191,7 @@ _OPTIONS = {opt.dest: opt for opt in (
     _Option("stub_drop_rate", "--stub-drop-rate", "rate", "stub drop rate", "synthesize"),
     _Option("stub_refuse_rate", "--stub-refuse-rate", "rate", "stub refusal rate", "synthesize"),
     _Option("fewshot", "--fewshot", "bool", "send few-shot examples", "synthesize"),
-    _Option("checkpoint", "--checkpoint", "path", "resumable checkpoint file", "denoise"),
-    _Option("checkpoint_every", "--checkpoint-every", "int", "pairs per checkpoint", "denoise"),
+    _Option("checkpoint", "--checkpoint", "path", "resumable run's marker file", "denoise"),
     _Option("max_in_flight", "--max-in-flight", "int", "concurrent requests", "denoise"),
     _Option("sweep", "--sweep", "caps", "comma-separated synthetic caps", "mix"),
     _Option("top_k", "--top-k", "int", "patterns in the report", "stats"),
@@ -384,7 +377,7 @@ def _cmd_synthesize(opts: _Options) -> None:
         except ValueError as exc:
             raise CliError("CONFIG", str(exc), 2)
 
-    with _stage(
+    with closing(backend), _stage(
         "synthesize", pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_
     ) as st:
         pool = load_pool(pool_path, n)
@@ -399,6 +392,8 @@ def _cmd_synthesize(opts: _Options) -> None:
             "error_rate": error_rate_, "backend": backend_name,
             "stub_drop_rate": drop_rate, "stub_refuse_rate": refuse_rate,
         }
+        if fewshot:  # recorded only when set, so a default manifest keeps its bytes
+            config["fewshot"] = True
         counts = {"samples": stats.samples, "errorful": stats.errorful}
         st.manifest(out, config, seed, [pool_path], counts)
 
@@ -410,7 +405,6 @@ def _cmd_denoise(opts: _Options) -> None:
     out = opts.get("out", required=True)
     checkpoint = opts.get("checkpoint")
     in_flight = opts.get("max_in_flight", default=8 if backend_name == "http" else 1)
-    every = opts.get("checkpoint_every", default=1000)
 
     samples: Iterable = read_samples(in_path)
     if backend_name == "identity":
@@ -424,25 +418,31 @@ def _cmd_denoise(opts: _Options) -> None:
         except ValueError as exc:
             raise CliError("CONFIG", str(exc), 2)
 
+    config = {"in": in_path, "backend": backend_name, "out": out}
+    marker = canonical_json(config).encode("utf-8")
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
     kept = 0
-    if checkpoint is not None and os.path.exists(checkpoint):
-        kept = _resume_point(out, checkpoint, samples, counts)
+    if checkpoint is not None:
+        kept = _resume_point(out, checkpoint, marker, samples, counts)
     skip = counts["pairs"]
-    with _stage("denoise", input=in_path, backend=backend_name, resume_skip=skip) as st:
-        pairs = relabel(
-            samples, corrector, max_in_flight=in_flight,
-            checkpoint_path=checkpoint, checkpoint_every=every, start=skip,
-        )
+    with closing(corrector), _stage(
+        "denoise", input=in_path, backend=backend_name, resume_skip=skip
+    ) as st:
+        pairs = relabel(samples, corrector, max_in_flight=in_flight)
         with open(st.stream(out), "a", encoding="utf-8") as fh, closing(pairs):
             fh.truncate(kept)
+            if checkpoint is not None:
+                with open(checkpoint + ".tmp", "wb") as marker_fh:
+                    marker_fh.write(marker)
+                os.replace(checkpoint + ".tmp", checkpoint)
             for pair in pairs:
                 fh.write(jsonl_line(pair) + "\n")
                 fh.flush()
                 _tally(counts, pair)
-        config = {"in": in_path, "backend": backend_name, "out": out}
         st.manifest(out, config, None, [in_path], counts)
+    if checkpoint is not None:
+        _remove(checkpoint)
 
 
 def _tally(counts: dict, pair) -> None:
@@ -452,26 +452,32 @@ def _tally(counts: dict, pair) -> None:
     counts["matches_source"] += bool(meta.get("matches_source"))
 
 
-def _resume_point(out: str, checkpoint: str, samples: Iterator, counts: dict) -> int:
+def _resume_point(out: str, checkpoint: str, marker: bytes, samples: Iterator, counts: dict) -> int:
     """Where an interrupted ``denoise`` run stopped, read from its output.
 
-    Keeps the complete rows of ``out`` (a torn last line is dropped),
-    checks each one's id against the input at its position, consumes
-    that many inputs, tallies the rows into ``counts`` and returns their
-    length in bytes. The checkpoint may lag the output, never lead it.
+    Nothing to resume without the checkpoint, or from an output that a
+    finished run committed (it has a manifest); a checkpoint whose bytes
+    are not ``marker`` is a CONFIG error. Keeps the complete rows of
+    ``out`` (a torn last line is dropped), checks each one's id and
+    source against the input at its position, consumes that many inputs,
+    tallies the rows into ``counts`` and returns their length in bytes.
     """
+    if not os.path.exists(checkpoint):
+        return 0
+    with open(checkpoint, "rb") as fh:
+        if fh.read() != marker:
+            message = f"checkpoint {checkpoint} does not mark this run ({marker.decode()})"
+            raise CliError("CONFIG", message, 2)
+    if os.path.exists(out + ".manifest.json"):
+        return 0
     sizes: list[int] = []
     with suppress(FileNotFoundError), open(out, "rb") as fh:
         sizes = [len(line) for line in fh if line.endswith(b"\n")]
     kept, rows = sum(sizes), len(sizes)
-    completed = completed_from_checkpoint(checkpoint)
-    if completed > rows:
-        message = f"checkpoint {checkpoint} records {completed} pairs but {out} holds {rows}"
-        raise CliError("CONFIG", message, 2)
     for line_no, pair in enumerate(islice(read_jsonl(out), rows), start=1):
         expected = next(samples, None)
-        if expected is None or expected.id != pair.id:
-            message = f"{out}:{line_no}: id {pair.id!r} does not match the input's"
+        if expected is None or (expected.id, expected.source) != (pair.id, pair.source):
+            message = f"{out}:{line_no}: id {pair.id!r} or its source does not match the input's"
             raise CliError("CONFIG", message, 2)
         _tally(counts, pair)
     return kept

@@ -19,7 +19,7 @@ pipeline (pairs, pools, samples): ``read_json_rows`` is the one strict
 reader, ``canonical_json`` the one row encoder, and ``is_int`` the one
 integer check, which rejects ``true``/``false``. Every reader reports a
 byte that is not UTF-8 at the line that holds it. Whole-file JSON
-(configs, plans, checkpoints) is read by ``read_json_file``, as strictly.
+(configs, plans) is read by ``read_json_file``, as strictly.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def read_json_rows(path) -> Iterator[tuple[int, dict]]:
 
 
 def read_json_file(path):
-    """The JSON value of a whole UTF-8 file (a config, plan or checkpoint).
+    """The JSON value of a whole UTF-8 file (a config or plan).
 
     Raises MalformedLine at line 0 for bad UTF-8 or JSON; each caller
     re-raises its ``reason`` under its own error.

@@ -10,16 +10,15 @@ string.
 
 from __future__ import annotations
 
-import json
-import os
 from abc import ABC, abstractmethod
+from contextlib import closing
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
-from .corpus import MalformedLine, ParallelExample, is_int, read_json_file, splice
+from .corpus import ParallelExample, splice
 from .synthesis import SyntheticSample
 
 
@@ -31,6 +30,9 @@ class CorrectorBackend(ABC):
     @abstractmethod
     def correct_text(self, text: str, request_id: str = "0") -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the corrector holds open; nothing by default."""
 
 
 class IdentityCorrector(CorrectorBackend):
@@ -95,57 +97,27 @@ class HttpCorrector(CorrectorBackend):
     def correct_text(self, text: str, request_id: str = "0") -> str:
         return self._client.post_text({"id": request_id, "text": text})
 
-
-def completed_from_checkpoint(checkpoint_path) -> int:
-    """Pairs already completed according to a checkpoint file (0 if absent)."""
-    path = os.fspath(checkpoint_path)
-    if not os.path.exists(path):
-        return 0
-    try:
-        obj = read_json_file(path)
-    except MalformedLine as exc:
-        raise ValueError(f"{path}: bad checkpoint, {exc.reason}") from exc
-    completed = obj.get("completed") if isinstance(obj, dict) else None
-    if not is_int(completed) or completed < 0:
-        raise ValueError(f"{path}: bad checkpoint, 'completed' must be a non-negative int")
-    return completed
+    def close(self) -> None:
+        """Close the client's connections, those of every thread."""
+        self._client.close()
 
 
 def relabel(
-    samples: Iterable[SyntheticSample],
-    corrector: CorrectorBackend,
-    max_in_flight: int = 8,
-    checkpoint_path=None,
-    checkpoint_every: int = 1000,
-    start: int = 0,
+    samples: Iterable[SyntheticSample], corrector: CorrectorBackend, max_in_flight: int = 8
 ) -> Iterator[ParallelExample]:
     """Yield (source, corrector(source)) pairs in input order.
 
     Up to ``max_in_flight`` corrector calls run at once (see
-    ``map_ordered``). The checkpoint counts pairs yielded from ``start``
-    on; it is written every ``checkpoint_every`` pairs and whenever the
-    run stops early, and removed when the run finishes. An empty
+    ``map_ordered``); closing the generator early stops them. An empty
     corrector reply falls back to the uncorrected source. Meta flags on
     each pair: matches_target (corrector agreed with the generated
     sentence) and matches_source (corrector left the input unchanged).
     """
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
-    checkpoint = os.fspath(checkpoint_path) if checkpoint_path is not None else None
-    completed = start
-    last_id = ""
-    finished = False
-
-    def write_checkpoint() -> None:
-        with open(checkpoint, "w", encoding="utf-8") as fh:
-            json.dump({"completed": completed, "last_id": last_id}, fh, sort_keys=True)
-            fh.write("\n")
 
     def correct(s: SyntheticSample) -> tuple[SyntheticSample, str]:
         return s, corrector.correct_text(" ".join(s.source), s.id)
 
-    corrected = map_ordered(correct, samples, max_in_flight)
-    try:
+    with closing(map_ordered(correct, samples, max_in_flight)) as corrected:
         for s, text in corrected:
             tokens = tuple(text.split())
             if not tokens:
@@ -155,18 +127,6 @@ def relabel(
                 "matches_source": tokens == s.source,
             }
             yield ParallelExample(source=s.source, target=tokens, id=s.id, meta=meta)
-            completed += 1
-            last_id = s.id
-            if checkpoint is not None and completed % checkpoint_every == 0:
-                write_checkpoint()
-        finished = True
-    finally:
-        corrected.close()
-        if checkpoint is not None:
-            if not finished:
-                write_checkpoint()
-            elif os.path.exists(checkpoint):
-                os.remove(checkpoint)
 
 
 def relabel_diff_stats(

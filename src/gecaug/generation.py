@@ -200,6 +200,9 @@ class GeneratorBackend(ABC):
     def generate_text(self, request: GenerationRequest) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the generator holds open; nothing by default."""
+
 
 _FILLERS = (
     ("it", "was", "late"),
@@ -307,6 +310,10 @@ class HttpGenerator(GeneratorBackend):
             "max_tokens": self.max_tokens,
         }
         return self._client.post_text(payload)
+
+    def close(self) -> None:
+        """Close the client's connections, those of every thread."""
+        self._client.close()
 
 
 def generate(request: GenerationRequest, backend: GeneratorBackend) -> GenerationResult:

@@ -295,6 +295,8 @@ def pattern_row(pattern: ErrorPattern) -> dict:
 
 def pattern_from_row(obj: dict, n: int, path: str, line_no: int) -> ErrorPattern:
     """The pattern of a pool or sample row; a bad row raises SchemaError."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, line_no, "pattern entry must be an object")
     for key in ("wrong", "correct"):
         side = obj.get(key)
         if not isinstance(side, list) or not all(isinstance(t, str) for t in side):

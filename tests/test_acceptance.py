@@ -232,7 +232,7 @@ def test_acceptance_denoise_inverse():
 
 
 # ---------------------------------------------------------------------------
-# 8. The CLI pipeline is byte-identical across roots and worker counts.
+# 8. The CLI pipeline is byte-identical across roots, worker counts and hash seeds.
 
 _PIPELINE = (
     ("extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"),
@@ -275,13 +275,13 @@ def _build_tree(root: Path) -> None:
     (root / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
 
 
-def _run_pipeline(root: Path, workers: str) -> dict[str, str]:
+def _run_pipeline(root: Path, workers: str, hash_seed: str) -> dict[str, str]:
     for step in _PIPELINE:
         argv = [workers if part == "WORKERS" else part for part in step]
         proc = subprocess.run(
             [sys.executable, "-m", "gecaug", *argv],
             cwd=root,
-            env=cli_env(),
+            env={**cli_env(), "PYTHONHASHSEED": hash_seed},
             capture_output=True,
             text=True,
         )
@@ -298,13 +298,17 @@ def test_acceptance_determinism_envelope(tmp_path: Path):
     roots = (tmp_path / "a", tmp_path / "nested" / "deeper" / "b", tmp_path / "c")
     for root in roots:
         _build_tree(root)
+    # Each run pins another hash seed: the order of a set of strings must not leak out.
     hashes = [
-        _run_pipeline(roots[0], "1"),
-        _run_pipeline(roots[1], "1"),
-        _run_pipeline(roots[2], "4"),
+        _run_pipeline(roots[0], "1", "0"),
+        _run_pipeline(roots[1], "1", "1"),
+        _run_pipeline(roots[2], "4", "12345"),
     ]
     failures: list[str] = []
-    for label, other in (("root", hashes[1]), ("workers", hashes[2])):
+    for label, other in (
+        ("root (and hash seed 0 -> 1)", hashes[1]),
+        ("workers (and hash seed 0 -> 12345)", hashes[2]),
+    ):
         if other != hashes[0]:
             diff = sorted(
                 k for k in set(hashes[0]) | set(other) if hashes[0].get(k) != other.get(k)

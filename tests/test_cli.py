@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from gecaug import IdentityCorrector, cli
+from gecaug._http import JsonHttpClient
 from gecaug.cli import main
 
 from _server import ScriptedServer
@@ -175,8 +176,7 @@ _FLAGS = {
     },
     "denoise": {
         "--config": "config", "--in": "in_path", "--backend": "backend",
-        "--checkpoint": "checkpoint", "--checkpoint-every": "checkpoint_every",
-        "--max-in-flight": "max_in_flight", "--out": "out",
+        "--checkpoint": "checkpoint", "--max-in-flight": "max_in_flight", "--out": "out",
     },
     "mix": {"--config": "config", "--plan": "plan", "--sweep": "sweep", "--out": "out"},
     "stats": {
@@ -239,8 +239,8 @@ def test_unknown_config_key_is_rejected(workdir: Path, capsys, command):
     plan = {"stage": "I", "real": ["corpus.tsv"], "seed": 0}
     (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
     capsys.readouterr()
-    # "checkpoint_every" belongs to denoise: one config may drive every stage.
-    config = {**_VALID_CONFIGS[command], "out": "out.jsonl", "checkpoint_every": 10}
+    # "max_in_flight" belongs to denoise: one config may drive every stage.
+    config = {**_VALID_CONFIGS[command], "out": "out.jsonl", "max_in_flight": 10}
     for key in ("error-rate", "sead", "config"):
         (workdir / "job.json").write_text(json.dumps({**config, key: 1}), encoding="utf-8")
         rc, out, events = _run(capsys, command, "--config", "job.json")
@@ -264,7 +264,6 @@ _INT_OPTIONS = (
     ("synthesize", "workers"),
     ("synthesize", "attempt_budget"),
     ("denoise", "max_in_flight"),
-    ("denoise", "checkpoint_every"),
     ("stats", "top_k"),
 )
 
@@ -549,6 +548,12 @@ def test_width_one_pipeline_writes_no_empty_source(workdir: Path, capsys):
     assert events[-1]["pairs"] == 2000
 
 
+# The checkpoint marker of a denoise run writing denoised.jsonl: the
+# canonical JSON of its manifest config.
+_MARKER = json.dumps({"in": "syn.jsonl", "backend": "identity", "out": "denoised.jsonl"},
+                     sort_keys=True)
+
+
 def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
     _synthesize_fixture(workdir)
     rc, _, _ = _run(
@@ -558,32 +563,29 @@ def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
     assert rc == 0
     full_lines = (workdir / "full.jsonl").read_text(encoding="utf-8").splitlines(True)
 
-    # Simulate an interrupted run: 5 pairs written, checkpoint on disk.
-    (workdir / "resumed.jsonl").write_text("".join(full_lines[:5]), encoding="utf-8")
-    (workdir / "relabel.ckpt").write_text(
-        json.dumps({"completed": 5, "last_id": "4"}), encoding="utf-8"
-    )
-    rc, _, _ = _run(
-        capsys, "denoise", "--in", "syn.jsonl", "--backend", "identity",
-        "--checkpoint", "relabel.ckpt", "--out", "resumed.jsonl",
-    )
+    # Simulate an interrupted run: 5 pairs written, its marker on disk.
+    (workdir / "denoised.jsonl").write_text("".join(full_lines[:5]), encoding="utf-8")
+    (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
+    rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
-    assert (workdir / "resumed.jsonl").read_bytes() == (workdir / "full.jsonl").read_bytes()
+    assert events[0]["resume_skip"] == 5
+    assert (workdir / "denoised.jsonl").read_bytes() == (workdir / "full.jsonl").read_bytes()
     assert not (workdir / "relabel.ckpt").exists()
     manifest = json.loads(
-        (workdir / "resumed.jsonl.manifest.json").read_text(encoding="utf-8")
+        (workdir / "denoised.jsonl.manifest.json").read_text(encoding="utf-8")
     )
     assert manifest["counts"]["pairs"] == 12
 
 
 _DENOISE = (
     "denoise", "--in", "syn.jsonl", "--backend", "identity",
-    "--checkpoint", "relabel.ckpt", "--checkpoint-every", "10", "--out", "denoised.jsonl",
+    "--checkpoint", "relabel.ckpt", "--out", "denoised.jsonl",
 )
 
 
 def _uninterrupted_denoise(workdir: Path) -> tuple[bytes, bytes]:
     assert main(list(_DENOISE)) == 0
+    assert not (workdir / "relabel.ckpt").exists()
     out = workdir / "denoised.jsonl"
     manifest = workdir / "denoised.jsonl.manifest.json"
     expected = out.read_bytes(), manifest.read_bytes()
@@ -592,37 +594,62 @@ def _uninterrupted_denoise(workdir: Path) -> tuple[bytes, bytes]:
     return expected
 
 
-@pytest.mark.parametrize("checkpoint_lags", [False, True], ids=["finally", "killed"])
-def test_denoise_resumes_from_output_after_interrupt(
-    workdir: Path, capsys, monkeypatch, checkpoint_lags
-):
-    _synthesize_fixture(workdir, count=50)
-    expected = _uninterrupted_denoise(workdir)
+def _interrupt_denoise_at(monkeypatch, stop_id: str, *argv: str) -> None:
+    """Run denoise until the corrector is asked for sample ``stop_id``, then stop it."""
 
-    def interrupt_at_25(self, text, request_id="0"):
-        if request_id == "25":
+    def interrupt(self, text, request_id="0"):
+        if request_id == stop_id:
             raise KeyboardInterrupt
         return text
 
     with monkeypatch.context() as patch:
-        patch.setattr(IdentityCorrector, "correct_text", interrupt_at_25)
+        patch.setattr(IdentityCorrector, "correct_text", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            main(list(_DENOISE))
+            main(list(argv))
+
+
+# Runs the CLI on argv[2:] and SIGKILLs itself when the identity corrector
+# is asked for sample argv[1].
+_KILL_AT_SAMPLE = """
+import os, signal, sys
+from gecaug import IdentityCorrector, cli
+
+def kill_at(self, text, request_id="0"):
+    if request_id == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return text
+
+IdentityCorrector.correct_text = kill_at
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("killed", [False, True], ids=["finally", "killed"])
+def test_denoise_resumes_from_output_after_interrupt(
+    workdir: Path, capsys, monkeypatch, killed
+):
+    _synthesize_fixture(workdir, count=50)
+    expected = _uninterrupted_denoise(workdir)
+    if killed:
+        # No finally block runs: only what was written before the kill is left.
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_AT_SAMPLE, "25", *_DENOISE],
+            cwd=workdir, env=cli_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+    else:
+        _interrupt_denoise_at(monkeypatch, "25", *_DENOISE)
     out = workdir / "denoised.jsonl"
-    checkpoint = workdir / "relabel.ckpt"
     assert len(out.read_bytes().splitlines()) == 25
-    assert json.loads(checkpoint.read_text(encoding="utf-8"))["completed"] == 25
+    assert (workdir / "relabel.ckpt").read_text(encoding="utf-8") == _MARKER
     assert not (workdir / "denoised.jsonl.manifest.json").exists()
-    if checkpoint_lags:
-        # A kill between saves leaves the checkpoint behind the output.
-        checkpoint.write_text(json.dumps({"completed": 20, "last_id": "19"}), encoding="utf-8")
 
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
     assert events[0]["resume_skip"] == 25
     assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
-    assert not checkpoint.exists()
+    assert not (workdir / "relabel.ckpt").exists()
 
 
 def test_denoise_resume_drops_a_torn_last_line(workdir: Path, capsys):
@@ -630,9 +657,7 @@ def test_denoise_resume_drops_a_torn_last_line(workdir: Path, capsys):
     expected = _uninterrupted_denoise(workdir)
     lines = expected[0].splitlines(True)
     (workdir / "denoised.jsonl").write_bytes(b"".join(lines[:17]) + lines[17][:30])
-    (workdir / "relabel.ckpt").write_text(
-        json.dumps({"completed": 10, "last_id": "9"}), encoding="utf-8"
-    )
+    (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
@@ -645,17 +670,9 @@ def test_denoise_resume_cross_checks(workdir: Path, capsys):
     _synthesize_fixture(workdir, count=50)
     lines = _uninterrupted_denoise(workdir)[0].splitlines(True)
     out = workdir / "denoised.jsonl"
-    checkpoint = workdir / "relabel.ckpt"
-
-    out.write_bytes(b"".join(lines[:5]))
-    checkpoint.write_text(json.dumps({"completed": 9, "last_id": "8"}), encoding="utf-8")
-    rc, _, events = _run(capsys, *_DENOISE)
-    assert rc == 2
-    assert events[-1]["code"] == "CONFIG"
-    assert "records 9 pairs" in events[-1]["message"]
+    (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
 
     out.write_bytes(b"".join(lines[:3] + lines[4:6]))
-    checkpoint.write_text(json.dumps({"completed": 5, "last_id": "5"}), encoding="utf-8")
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 2
     assert events[-1]["code"] == "CONFIG"
@@ -663,18 +680,66 @@ def test_denoise_resume_cross_checks(workdir: Path, capsys):
     assert out.read_bytes() == b"".join(lines[:3] + lines[4:6])
 
 
-@pytest.mark.parametrize("checkpoint", ["[1]", '{"completed": true}'], ids=["list", "bool"])
+@pytest.mark.parametrize("change", ["stale-input", "other-backend"])
+def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, change):
+    _synthesize_fixture(workdir, count=40)
+    _interrupt_denoise_at(monkeypatch, "10", *_DENOISE)
+    out = workdir / "denoised.jsonl"
+    partial, marker = out.read_bytes(), (workdir / "relabel.ckpt").read_bytes()
+    assert len(partial.splitlines()) == 10
+    argv = list(_DENOISE)
+    if change == "stale-input":
+        # The same ids in the same order, but other sources.
+        assert main([
+            "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "40",
+            "--seed", "4", "--error-rate", "0.7", "--out", "syn.jsonl",
+        ]) == 0
+        message = "denoised.jsonl:1: id '0' or its source does not match the input's"
+    else:
+        argv[argv.index("identity")] = "oracle"
+        oracle_marker = _MARKER.replace("identity", "oracle")
+        message = f"checkpoint relabel.ckpt does not mark this run ({oracle_marker})"
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *argv)
+    assert rc == 2
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
+    assert (out.read_bytes(), (workdir / "relabel.ckpt").read_bytes()) == (partial, marker)
+
+
+def test_denoise_resume_starts_over_on_a_finished_output(workdir: Path, capsys, monkeypatch):
+    _synthesize_fixture(workdir)
+    expected = _uninterrupted_denoise(workdir)
+    _interrupt_denoise_at(monkeypatch, "5", *_DENOISE)
+    # A run without --checkpoint finishes the output and leaves the marker.
+    oracle = [arg for arg in _DENOISE if arg not in ("--checkpoint", "relabel.ckpt")]
+    oracle[oracle.index("identity")] = "oracle"
+    assert main(oracle) == 0
+    assert (workdir / "relabel.ckpt").read_text(encoding="utf-8") == _MARKER
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 0
+    out = workdir / "denoised.jsonl"
+    assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
+
+
+@pytest.mark.parametrize(
+    "checkpoint",
+    [b"[1]", b'{"completed": true}', b'{"completed": 5, "last_id": "4"}', b"\xff"],
+    ids=["list", "bool", "old-format", "bad-utf8"],
+)
 def test_bad_checkpoint_is_one_error_line(workdir: Path, capsys, checkpoint):
     _synthesize_fixture(workdir)
+    (workdir / "relabel.ckpt").write_bytes(checkpoint)
+    (workdir / "denoised.jsonl").write_text("{torn", encoding="utf-8")
     capsys.readouterr()
-    (workdir / "relabel.ckpt").write_text(checkpoint, encoding="utf-8")
     rc, _, events = _run(capsys, *_DENOISE)
-    assert rc == 1
+    assert rc == 2
     assert events == [{
-        "event": "error", "code": "INVALID_ARGUMENT",
-        "message": "relabel.ckpt: bad checkpoint, 'completed' must be a non-negative int",
+        "event": "error", "code": "CONFIG",
+        "message": f"checkpoint relabel.ckpt does not mark this run ({_MARKER})",
     }]
-    assert not (workdir / "denoised.jsonl").exists()
+    assert (workdir / "denoised.jsonl").read_text(encoding="utf-8") == "{torn"
 
 
 @pytest.mark.parametrize("kind", ["config", "plan", "checkpoint"])
@@ -690,9 +755,10 @@ def test_whole_file_json_with_bad_utf8_is_one_error_line(workdir: Path, capsys, 
         argv, rc_want = ("mix", "--plan", "plan.json", "--out", "denoised.jsonl"), 1
         code, prefix = "SCHEMA", "plan.json:0: invalid UTF-8: "
     else:
+        # The marker is compared as bytes, never decoded.
         (workdir / "relabel.ckpt").write_bytes(b'{"completed": 1, "last_id": "\xff"}')
-        argv, rc_want = _DENOISE, 1
-        code, prefix = "INVALID_ARGUMENT", "relabel.ckpt: bad checkpoint, invalid UTF-8: "
+        argv, rc_want = _DENOISE, 2
+        code, prefix = "CONFIG", "checkpoint relabel.ckpt does not mark this run ("
     rc, _, events = _run(capsys, *argv)
     assert rc == rc_want
     assert len(events) == 1
@@ -737,10 +803,6 @@ _STATS_CONFIG = {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3}
          "max_in_flight must be at least 1"),
         ("denoise", {"in_path": "syn.jsonl", "max_in_flight": -1},
          "max_in_flight must be at least 1"),
-        ("denoise", {"in_path": "syn.jsonl", "checkpoint_every": 0},
-         "checkpoint_every must be at least 1"),
-        ("denoise", {"in_path": "syn.jsonl", "checkpoint_every": -1},
-         "checkpoint_every must be at least 1"),
         ("stats", {**_STATS_CONFIG, "top_k": 0}, "top_k must be at least 1"),
         ("stats", {**_STATS_CONFIG, "top_k": -1}, "top_k must be at least 1"),
     ],
@@ -750,7 +812,7 @@ _STATS_CONFIG = {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3}
          "rate-nan",
          "count-negative", "budget-negative",
          "workers-zero", "workers-negative", "in-flight-zero", "in-flight-negative",
-         "checkpoint-every-zero", "checkpoint-every-negative", "top-k-zero", "top-k-negative"],
+         "top-k-zero", "top-k-negative"],
 )
 def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
     base = {"hyp": "hyp.tsv", "gold": "gold.m2", "out": "out.jsonl"}
@@ -793,6 +855,56 @@ def test_bad_endpoint_is_a_config_error_before_the_stage(
     message = f"endpoint must be an http:// or https:// URL with a host: {endpoint!r}"
     assert events == [{"event": "error", "code": "CONFIG", "message": message}]
     assert not (workdir / "out.jsonl").exists()
+
+
+def test_fewshot_is_in_the_manifest_only_when_set(workdir: Path):
+    _synthesize_fixture(workdir)
+    manifest = workdir / "syn.jsonl.manifest.json"
+    default = json.loads(manifest.read_text(encoding="utf-8"))
+    assert "fewshot" not in default["config"]
+    assert main([
+        "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "12",
+        "--seed", "3", "--error-rate", "0.7", "--backend", "stub",
+        "--out", "syn.jsonl", "--workers", "1", "--fewshot",
+    ]) == 0
+    fewshot = json.loads(manifest.read_text(encoding="utf-8"))
+    assert fewshot["config"] == {**default["config"], "fewshot": True}
+    assert fewshot["config_hash"] != default["config_hash"]
+
+
+def _echo(payload: dict):
+    return 200, json.dumps({"text": payload["text"]}).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, step, rc_want",
+    [("synthesize", (400, {}), 1), ("denoise", _echo, 0), ("denoise", (400, {}), 1)],
+    ids=["synthesize-fails", "denoise-succeeds", "denoise-fails"],
+)
+def test_remote_backend_is_closed_when_its_stage_ends(
+    workdir: Path, capsys, monkeypatch, command, step, rc_want
+):
+    _synthesize_fixture(workdir)
+    closed: list[str] = []
+    close = JsonHttpClient.close
+
+    def recording_close(self):
+        closed.append(self.endpoint)
+        close(self)
+
+    monkeypatch.setattr(JsonHttpClient, "close", recording_close)
+    args = {
+        "synthesize": ["--pool", "pool.jsonl", "--n", "3", "--count", "2", "--seed", "1"],
+        "denoise": ["--in", "syn.jsonl"],
+    }[command]
+    with ScriptedServer([step], keep_alive=True) as server:
+        for variable in ("GECAUG_GENERATOR_URL", "GECAUG_CORRECTOR_URL"):
+            monkeypatch.setenv(variable, server.url)
+        capsys.readouterr()
+        rc, _, events = _run(capsys, command, *args, "--backend", "http", "--out", "out.jsonl")
+    assert rc == rc_want, events
+    assert server.requests
+    assert closed == [server.url]
 
 
 def test_mix_and_sweep(workdir: Path, capsys):

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import json
-import re
-from pathlib import Path
+import inspect
 from random import Random
 
 import pytest
@@ -19,7 +17,6 @@ from gecaug import (
     StubGenerator,
     SyntheticSample,
     TransportError,
-    completed_from_checkpoint,
     relabel,
     relabel_diff_stats,
     substitute,
@@ -146,94 +143,39 @@ class FlakyCorrector(CorrectorBackend):
         return text
 
 
-def test_relabel_checkpoint_abort_and_resume(tmp_path: Path):
+def test_relabel_abort_and_resume():
     samples = _corpus(10)
-    checkpoint = tmp_path / "relabel.ckpt"
     got = []
     with pytest.raises(TransportError):
-        for ex in relabel(
-            samples,
-            FlakyCorrector(fail_id="5"),
-            max_in_flight=1,
-            checkpoint_path=checkpoint,
-            checkpoint_every=2,
-        ):
+        for ex in relabel(samples, FlakyCorrector(fail_id="5"), max_in_flight=1):
             got.append(ex)
     assert len(got) == 5
-    assert completed_from_checkpoint(checkpoint) == 5
-    state = json.loads(checkpoint.read_text(encoding="utf-8"))
-    assert state == {"completed": 5, "last_id": samples[4].id}
-
-    skip = completed_from_checkpoint(checkpoint)
-    rest = list(
-        relabel(
-            samples[skip:],
-            IdentityCorrector(),
-            max_in_flight=1,
-            checkpoint_path=checkpoint,
-        )
-    )
-    assert not checkpoint.exists()
+    # The pairs already out say where to resume; nothing else is recorded.
+    rest = list(relabel(samples[len(got):], IdentityCorrector(), max_in_flight=1))
     full = list(relabel(samples, IdentityCorrector()))
     assert got + rest == full
 
 
-def test_relabel_checkpoint_stops_at_failing_sample(tmp_path: Path):
+def test_relabel_stops_at_failing_sample():
     samples = _corpus(12)
-    checkpoint = tmp_path / "relabel.ckpt"
     got = []
     with pytest.raises(TransportError):
-        for ex in relabel(
-            samples,
-            FlakyCorrector(fail_id="5"),
-            max_in_flight=4,
-            checkpoint_path=checkpoint,
-        ):
+        for ex in relabel(samples, FlakyCorrector(fail_id="5"), max_in_flight=4):
             got.append(ex)
     # Calls run four at a time, yet every pair before the failing sample
-    # is yielded and counted.
+    # is yielded.
     assert [ex.id for ex in got] == [s.id for s in samples[:5]]
-    assert completed_from_checkpoint(checkpoint) == 5
-
-
-def test_relabel_checkpoint_removed_on_success(tmp_path: Path):
-    samples = _corpus(6)
-    checkpoint = tmp_path / "relabel.ckpt"
-    list(
-        relabel(
-            samples, IdentityCorrector(), checkpoint_path=checkpoint, checkpoint_every=1
-        )
-    )
-    assert not checkpoint.exists()
-
-
-def test_completed_from_checkpoint_validation(tmp_path: Path):
-    path = tmp_path / "none.ckpt"
-    assert completed_from_checkpoint(path) == 0
-    path.write_text("{broken", encoding="utf-8")
-    with pytest.raises(ValueError):
-        completed_from_checkpoint(path)
-    path.write_text('{"completed": -3}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        completed_from_checkpoint(path)
-    path.write_text('{"completed": "five"}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        completed_from_checkpoint(path)
-    for text in ("[1]", '{"completed": true}'):
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match="bad checkpoint"):
-            completed_from_checkpoint(path)
-    path.write_bytes(b'{"completed": "\xff"}')
-    prefix = f"{path}: bad checkpoint, invalid UTF-8"
-    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
-        completed_from_checkpoint(path)
 
 
 def test_relabel_argument_validation():
     with pytest.raises(ValueError):
         list(relabel([], IdentityCorrector(), max_in_flight=0))
-    with pytest.raises(ValueError):
-        list(relabel([], IdentityCorrector(), checkpoint_every=0))
+    # A pure ordered map: progress is the caller's to record.
+    params = inspect.signature(relabel).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [
+        ("samples", empty), ("corrector", empty), ("max_in_flight", 8)
+    ]
 
 
 def test_relabel_diff_stats_hand_case():

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from gecaug._concurrent import map_ordered
 from gecaug._http import JsonHttpClient, TransportError
 
 from _server import ScriptedServer
@@ -111,8 +112,9 @@ def test_endpoint_credentials_are_basic_auth_unless_a_token_is_set():
 
 
 def test_posts_from_one_thread_reuse_one_connection():
-    with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server:
-        client = JsonHttpClient(server.url)
+    with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server, JsonHttpClient(
+        server.url
+    ) as client:
         for i in range(5):
             assert client.post_text({"id": i}) == "ok"
         assert server.connections == 1
@@ -133,13 +135,34 @@ def test_posts_from_one_thread_reuse_one_connection():
 
 def test_server_closing_idle_connections_costs_no_retry():
     sleeps: list[float] = []
-    with ScriptedServer([(200, {"text": "ok"})], drop_idle=True) as server:
-        client = JsonHttpClient(server.url, sleep=sleeps.append)
+    with ScriptedServer([(200, {"text": "ok"})], drop_idle=True) as server, JsonHttpClient(
+        server.url, sleep=sleeps.append
+    ) as client:
         for i in range(5):
             assert client.post_text({"id": i}) == "ok"
     assert sleeps == []
     assert len(server.requests) == 5
     assert server.connections == 5
+
+
+def test_close_closes_the_connection_of_every_thread():
+    with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server:
+        with JsonHttpClient(server.url) as client:
+
+            def post(i: int):
+                client.post({"id": i})
+                return client._local.conn
+
+            pooled = set(map_ordered(post, range(12), 3))
+            assert len(pooled) == 3 and all(conn.sock is not None for conn in pooled)
+            # The pool's threads have ended: a new connection closes theirs.
+            client.post({})
+            own = client._local.conn
+            assert all(conn.sock is None for conn in pooled)
+            pooled = set(map_ordered(post, range(12), 3))
+            assert own.sock is not None
+        assert all(conn.sock is None for conn in {own, *pooled})
+        assert server.connections == 7
 
 
 _WITHOUT_REQUESTS = """
