@@ -41,13 +41,13 @@ from .corpus import (
 )
 from .denoise import HttpCorrector, IdentityCorrector, OracleCorrector, relabel
 from .generation import HttpGenerator, StubGenerator, assemble_input
-from .mix import load_plan, mix, ratio_sweep
+from .mix import load_plan, mix, sweep_orders
 from .patterns import (
     VALID_N,
     build_pool,
     load_pool,
     merge_pools,
-    pattern_row,
+    pattern_row_cache,
     pool_stats,
     restrict_sendable,
     sample_patterns,
@@ -260,6 +260,10 @@ def _check(kind: str, dest: str, value, command: str):
                 fail(f"bad {dest} value {value!r}; want e.g. 0,100,200")
         if not (isinstance(value, list) and value and all(map(is_int, value))):
             fail(f"{dest} must be a comma-separated int list")
+        if min(value) < 0:
+            fail(f"{dest} caps must be non-negative")
+        if len(set(value)) != len(value):
+            fail(f"duplicate caps in {dest}")
     return value
 
 
@@ -337,6 +341,7 @@ def _cmd_sample(opts: _Options) -> None:
         pool = restrict_sendable(load_pool(pool_path, n))
         if len(pool) == 0:
             raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
+        pattern_row = pattern_row_cache()
 
         def line(i: int) -> str:
             rng = slot_rng(seed, i)
@@ -500,17 +505,20 @@ def _cmd_mix(opts: _Options) -> None:
 
         root, ext = os.path.splitext(out)
         summary = []
-        for cap, examples, manifest in ratio_sweep(plan, caps):
+        pairs, orders = sweep_orders(plan, caps)
+        lines = [jsonl_line(ex) for ex in pairs]  # one encode per pair for every cap
+        for cap, order, manifest in orders:
             cap_out = f"{root}.cap{cap}{ext}"
-            write_jsonl(examples, st.path(cap_out))
+            write_lines(map(lines.__getitem__, order), st.path(cap_out))
             config = {"plan": plan_path, "out": out, "cap": cap}
             st.manifest(cap_out, config, plan.seed, inputs, manifest)
+            errorful = error_rate(islice(pairs, manifest["total"]))  # a cap takes the first pairs
             summary.append(
                 {
                     "cap": cap,
                     "path": cap_out,
                     "total": manifest["total"],
-                    "errorful": round(error_rate(examples), 6),
+                    "errorful": round(errorful, 6),
                 }
             )
         summary_path = out + ".sweep.json"

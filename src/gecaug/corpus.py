@@ -16,8 +16,9 @@ line number instead of letting garbage flow downstream.
 
 This module is also the one row layer for every JSONL file of the
 pipeline (pairs, pools, samples): ``read_json_rows`` is the one strict
-reader, ``canonical_json`` the one row encoder, and ``is_int`` the one
-integer check, which rejects ``true``/``false``. Every reader reports a
+reader, ``canonical_json`` the one row encoder, ``split_tokens`` the one
+checked split of a side, and ``is_int`` the one integer check, which
+rejects ``true``/``false``. Every reader reports a
 byte that is not UTF-8 at the line that holds it. Whole-file JSON
 (configs, plans) is read by ``read_json_file``, as strictly.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -78,6 +80,19 @@ def check_tokens(tokens: tuple[str, ...], label: str, allow_empty: bool = False)
             raise ValueError(f"{label} token {tok!r} contains whitespace")
 
 
+def split_tokens(text: str, label: str) -> tuple[str, ...]:
+    """``text`` split at single spaces, with ``check_tokens``' ValueError for a bad token.
+
+    The tokens pass exactly when splitting at any whitespace gives the same
+    list (see ``check_tokens``), so only a bad side is checked token by
+    token. An empty ``text`` is one empty token.
+    """
+    tokens = text.split(" ")
+    if tokens != text.split():
+        check_tokens(tuple(tokens), label)
+    return tuple(tokens)
+
+
 @dataclass(frozen=True)
 class ParallelExample:
     """One wrong/correct sentence pair, both sides tokenized."""
@@ -92,6 +107,22 @@ class ParallelExample:
         object.__setattr__(self, "target", tuple(self.target))
         check_tokens(self.source, "source")
         check_tokens(self.target, "target")
+
+
+def _split_pair(path: str, line_no: int, source: str, target: str, id: str, meta=None):
+    """The pair of a TSV or JSONL row, each side split and checked once.
+
+    Equal sides share one tuple. A bad side raises MalformedLine with the
+    message ``ParallelExample`` gives, whose checks are not run again.
+    """
+    try:
+        src = split_tokens(source, "source")
+        tgt = src if target == source else split_tokens(target, "target")
+    except ValueError as exc:
+        raise MalformedLine(path, line_no, str(exc)) from exc
+    pair = object.__new__(ParallelExample)
+    pair.__dict__.update(source=src, target=tgt, id=id, meta=meta)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -247,12 +278,21 @@ def canonical_json(obj) -> str:
     return _ROW_ENCODER.encode(obj)
 
 
+_WRITE_BATCH = 1024
+
+
 def write_lines(lines: Iterable[str], path) -> int:
-    """Write each line plus a newline to ``path``. Returns the number written."""
+    """Write each line plus a newline to ``path``, a batch of lines per write.
+
+    Returns the number written.
+    """
     count = 0
+    lines = iter(lines)
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for count, line in enumerate(lines, start=1):
-            fh.write(line + "\n")
+        while batch := list(islice(lines, _WRITE_BATCH)):
+            batch.append("")  # so that the join ends the last line too
+            fh.write("\n".join(batch))
+            count += len(batch) - 1
     return count
 
 
@@ -273,14 +313,7 @@ def read_parallel_tsv(path, id_prefix: str = "") -> Iterator[ParallelExample]:
             raise MalformedLine(
                 path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
             )
-        try:
-            yield ParallelExample(
-                source=tuple(fields[0].split(" ")),
-                target=tuple(fields[1].split(" ")),
-                id=id_prefix + str(line_no),
-            )
-        except ValueError as exc:
-            raise MalformedLine(path, line_no, str(exc)) from exc
+        yield _split_pair(path, line_no, fields[0], fields[1], id_prefix + str(line_no))
 
 
 def write_parallel_tsv(examples: Iterable[ParallelExample], path) -> int:
@@ -456,15 +489,9 @@ def read_jsonl(path, id_prefix: str = "") -> Iterator[ParallelExample]:
         meta = obj.get("meta")
         if meta is not None and not isinstance(meta, dict):
             raise SchemaError(path, line_no, "key 'meta' is not an object")
-        try:
-            yield ParallelExample(
-                source=tuple(obj["source"].split(" ")),
-                target=tuple(obj["target"].split(" ")),
-                id=id_prefix + obj["id"],
-                meta=meta,
-            )
-        except ValueError as exc:
-            raise MalformedLine(path, line_no, str(exc)) from exc
+        yield _split_pair(
+            path, line_no, obj["source"], obj["target"], id_prefix + obj["id"], meta
+        )
 
 
 def jsonl_line(ex: ParallelExample) -> str:

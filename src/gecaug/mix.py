@@ -5,8 +5,8 @@ cap, and a shuffle seed. Mixing concatenates the real corpora with the
 first ``synthetic_count`` synthetic pairs, shuffles at sentence
 granularity, and reports a manifest with per-origin counts and an
 order-independent content hash so downstream runs can prove they trained
-on the same multiset of pairs. A ratio sweep reads each input once and
-mixes it once per cap; the shuffle and the hash are per cap.
+on the same multiset of pairs. A ratio sweep reads and hashes each pair
+once and shuffles once per cap.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import hashlib
 import os
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import (
     MalformedLine, ParallelExample, SchemaError, is_int, read_json_file, read_jsonl, read_pairs,
@@ -93,7 +93,12 @@ def pair_hash(ex: ParallelExample) -> str:
 
 def content_hash(examples: Sequence[ParallelExample]) -> str:
     """Order-independent hash of a corpus as a multiset of pairs."""
-    joined = "\n".join(sorted(pair_hash(ex) for ex in examples))
+    return _multiset_hash(map(pair_hash, examples))
+
+
+def _multiset_hash(digests: Iterable[str]) -> str:
+    """``content_hash`` of the pairs whose ``pair_hash`` values are ``digests``."""
+    joined = "\n".join(sorted(digests))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
@@ -111,41 +116,79 @@ def read_corpora(plan: StagePlan) -> Corpora:
     return real, synthetic
 
 
+def _cap(plan: StagePlan, synthetic: list[ParallelExample]) -> int:
+    """How many synthetic pairs ``plan`` takes; more than there are is a ValueError."""
+    cap = plan.synthetic_count or 0
+    if cap > len(synthetic):
+        raise ValueError(f"synthetic_count {cap} exceeds corpus size {len(synthetic)}")
+    return cap
+
+
+def _manifest(plan: StagePlan, corpora: Corpora, digests: Sequence[str]) -> dict:
+    """The manifest of the mix of ``plan`` whose pairs have the ``pair_hash`` values ``digests``."""
+    origins = [
+        {"path": path, "kind": "real", "count": len(rows)}
+        for path, rows in zip(plan.real, corpora[0])
+    ]
+    if plan.synthetic is not None:
+        origins.append({"path": plan.synthetic, "kind": "synthetic", "count": plan.synthetic_count})
+    return {
+        "stage": plan.stage,
+        "seed": plan.seed,
+        "origins": origins,
+        "total": len(digests),
+        "content_hash": _multiset_hash(digests),
+    }
+
+
 def mix(
     plan: StagePlan, corpora: Corpora | None = None
 ) -> tuple[list[ParallelExample], dict]:
     """Build one stage's training corpus plus its manifest.
 
     ``corpora`` is what ``read_corpora(plan)`` returns; the inputs are read
-    when it is not given. The synthetic cap takes the first
-    ``synthetic_count`` pairs; a cap larger than the corpus is an error,
-    never a silent truncation. The shuffle runs on a new list, so the
-    corpora are left as they are.
+    when it is not given. The real pairs and the first ``synthetic_count``
+    synthetic pairs are shuffled on a new list with ``Random(plan.seed)``,
+    so the corpora are left as they are. A cap larger than the synthetic
+    corpus is an error, never a silent truncation.
     """
-    real, synthetic = read_corpora(plan) if corpora is None else corpora
-    combined = [ex for rows in real for ex in rows]
-    origins = [
-        {"path": path, "kind": "real", "count": len(rows)}
-        for path, rows in zip(plan.real, real)
-    ]
-    if plan.synthetic is not None:
-        cap = plan.synthetic_count or 0
-        if cap > len(synthetic):
-            raise ValueError(
-                f"synthetic_count {cap} exceeds corpus size {len(synthetic)}"
-            )
-        combined.extend(synthetic[:cap])
-        origins.append({"path": plan.synthetic, "kind": "synthetic", "count": cap})
-    rng = Random(plan.seed)
-    rng.shuffle(combined)
-    manifest = {
-        "stage": plan.stage,
-        "seed": plan.seed,
-        "origins": origins,
-        "total": len(combined),
-        "content_hash": content_hash(combined),
-    }
-    return combined, manifest
+    corpora = read_corpora(plan) if corpora is None else corpora
+    real, synthetic = corpora
+    combined = [ex for rows in real for ex in rows] + synthetic[:_cap(plan, synthetic)]
+    Random(plan.seed).shuffle(combined)
+    return combined, _manifest(plan, corpora, [pair_hash(ex) for ex in combined])
+
+
+def sweep_orders(
+    plan: StagePlan, caps: Sequence[int]
+) -> tuple[list[ParallelExample], Iterator[tuple[int, list[int], dict]]]:
+    """A ratio sweep that reads, and hashes, each pair once for all caps.
+
+    Returns every pair of the inputs (the real corpora, then the whole
+    synthetic one) and an iterator over the caps, in order. It yields each
+    cap, the indices into those pairs of its mix, shuffled as ``mix``
+    shuffles them, and its manifest. A cap takes the first pairs: its
+    manifest's ``total``. Caps must be unique.
+    """
+    if plan.synthetic is None:
+        raise ValueError("ratio sweep needs a plan with a synthetic corpus")
+    if len(set(caps)) != len(caps):
+        raise ValueError("duplicate caps in sweep")
+    corpora = real, synthetic = read_corpora(plan)
+    pairs = [ex for rows in real for ex in rows]
+    n_real = len(pairs)
+    pairs += synthetic
+    digests = [pair_hash(ex) for ex in pairs]
+
+    def orders() -> Iterator[tuple[int, list[int], dict]]:
+        for cap in caps:
+            capped = replace(plan, synthetic_count=cap)
+            # A shuffle draws by length alone, so indices move as the pairs would.
+            order = list(range(n_real + _cap(capped, synthetic)))
+            Random(plan.seed).shuffle(order)
+            yield cap, order, _manifest(capped, corpora, digests[:len(order)])
+
+    return pairs, orders()
 
 
 def ratio_sweep(
@@ -153,17 +196,9 @@ def ratio_sweep(
 ) -> list[tuple[int, list[ParallelExample], dict]]:
     """Mix once per synthetic cap. Caps must be unique; order is preserved.
 
-    The inputs are read once and shared by every cap, so the returned
-    corpora share their pair objects. Each cap shuffles its own list with
-    ``plan.seed`` and hashes it, as ``mix`` alone would.
+    The inputs are read and hashed once and shared by every cap, so the
+    returned corpora share their pair objects. Each cap gets the corpus and
+    manifest that ``mix`` alone would give it.
     """
-    if plan.synthetic is None:
-        raise ValueError("ratio sweep needs a plan with a synthetic corpus")
-    if len(set(caps)) != len(caps):
-        raise ValueError("duplicate caps in sweep")
-    corpora = read_corpora(plan)
-    out = []
-    for cap in caps:
-        examples, manifest = mix(replace(plan, synthetic_count=cap), corpora)
-        out.append((cap, examples, manifest))
-    return out
+    pairs, orders = sweep_orders(plan, caps)
+    return [(cap, [pairs[i] for i in order], manifest) for cap, order, manifest in orders]

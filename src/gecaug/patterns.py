@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .align import Edit, extract_edits
 from .corpus import (
@@ -291,6 +291,23 @@ def save_pool(pool: PatternPool, path) -> int:
 def pattern_row(pattern: ErrorPattern) -> dict:
     """The {wrong, correct} row of a pool, sample or report entry."""
     return {"wrong": list(pattern.wrong), "correct": list(pattern.correct)}
+
+
+def pattern_row_cache() -> Callable[[ErrorPattern], dict]:
+    """``pattern_row`` for one writer: one row per pattern object, shared by the lines that hold it.
+
+    Pools and ``read_samples`` hold one object per distinct pattern. The
+    cache keeps each pattern it keys alive, so no key's id is reused.
+    """
+    rows: dict[int, tuple[ErrorPattern, dict]] = {}
+
+    def row(pattern: ErrorPattern) -> dict:
+        hit = rows.get(id(pattern))
+        if hit is None:
+            hit = rows[id(pattern)] = (pattern, pattern_row(pattern))
+        return hit[1]
+
+    return row
 
 
 def pattern_from_row(obj: dict, n: int, path: str, line_no: int) -> ErrorPattern:

@@ -20,12 +20,12 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._concurrent import map_ordered
 from .corpus import (
-    MalformedLine, SchemaError, SpanOutOfBounds, canonical_json, check_tokens, is_int,
-    read_json_rows, splice, write_lines,
+    MalformedLine, SchemaError, SpanOutOfBounds, canonical_json, is_int, read_json_rows, splice,
+    split_tokens, write_lines,
 )
 from .generation import (
     STATUS_OK,
@@ -35,7 +35,7 @@ from .generation import (
     generate,
 )
 from .patterns import (
-    ErrorPattern, PatternPool, pattern_from_row, pattern_row, restrict_sendable,
+    ErrorPattern, PatternPool, pattern_from_row, pattern_row_cache, restrict_sendable,
     sample_patterns,
 )
 from .seeding import slot_rng
@@ -298,25 +298,53 @@ def planted_counts(samples: Iterable[SyntheticSample]) -> Counter[ErrorPattern]:
 
 def write_samples(samples: Iterable[SyntheticSample], path) -> int:
     """Write one JSON object per sample. Returns the number written."""
-    return write_lines(map(_sample_line, samples), path)
+    row = pattern_row_cache()
+    return write_lines((_sample_line(s, row) for s in samples), path)
 
 
-def _sample_line(s: SyntheticSample) -> str:
+def _sample_line(s: SyntheticSample, row: Callable[[ErrorPattern], dict]) -> str:
     witness = s.requested or tuple(p for p, _ in s.planted)
     return canonical_json({
         "id": s.id,
         "source": " ".join(s.source),
         "target": " ".join(s.target),
-        "planted": [{**pattern_row(p), "span": list(span)} for p, span in s.planted],
-        "requested": [pattern_row(p) for p in s.requested],
+        "planted": [{**row(p), "span": list(span)} for p, span in s.planted],
+        "requested": [row(p) for p in s.requested],
         "generator": s.generator_id,
         "n": witness[0].n if witness else None,
     })
 
 
+def _side(text: str, label: str) -> tuple[str, ...]:
+    """The tokens of one side of a sample row; ValueError if there are none or one is bad."""
+    if not text:
+        raise ValueError(f"{label} side is empty")
+    return split_tokens(text, label)
+
+
 def read_samples(path) -> Iterable[SyntheticSample]:
-    """Yield samples written by write_samples; checks tokens and sorted, disjoint spans."""
+    """Yield samples written by write_samples; checks tokens and sorted, disjoint spans.
+
+    Equal pattern entries of one file give one shared ``ErrorPattern``,
+    built and checked the first time its (wrong, correct, n) appears.
+    """
     path = os.fspath(path)
+    patterns: dict[tuple, ErrorPattern] = {}
+
+    def pattern(entry, n: int, line_no: int) -> ErrorPattern:
+        # A hit needs both sides to be lists, as tuple("ab") == ("a", "b"),
+        # and ``n`` to have passed is_int, as 3.0 and True hash like 3 and 1.
+        if isinstance(entry, dict):
+            wrong, correct = entry.get("wrong"), entry.get("correct")
+            if type(wrong) is list and type(correct) is list:
+                try:
+                    return patterns[tuple(wrong), tuple(correct), n]
+                except (KeyError, TypeError):  # unseen, or a side holds a list or object
+                    pass
+        p = pattern_from_row(entry, n, path, line_no)
+        patterns[p.wrong, p.correct, n] = p
+        return p
+
     for line_no, obj in read_json_rows(path):
         for key in ("id", "source", "target", "generator"):
             if not isinstance(obj.get(key), str):
@@ -327,18 +355,16 @@ def read_samples(path) -> Iterable[SyntheticSample]:
         n = obj.get("n")
         if (obj["planted"] or obj["requested"]) and not is_int(n):
             raise SchemaError(path, line_no, "key 'n' must be an int")
-        source = tuple(obj["source"].split(" ")) if obj["source"] else ()
-        target = tuple(obj["target"].split(" ")) if obj["target"] else ()
         try:
-            check_tokens(source, "source")
-            check_tokens(target, "target")
+            source = _side(obj["source"], "source")
+            target = source if obj["target"] == obj["source"] else _side(obj["target"], "target")
         except ValueError as exc:
             raise MalformedLine(path, line_no, str(exc)) from exc
         planted: list[Match] = []
         for entry in obj["planted"]:
             if not isinstance(entry, dict) or "span" not in entry:
                 raise SchemaError(path, line_no, "planted entry must carry a span")
-            p = pattern_from_row(entry, n, path, line_no)
+            p = pattern(entry, n, line_no)
             span = entry["span"]
             if not isinstance(span, list) or len(span) != 2 or not all(map(is_int, span)):
                 raise SchemaError(path, line_no, "planted span must be [start, end]")
@@ -350,9 +376,7 @@ def read_samples(path) -> Iterable[SyntheticSample]:
             if planted and a < planted[-1][1][1]:
                 raise SchemaError(path, line_no, "planted spans overlap or are unsorted")
             planted.append((p, (a, b)))
-        requested = tuple(
-            pattern_from_row(entry, n, path, line_no) for entry in obj["requested"]
-        )
+        requested = tuple(pattern(entry, n, line_no) for entry in obj["requested"])
         yield SyntheticSample(
             source, target, tuple(planted), requested, obj["generator"], obj["id"]
         )

@@ -24,21 +24,32 @@ rewrites that each ran their own loop before ``gecaug.corpus.splice``
 took their place. The first two applied edits right to left, so two
 edits at one point landed in reverse order; on every other input all
 five agree with the package.
+
+``reference_read_parallel_tsv``, ``reference_read_jsonl`` and
+``reference_read_samples`` are frozen copies of the readers before they
+split each side once and built each sample pattern once per file. They
+share the package's line and row readers, its token check and its
+pattern row check, so rows compare with ``==`` and errors by class and
+message.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import replace
 from functools import lru_cache
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from gecaug.align import DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp, Edit
-from gecaug.corpus import GoldEdit, ParallelExample, read_jsonl, read_pairs
+from gecaug.corpus import (
+    GoldEdit, MalformedLine, ParallelExample, SchemaError, SpanOutOfBounds, _lines, check_tokens,
+    is_int, read_json_rows, read_jsonl, read_pairs,
+)
 from gecaug.generation import MASK, SEP, FinetuneExample
 from gecaug.mix import StagePlan
-from gecaug.patterns import ErrorPattern
+from gecaug.patterns import ErrorPattern, pattern_from_row
 from gecaug.synthesis import Match, SyntheticSample
 
 
@@ -361,3 +372,89 @@ def reference_build_finetune_example(tokens: Sequence[str], rng: Random) -> Fine
     i = len(masked) + 1
     text = " ".join(masked) + f" {SEP} " + " ".join(toks)
     return FinetuneExample(text, (i, i + n), tuple(spans))
+
+
+def reference_read_parallel_tsv(path, id_prefix: str = "") -> Iterator[ParallelExample]:
+    """Frozen copy of the original ``gecaug.corpus.read_parallel_tsv``; do not edit."""
+    path = os.fspath(path)
+    for line_no, line in _lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MalformedLine(
+                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
+            )
+        try:
+            yield ParallelExample(
+                source=tuple(fields[0].split(" ")),
+                target=tuple(fields[1].split(" ")),
+                id=id_prefix + str(line_no),
+            )
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
+
+
+def reference_read_jsonl(path, id_prefix: str = "") -> Iterator[ParallelExample]:
+    """Frozen copy of the original ``gecaug.corpus.read_jsonl``; do not edit."""
+    path = os.fspath(path)
+    for line_no, obj in read_json_rows(path):
+        for key in ("id", "source", "target"):
+            if key not in obj:
+                raise SchemaError(path, line_no, f"missing key {key!r}")
+            if not isinstance(obj[key], str):
+                raise SchemaError(path, line_no, f"key {key!r} is not a string")
+        meta = obj.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise SchemaError(path, line_no, "key 'meta' is not an object")
+        try:
+            yield ParallelExample(
+                source=tuple(obj["source"].split(" ")),
+                target=tuple(obj["target"].split(" ")),
+                id=id_prefix + obj["id"],
+                meta=meta,
+            )
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
+
+
+def reference_read_samples(path) -> Iterator[SyntheticSample]:
+    """Frozen copy of the original ``gecaug.synthesis.read_samples``; do not edit."""
+    path = os.fspath(path)
+    for line_no, obj in read_json_rows(path):
+        for key in ("id", "source", "target", "generator"):
+            if not isinstance(obj.get(key), str):
+                raise SchemaError(path, line_no, f"key {key!r} must be a string")
+        for key in ("planted", "requested"):
+            if not isinstance(obj.get(key), list):
+                raise SchemaError(path, line_no, f"key {key!r} must be a list")
+        n = obj.get("n")
+        if (obj["planted"] or obj["requested"]) and not is_int(n):
+            raise SchemaError(path, line_no, "key 'n' must be an int")
+        source = tuple(obj["source"].split(" ")) if obj["source"] else ()
+        target = tuple(obj["target"].split(" ")) if obj["target"] else ()
+        try:
+            check_tokens(source, "source")
+            check_tokens(target, "target")
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
+        planted: list[Match] = []
+        for entry in obj["planted"]:
+            if not isinstance(entry, dict) or "span" not in entry:
+                raise SchemaError(path, line_no, "planted entry must carry a span")
+            p = pattern_from_row(entry, n, path, line_no)
+            span = entry["span"]
+            if not isinstance(span, list) or len(span) != 2 or not all(map(is_int, span)):
+                raise SchemaError(path, line_no, "planted span must be [start, end]")
+            a, b = span
+            if a < 0 or b < a or b > len(source):
+                raise SpanOutOfBounds(path, line_no, f"planted span ({a}, {b}) outside source")
+            if source[a:b] != p.wrong:
+                raise SchemaError(path, line_no, "planted span does not carry its wrong side")
+            if planted and a < planted[-1][1][1]:
+                raise SchemaError(path, line_no, "planted spans overlap or are unsorted")
+            planted.append((p, (a, b)))
+        requested = tuple(
+            pattern_from_row(entry, n, path, line_no) for entry in obj["requested"]
+        )
+        yield SyntheticSample(
+            source, target, tuple(planted), requested, obj["generator"], obj["id"]
+        )

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import importlib
 import json
 import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gecaug import IdentityCorrector, cli
+from gecaug import IdentityCorrector, ParallelExample, cli, corpus, write_jsonl
 from gecaug._http import JsonHttpClient
 from gecaug.cli import main
 
@@ -330,6 +332,23 @@ def test_bool_width_and_caps_are_rejected(workdir: Path, capsys):
         }]
         assert not (workdir / "t.jsonl").exists()
 
+    # A negative or repeated cap fails before the stage starts, from a flag or a config.
+    for sweep, message in (
+        ("0,-5", "sweep caps must be non-negative"),
+        ("5,5", "duplicate caps in sweep"),
+        ([3, 0, 3], "duplicate caps in sweep"),
+    ):
+        if isinstance(sweep, list):
+            job = {**config, "sweep": sweep}
+            (workdir / "job.json").write_text(json.dumps(job), encoding="utf-8")
+            argv = ("mix", "--config", "job.json")
+        else:
+            argv = ("mix", "--plan", "plan.json", "--sweep", sweep, "--out", "t.jsonl")
+        rc, _, events = _run(capsys, *argv)
+        assert rc == 2, sweep
+        assert events == [{"event": "error", "code": "CONFIG", "message": message}], sweep
+        assert not (workdir / "t.jsonl").exists()
+
     (workdir / "plan.json").write_text(json.dumps({**plan, "seed": True}), encoding="utf-8")
     rc, _, events = _run(capsys, "mix", "--plan", "plan.json", "--out", "t.jsonl")
     assert rc == 1
@@ -612,7 +631,7 @@ def _interrupt_denoise_at(monkeypatch, stop_id: str, *argv: str) -> None:
 # is asked for sample argv[1].
 _KILL_AT_SAMPLE = """
 import os, signal, sys
-from gecaug import IdentityCorrector, cli
+from gecaug import IdentityCorrector, ParallelExample, cli, corpus, write_jsonl
 
 def kill_at(self, text, request_id="0"):
     if request_id == sys.argv[1]:
@@ -961,6 +980,54 @@ def test_mix_bad_sweep_value(workdir: Path, capsys):
     assert events[-1]["code"] == "CONFIG"
 
 
+def test_sweep_encodes_and_hashes_each_pair_once(workdir: Path, capsys, monkeypatch):
+    real = [f"we go to shop {i} .\twe go to the shop {i} ." for i in range(30)]
+    (workdir / "real.tsv").write_text("\n".join(real) + "\n", encoding="utf-8")
+    synthetic = [
+        ParallelExample(("it", "is", str(i)), ("it", "is", str(i)) if i % 3 else ("is", str(i)),
+                        id=str(i), meta={"k": i})
+        for i in range(40)
+    ]
+    write_jsonl(synthetic, workdir / "syn.jsonl")
+    plan = {"stage": "II", "real": ["real.tsv"], "synthetic": "syn.jsonl",
+            "synthetic_count": 40, "seed": 9}
+    (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    caps = (0, 13, 40, 25)
+    plain = {}
+    for cap in caps:
+        (workdir / "one.json").write_text(
+            json.dumps({**plan, "synthetic_count": cap}), encoding="utf-8"
+        )
+        assert main(["mix", "--plan", "one.json", "--out", "one.jsonl"]) == 0
+        manifest = json.loads((workdir / "one.jsonl.manifest.json").read_text(encoding="utf-8"))
+        plain[cap] = (workdir / "one.jsonl").read_bytes(), manifest["counts"]
+    capsys.readouterr()
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # The row encoder every JSONL line goes through, and the digest of one pair.
+    monkeypatch.setattr(corpus, "canonical_json", counting("encode", corpus.canonical_json))
+    mix_module = importlib.import_module("gecaug.mix")
+    monkeypatch.setattr(mix_module, "pair_hash", counting("digest", mix_module.pair_hash))
+    sweep = ",".join(map(str, caps))
+    rc, out, _ = _run(capsys, "mix", "--plan", "plan.json", "--sweep", sweep, "--out", "t.jsonl")
+    assert rc == 0
+    assert calls == {"encode": 70, "digest": 70}
+    assert len(out.splitlines()) == len(caps)
+    for cap in caps:
+        manifest = json.loads(
+            (workdir / f"t.cap{cap}.jsonl.manifest.json").read_text(encoding="utf-8")
+        )
+        assert (workdir / f"t.cap{cap}.jsonl").read_bytes() == plain[cap][0], cap
+        assert manifest["counts"] == plain[cap][1], cap
+
+
 def test_stats_pool_mode(workdir: Path, capsys):
     _write_corpus(workdir)
     assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
@@ -1213,14 +1280,14 @@ def test_failed_stage_removes_its_temporaries(workdir: Path, capsys, monkeypatch
     _write_plan(workdir, 4)
     assert main(list(_SWEEP)) == 0
     before = _files(workdir)
-    write_jsonl = cli.write_jsonl
+    write_lines = cli.write_lines
 
-    def fail_on_second_cap(examples, path):
+    def fail_on_second_cap(lines, path):
         if any(name.endswith(".tmp") for name in _files(workdir)):
             raise OSError("disk full")
-        return write_jsonl(examples, path)
+        return write_lines(lines, path)
 
-    monkeypatch.setattr(cli, "write_jsonl", fail_on_second_cap)
+    monkeypatch.setattr(cli, "write_lines", fail_on_second_cap)
     _write_plan(workdir, 5)
     rc, _, events = _run(capsys, *_SWEEP)
     assert rc == 1
