@@ -53,7 +53,7 @@ from .patterns import (
     sample_patterns,
     save_pool,
 )
-from .scoring import ScoringError, distribution_from_counts, error_rate, score
+from .scoring import ScoringError, distribution_from_counts, score
 from .seeding import slot_rng
 from .synthesis import SynthesisBudgetError, read_samples, synthesize, write_samples
 
@@ -505,14 +505,18 @@ def _cmd_mix(opts: _Options) -> None:
 
         root, ext = os.path.splitext(out)
         summary = []
-        pairs, orders = sweep_orders(plan, caps)
-        lines = [jsonl_line(ex) for ex in pairs]  # one encode per pair for every cap
+        # Each pair is encoded once for every cap, and its line and errorful
+        # flag replace it in memory.
+        rows, orders = sweep_orders(
+            plan, caps, lambda ex: (jsonl_line(ex), ex.source != ex.target)
+        )
         for cap, order, manifest in orders:
             cap_out = f"{root}.cap{cap}{ext}"
-            write_lines(map(lines.__getitem__, order), st.path(cap_out))
+            write_lines((rows[i][0] for i in order), st.path(cap_out))
             config = {"plan": plan_path, "out": out, "cap": cap}
             st.manifest(cap_out, config, plan.seed, inputs, manifest)
-            errorful = error_rate(islice(pairs, manifest["total"]))  # a cap takes the first pairs
+            total = manifest["total"]  # a cap takes the first pairs
+            errorful = sum(flag for _, flag in islice(rows, total)) / total if total else 0.0
             summary.append(
                 {
                     "cap": cap,

@@ -15,7 +15,7 @@ import hashlib
 import os
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .corpus import (
     MalformedLine, ParallelExample, SchemaError, is_int, read_json_file, read_jsonl, read_pairs,
@@ -25,6 +25,7 @@ STAGES = ("I", "II", "III")
 
 # The real corpora, one list per path, and the synthetic corpus of a plan.
 Corpora = tuple[list[list[ParallelExample]], list[ParallelExample]]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,18 @@ def _multiset_hash(digests: Iterable[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
+def _readers(plan: StagePlan) -> Iterator[Iterator[ParallelExample]]:
+    """A reader per input of ``plan``, opened in turn: each real corpus, then the synthetic one.
+
+    Pair ids are prefixed with the input's index to stay unique across
+    inputs.
+    """
+    for k, path in enumerate(plan.real):
+        yield read_pairs(path, id_prefix=f"{k}:")
+    if plan.synthetic is not None:
+        yield read_jsonl(plan.synthetic, id_prefix=f"{len(plan.real)}:")
+
+
 def read_corpora(plan: StagePlan) -> Corpora:
     """Read each input of ``plan`` once: one list per real corpus, then the synthetic one.
 
@@ -109,26 +122,23 @@ def read_corpora(plan: StagePlan) -> Corpora:
     inputs. The synthetic list is empty when the plan names no synthetic
     corpus.
     """
-    real = [list(read_pairs(path, id_prefix=f"{k}:")) for k, path in enumerate(plan.real)]
-    synthetic: list[ParallelExample] = []
-    if plan.synthetic is not None:
-        synthetic = list(read_jsonl(plan.synthetic, id_prefix=f"{len(plan.real)}:"))
-    return real, synthetic
+    corpora = [list(pairs) for pairs in _readers(plan)]
+    return corpora[:len(plan.real)], (corpora[-1] if plan.synthetic is not None else [])
 
 
-def _cap(plan: StagePlan, synthetic: list[ParallelExample]) -> int:
+def _cap(plan: StagePlan, n_synthetic: int) -> int:
     """How many synthetic pairs ``plan`` takes; more than there are is a ValueError."""
     cap = plan.synthetic_count or 0
-    if cap > len(synthetic):
-        raise ValueError(f"synthetic_count {cap} exceeds corpus size {len(synthetic)}")
+    if cap > n_synthetic:
+        raise ValueError(f"synthetic_count {cap} exceeds corpus size {n_synthetic}")
     return cap
 
 
-def _manifest(plan: StagePlan, corpora: Corpora, digests: Sequence[str]) -> dict:
+def _manifest(plan: StagePlan, real_counts: Sequence[int], digests: Sequence[str]) -> dict:
     """The manifest of the mix of ``plan`` whose pairs have the ``pair_hash`` values ``digests``."""
     origins = [
-        {"path": path, "kind": "real", "count": len(rows)}
-        for path, rows in zip(plan.real, corpora[0])
+        {"path": path, "kind": "real", "count": count}
+        for path, count in zip(plan.real, real_counts)
     ]
     if plan.synthetic is not None:
         origins.append({"path": plan.synthetic, "kind": "synthetic", "count": plan.synthetic_count})
@@ -152,43 +162,50 @@ def mix(
     so the corpora are left as they are. A cap larger than the synthetic
     corpus is an error, never a silent truncation.
     """
-    corpora = read_corpora(plan) if corpora is None else corpora
-    real, synthetic = corpora
-    combined = [ex for rows in real for ex in rows] + synthetic[:_cap(plan, synthetic)]
+    real, synthetic = read_corpora(plan) if corpora is None else corpora
+    combined = [ex for rows in real for ex in rows] + synthetic[:_cap(plan, len(synthetic))]
     Random(plan.seed).shuffle(combined)
-    return combined, _manifest(plan, corpora, [pair_hash(ex) for ex in combined])
+    digests = [pair_hash(ex) for ex in combined]
+    return combined, _manifest(plan, [len(rows) for rows in real], digests)
 
 
 def sweep_orders(
-    plan: StagePlan, caps: Sequence[int]
-) -> tuple[list[ParallelExample], Iterator[tuple[int, list[int], dict]]]:
-    """A ratio sweep that reads, and hashes, each pair once for all caps.
+    plan: StagePlan, caps: Sequence[int], keep: Callable[[ParallelExample], T]
+) -> tuple[list[T], Iterator[tuple[int, list[int], dict]]]:
+    """A ratio sweep that reads and hashes each pair once for all caps.
 
-    Returns every pair of the inputs (the real corpora, then the whole
-    synthetic one) and an iterator over the caps, in order. It yields each
-    cap, the indices into those pairs of its mix, shuffled as ``mix``
-    shuffles them, and its manifest. A cap takes the first pairs: its
+    Each pair of the inputs (the real corpora, then the whole synthetic
+    one) is read in turn and only ``keep(pair)`` is kept, so a caller that
+    keeps less than the pair holds less memory. Returns those, in input
+    order, and an iterator over the caps, in order. It yields each cap, the
+    indices of its mix into them, shuffled as ``mix`` shuffles its pairs,
+    and its manifest. A cap takes the first pairs: as many as its
     manifest's ``total``. Caps must be unique.
     """
     if plan.synthetic is None:
         raise ValueError("ratio sweep needs a plan with a synthetic corpus")
     if len(set(caps)) != len(caps):
         raise ValueError("duplicate caps in sweep")
-    corpora = real, synthetic = read_corpora(plan)
-    pairs = [ex for rows in real for ex in rows]
-    n_real = len(pairs)
-    pairs += synthetic
-    digests = [pair_hash(ex) for ex in pairs]
+    kept: list[T] = []
+    digests: list[str] = []
+    counts = []
+    for pairs in _readers(plan):
+        start = len(kept)
+        for ex in pairs:
+            kept.append(keep(ex))
+            digests.append(pair_hash(ex))
+        counts.append(len(kept) - start)
+    real_counts, n_synthetic = counts[:-1], counts[-1]
 
     def orders() -> Iterator[tuple[int, list[int], dict]]:
         for cap in caps:
             capped = replace(plan, synthetic_count=cap)
             # A shuffle draws by length alone, so indices move as the pairs would.
-            order = list(range(n_real + _cap(capped, synthetic)))
+            order = list(range(sum(real_counts) + _cap(capped, n_synthetic)))
             Random(plan.seed).shuffle(order)
-            yield cap, order, _manifest(capped, corpora, digests[:len(order)])
+            yield cap, order, _manifest(capped, real_counts, digests[:len(order)])
 
-    return pairs, orders()
+    return kept, orders()
 
 
 def ratio_sweep(
@@ -200,5 +217,5 @@ def ratio_sweep(
     returned corpora share their pair objects. Each cap gets the corpus and
     manifest that ``mix`` alone would give it.
     """
-    pairs, orders = sweep_orders(plan, caps)
+    pairs, orders = sweep_orders(plan, caps, lambda ex: ex)
     return [(cap, [pairs[i] for i in order], manifest) for cap, order, manifest in orders]
