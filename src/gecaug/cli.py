@@ -494,6 +494,8 @@ def _cmd_mix(opts: _Options) -> None:
     out = opts.get("out", required=True)
     caps = opts.get("sweep")
     plan = load_plan(plan_path)
+    if caps is not None and plan.synthetic is None:
+        raise CliError("CONFIG", "ratio sweep needs a plan with a synthetic corpus", 2)
     inputs = [plan_path, *plan.real] + ([plan.synthetic] if plan.synthetic else [])
     with _stage("mix", plan=plan_path, sweep=caps is not None) as st:
         if caps is None:

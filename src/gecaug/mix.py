@@ -5,15 +5,17 @@ cap, and a shuffle seed. Mixing concatenates the real corpora with the
 first ``synthetic_count`` synthetic pairs, shuffles at sentence
 granularity, and reports a manifest with per-origin counts and an
 order-independent content hash so downstream runs can prove they trained
-on the same multiset of pairs. A ratio sweep reads and hashes each pair
-once and shuffles once per cap.
+on the same multiset of pairs. One core reads, keeps and hashes the
+pairs: ``mix`` is its sweep at one cap, and a ratio sweep reads and
+hashes each pair once and shuffles once per cap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -23,8 +25,6 @@ from .corpus import (
 
 STAGES = ("I", "II", "III")
 
-# The real corpora, one list per path, and the synthetic corpus of a plan.
-Corpora = tuple[list[list[ParallelExample]], list[ParallelExample]]
 T = TypeVar("T")
 
 
@@ -103,45 +103,16 @@ def _multiset_hash(digests: Iterable[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def _readers(plan: StagePlan) -> Iterator[Iterator[ParallelExample]]:
-    """A reader per input of ``plan``, opened in turn: each real corpus, then the synthetic one.
-
-    Pair ids are prefixed with the input's index to stay unique across
-    inputs.
-    """
-    for k, path in enumerate(plan.real):
-        yield read_pairs(path, id_prefix=f"{k}:")
-    if plan.synthetic is not None:
-        yield read_jsonl(plan.synthetic, id_prefix=f"{len(plan.real)}:")
-
-
-def read_corpora(plan: StagePlan) -> Corpora:
-    """Read each input of ``plan`` once: one list per real corpus, then the synthetic one.
-
-    Pair ids are prefixed with the input's index to stay unique across
-    inputs. The synthetic list is empty when the plan names no synthetic
-    corpus.
-    """
-    corpora = [list(pairs) for pairs in _readers(plan)]
-    return corpora[:len(plan.real)], (corpora[-1] if plan.synthetic is not None else [])
-
-
-def _cap(plan: StagePlan, n_synthetic: int) -> int:
-    """How many synthetic pairs ``plan`` takes; more than there are is a ValueError."""
-    cap = plan.synthetic_count or 0
-    if cap > n_synthetic:
-        raise ValueError(f"synthetic_count {cap} exceeds corpus size {n_synthetic}")
-    return cap
-
-
-def _manifest(plan: StagePlan, real_counts: Sequence[int], digests: Sequence[str]) -> dict:
-    """The manifest of the mix of ``plan`` whose pairs have the ``pair_hash`` values ``digests``."""
+def _manifest(
+    plan: StagePlan, real_counts: Sequence[int], cap: int, digests: Sequence[str]
+) -> dict:
+    """The manifest of ``plan`` at synthetic ``cap``; ``digests`` are its pairs' ``pair_hash``."""
     origins = [
         {"path": path, "kind": "real", "count": count}
         for path, count in zip(plan.real, real_counts)
     ]
     if plan.synthetic is not None:
-        origins.append({"path": plan.synthetic, "kind": "synthetic", "count": plan.synthetic_count})
+        origins.append({"path": plan.synthetic, "kind": "synthetic", "count": cap})
     return {
         "stage": plan.stage,
         "seed": plan.seed,
@@ -151,61 +122,67 @@ def _manifest(plan: StagePlan, real_counts: Sequence[int], digests: Sequence[str
     }
 
 
-def mix(
-    plan: StagePlan, corpora: Corpora | None = None
-) -> tuple[list[ParallelExample], dict]:
-    """Build one stage's training corpus plus its manifest.
-
-    ``corpora`` is what ``read_corpora(plan)`` returns; the inputs are read
-    when it is not given. The real pairs and the first ``synthetic_count``
-    synthetic pairs are shuffled on a new list with ``Random(plan.seed)``,
-    so the corpora are left as they are. A cap larger than the synthetic
-    corpus is an error, never a silent truncation.
-    """
-    real, synthetic = read_corpora(plan) if corpora is None else corpora
-    combined = [ex for rows in real for ex in rows] + synthetic[:_cap(plan, len(synthetic))]
-    Random(plan.seed).shuffle(combined)
-    digests = [pair_hash(ex) for ex in combined]
-    return combined, _manifest(plan, [len(rows) for rows in real], digests)
-
-
 def sweep_orders(
     plan: StagePlan, caps: Sequence[int], keep: Callable[[ParallelExample], T]
 ) -> tuple[list[T], Iterator[tuple[int, list[int], dict]]]:
-    """A ratio sweep that reads and hashes each pair once for all caps.
+    """The one mixing core: read each input of ``plan`` once and mix it at each cap.
 
-    Each pair of the inputs (the real corpora, then the whole synthetic
-    one) is read in turn and only ``keep(pair)`` is kept, so a caller that
-    keeps less than the pair holds less memory. Returns those, in input
-    order, and an iterator over the caps, in order. It yields each cap, the
-    indices of its mix into them, shuffled as ``mix`` shuffles its pairs,
-    and its manifest. A cap takes the first pairs: as many as its
-    manifest's ``total``. Caps must be unique.
+    The inputs (each real corpus, then the synthetic one) are read in
+    turn; pair ids are prefixed with the input's index to stay unique
+    across inputs. Of each real pair and each of the first ``max(caps)``
+    synthetic pairs only ``keep(pair)`` is kept, with the pair's
+    ``pair_hash``, so a caller that keeps less than the pair holds less
+    memory. Synthetic pairs past the largest cap are read, checked and
+    counted, but neither kept nor hashed.
+
+    Returns the kept values, in input order, and an iterator over the
+    caps, in order. It yields each cap, the indices of its mix into the
+    kept values, shuffled with ``Random(plan.seed)``, and its manifest. A
+    cap takes the first pairs: as many as its manifest's ``total``. A cap
+    larger than the synthetic corpus is a ValueError when it is reached,
+    never a silent truncation.
     """
-    if plan.synthetic is None:
-        raise ValueError("ratio sweep needs a plan with a synthetic corpus")
-    if len(set(caps)) != len(caps):
-        raise ValueError("duplicate caps in sweep")
     kept: list[T] = []
     digests: list[str] = []
-    counts = []
-    for pairs in _readers(plan):
+
+    def take(pairs: Iterable[ParallelExample]) -> int:
         start = len(kept)
         for ex in pairs:
             kept.append(keep(ex))
             digests.append(pair_hash(ex))
-        counts.append(len(kept) - start)
-    real_counts, n_synthetic = counts[:-1], counts[-1]
+        return len(kept) - start
+
+    real_counts = [take(read_pairs(path, id_prefix=f"{k}:")) for k, path in enumerate(plan.real)]
+    n_real = sum(real_counts)
+    n_synthetic = 0
+    if plan.synthetic is not None:
+        pairs = read_jsonl(plan.synthetic, id_prefix=f"{len(plan.real)}:")
+        n_synthetic = take(islice(pairs, max(caps, default=0))) + sum(1 for _ in pairs)
 
     def orders() -> Iterator[tuple[int, list[int], dict]]:
         for cap in caps:
-            capped = replace(plan, synthetic_count=cap)
+            if cap > n_synthetic:
+                raise ValueError(f"synthetic_count {cap} exceeds corpus size {n_synthetic}")
             # A shuffle draws by length alone, so indices move as the pairs would.
-            order = list(range(sum(real_counts) + _cap(capped, n_synthetic)))
+            order = list(range(n_real + cap))
             Random(plan.seed).shuffle(order)
-            yield cap, order, _manifest(capped, real_counts, digests[:len(order)])
+            yield cap, order, _manifest(plan, real_counts, cap, digests[:len(order)])
 
     return kept, orders()
+
+
+def mix(plan: StagePlan) -> tuple[list[ParallelExample], dict]:
+    """Build one stage's training corpus plus its manifest.
+
+    The mix is the one cap ``synthetic_count`` (none for a real-only
+    plan) of the mixing core: the real pairs and the first
+    ``synthetic_count`` synthetic pairs, shuffled with
+    ``Random(plan.seed)``. A cap larger than the synthetic corpus is an
+    error, never a silent truncation.
+    """
+    pairs, orders = sweep_orders(plan, [plan.synthetic_count or 0], lambda ex: ex)
+    ((_, order, manifest),) = orders
+    return [pairs[i] for i in order], manifest
 
 
 def ratio_sweep(
@@ -217,5 +194,9 @@ def ratio_sweep(
     returned corpora share their pair objects. Each cap gets the corpus and
     manifest that ``mix`` alone would give it.
     """
+    if plan.synthetic is None:
+        raise ValueError("ratio sweep needs a plan with a synthetic corpus")
+    if len(set(caps)) != len(caps):
+        raise ValueError("duplicate caps in sweep")
     pairs, orders = sweep_orders(plan, caps, lambda ex: ex)
     return [(cap, [pairs[i] for i in order], manifest) for cap, order, manifest in orders]

@@ -980,6 +980,48 @@ def test_mix_bad_sweep_value(workdir: Path, capsys):
     assert events[-1]["code"] == "CONFIG"
 
 
+def test_sweep_on_a_real_only_plan_is_a_config_error(workdir: Path, capsys):
+    _write_corpus(workdir)
+    (workdir / "plan.json").write_text(
+        json.dumps({"stage": "I", "real": ["corpus.tsv"], "seed": 0}), encoding="utf-8"
+    )
+    (workdir / "job.json").write_text(
+        json.dumps({"plan": "plan.json", "sweep": [0, 1], "out": "t.jsonl"}), encoding="utf-8"
+    )
+    for argv in (("--plan", "plan.json", "--sweep", "0,1", "--out", "t.jsonl"),
+                 ("--config", "job.json")):
+        rc, out, events = _run(capsys, "mix", *argv)
+        assert rc == 2, argv
+        # No stage event: the error comes before the stage starts.
+        assert events == [{
+            "event": "error", "code": "CONFIG",
+            "message": "ratio sweep needs a plan with a synthetic corpus",
+        }], argv
+        assert out == ""
+    assert sorted(p.name for p in workdir.iterdir()) == ["corpus.tsv", "job.json", "plan.json"]
+
+
+@pytest.mark.parametrize("bad_line, code", [
+    ("{broken", "MALFORMED_LINE"),
+    ('{"id": "x", "source": "a b"}', "SCHEMA"),
+])
+def test_mix_fails_on_a_bad_synthetic_row_past_the_cap(workdir: Path, capsys, bad_line, code):
+    _write_corpus(workdir)
+    rows = [ParallelExample(("it", str(i)), ("it", str(i)), id=str(i)) for i in range(6)]
+    write_jsonl(rows, workdir / "syn.jsonl")
+    with (workdir / "syn.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    plan = {"stage": "II", "real": ["corpus.tsv"], "synthetic": "syn.jsonl",
+            "synthetic_count": 2, "seed": 0}
+    (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    for sweep in ((), ("--sweep", "0,2")):
+        rc, _, events = _run(capsys, "mix", "--plan", "plan.json", *sweep, "--out", "t.jsonl")
+        assert rc == 1, sweep
+        assert events[-1]["code"] == code, sweep
+        assert events[-1]["message"].startswith("syn.jsonl:7: "), sweep
+        assert not list(workdir.glob("t.*")), sweep
+
+
 def test_sweep_encodes_and_hashes_each_pair_once(workdir: Path, capsys, monkeypatch):
     real = [f"we go to shop {i} .\twe go to the shop {i} ." for i in range(30)]
     (workdir / "real.tsv").write_text("\n".join(real) + "\n", encoding="utf-8")

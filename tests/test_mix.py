@@ -4,12 +4,16 @@ import importlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gecaug import (
+    MalformedLine,
     ParallelExample,
     SchemaError,
     StagePlan,
@@ -22,6 +26,8 @@ from gecaug import (
     write_jsonl,
     write_parallel_tsv,
 )
+
+from gecaug.mix import STAGES
 
 from _oracles import reference_mix, reference_ratio_sweep
 
@@ -260,6 +266,85 @@ def test_mix_and_sweep_match_reference(tmp_path: Path):
         assert str(got.value) == str(ref.value)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: see the asserts
+        return type(exc), str(exc)
+
+
+_SIDE = st.lists(st.sampled_from(("a", "b", "go", "went", ".")), min_size=1, max_size=4)
+_PAIR = st.tuples(_SIDE.map(tuple), _SIDE.map(tuple))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), stage=st.sampled_from(STAGES), seed=st.integers())
+def test_mix_and_sweep_match_reference_on_drawn_plans(tmp_path: Path, data, stage, seed):
+    real = []
+    for k, ext in enumerate(data.draw(st.lists(st.sampled_from(("tsv", "jsonl")),
+                                               min_size=1, max_size=3))):
+        path = tmp_path / f"real{k}.{ext}"
+        pairs = [ParallelExample(src, tgt, id=f"r{i}", meta={"i": i})
+                 for i, (src, tgt) in enumerate(data.draw(st.lists(_PAIR, max_size=5)))]
+        (write_parallel_tsv if ext == "tsv" else write_jsonl)(pairs, path)
+        real.append(str(path))
+    rows = None if stage == "I" else data.draw(st.none() | st.lists(_PAIR, max_size=8))
+    if rows is None:
+        plan = StagePlan(stage, tuple(real), seed=seed)
+        n = 0
+    else:
+        syn = tmp_path / "syn.jsonl"
+        write_jsonl([ParallelExample(src, tgt, id=f"s{i}", meta={"s": [i]})
+                     for i, (src, tgt) in enumerate(rows)], syn)
+        n = len(rows)
+        count = data.draw(st.sampled_from((0, n, n + 1)) | st.integers(0, n + 1))
+        plan = StagePlan(stage, tuple(real), str(syn), count, seed)
+    # Caps at 0, the corpus size and one past it, and repeats, in any order.
+    caps = data.draw(st.lists(st.sampled_from((0, n, n + 1)) | st.integers(0, n + 1),
+                              min_size=1, max_size=5))
+    assert _outcome(mix, plan) == _outcome(reference_mix, plan)
+    assert _outcome(ratio_sweep, plan, caps) == _outcome(reference_ratio_sweep, plan, caps)
+
+
+def _malformed_past_the_cap(tmp_path: Path, bad_line: str) -> StagePlan:
+    # Six valid synthetic rows, then a bad one at line 7, past every cap used below.
+    syn = _synthetic_jsonl(tmp_path, 6)
+    with syn.open("a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    return StagePlan("II", (str(_real_tsv(tmp_path, 5)),), str(syn), 2, seed=1)
+
+
+@pytest.mark.parametrize("bad_line, error", [
+    ("{broken", MalformedLine),
+    ('{"id": "x", "source": "a b"}', SchemaError),
+])
+def test_a_bad_synthetic_row_past_the_cap_still_fails(tmp_path: Path, bad_line, error):
+    plan = _malformed_past_the_cap(tmp_path, bad_line)
+    with pytest.raises(error) as ref:
+        reference_mix(plan)
+    assert ref.value.line_no == 7
+    with pytest.raises(error) as got:
+        mix(plan)
+    assert str(got.value) == str(ref.value)
+    with pytest.raises(error) as got:
+        ratio_sweep(plan, [0, 2, 1])
+    assert str(got.value) == str(ref.value)
+
+
+def test_mix_hashes_only_the_pairs_it_takes(tmp_path: Path, monkeypatch):
+    module = importlib.import_module("gecaug.mix")
+    calls = []
+    pair_hash = module.pair_hash
+    monkeypatch.setattr(module, "pair_hash", lambda ex: calls.append(ex.id) or pair_hash(ex))
+    real_tsv, real_jsonl, syn = _two_real_inputs(tmp_path)
+    examples, manifest = mix(StagePlan("II", (real_tsv, real_jsonl), syn, 7, seed=3))
+    # 30 + 12 real rows and the first 7 of 40 synthetic ones.
+    assert len(calls) == 30 + 12 + 7 == len(examples)
+    assert sorted(calls) == sorted(ex.id for ex in examples)
+    assert manifest["origins"][-1]["count"] == 7
+
+
 def test_ratio_sweep_reads_each_input_once(tmp_path: Path, monkeypatch):
     real_tsv, real_jsonl, syn = _two_real_inputs(tmp_path)
     opened: Counter[str] = Counter()
@@ -276,4 +361,7 @@ def test_ratio_sweep_reads_each_input_once(tmp_path: Path, monkeypatch):
     monkeypatch.setattr(module, "read_jsonl", counting(module.read_jsonl))
     plan = StagePlan("II", (real_tsv, real_jsonl), syn, 0, seed=3)
     assert len(ratio_sweep(plan, [0, 10, 20, 40])) == 4
+    assert opened == {real_tsv: 1, real_jsonl: 1, syn: 1}
+    opened.clear()
+    assert len(mix(replace(plan, synthetic_count=10))[0]) == 52
     assert opened == {real_tsv: 1, real_jsonl: 1, syn: 1}
