@@ -163,10 +163,12 @@ def sweep_orders(
         for cap in caps:
             if cap > n_synthetic:
                 raise ValueError(f"synthetic_count {cap} exceeds corpus size {n_synthetic}")
+            # Hash before the order is built, so the two are never held at once.
+            manifest = _manifest(plan, real_counts, cap, digests[:n_real + cap])
             # A shuffle draws by length alone, so indices move as the pairs would.
             order = list(range(n_real + cap))
             Random(plan.seed).shuffle(order)
-            yield cap, order, _manifest(plan, real_counts, cap, digests[:len(order)])
+            yield cap, order, manifest
 
     return kept, orders()
 

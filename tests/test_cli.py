@@ -332,11 +332,14 @@ def test_bool_width_and_caps_are_rejected(workdir: Path, capsys):
         }]
         assert not (workdir / "t.jsonl").exists()
 
-    # A negative or repeated cap fails before the stage starts, from a flag or a config.
+    # A negative or repeated cap, or a sweep on this real-only plan, fails
+    # before the stage starts, from a flag or a config.
     for sweep, message in (
         ("0,-5", "sweep caps must be non-negative"),
         ("5,5", "duplicate caps in sweep"),
         ([3, 0, 3], "duplicate caps in sweep"),
+        ("0,1", "ratio sweep needs a plan with a synthetic corpus"),
+        ([0, 1], "ratio sweep needs a plan with a synthetic corpus"),
     ):
         if isinstance(sweep, list):
             job = {**config, "sweep": sweep}
@@ -978,27 +981,6 @@ def test_mix_bad_sweep_value(workdir: Path, capsys):
     )
     assert rc == 2
     assert events[-1]["code"] == "CONFIG"
-
-
-def test_sweep_on_a_real_only_plan_is_a_config_error(workdir: Path, capsys):
-    _write_corpus(workdir)
-    (workdir / "plan.json").write_text(
-        json.dumps({"stage": "I", "real": ["corpus.tsv"], "seed": 0}), encoding="utf-8"
-    )
-    (workdir / "job.json").write_text(
-        json.dumps({"plan": "plan.json", "sweep": [0, 1], "out": "t.jsonl"}), encoding="utf-8"
-    )
-    for argv in (("--plan", "plan.json", "--sweep", "0,1", "--out", "t.jsonl"),
-                 ("--config", "job.json")):
-        rc, out, events = _run(capsys, "mix", *argv)
-        assert rc == 2, argv
-        # No stage event: the error comes before the stage starts.
-        assert events == [{
-            "event": "error", "code": "CONFIG",
-            "message": "ratio sweep needs a plan with a synthetic corpus",
-        }], argv
-        assert out == ""
-    assert sorted(p.name for p in workdir.iterdir()) == ["corpus.tsv", "job.json", "plan.json"]
 
 
 @pytest.mark.parametrize("bad_line, code", [
