@@ -307,20 +307,16 @@ def test_mix_and_sweep_match_reference_on_drawn_plans(tmp_path: Path, data, stag
     assert _outcome(ratio_sweep, plan, caps) == _outcome(reference_ratio_sweep, plan, caps)
 
 
-def _malformed_past_the_cap(tmp_path: Path, bad_line: str) -> StagePlan:
-    # Six valid synthetic rows, then a bad one at line 7, past every cap used below.
-    syn = _synthetic_jsonl(tmp_path, 6)
-    with syn.open("a", encoding="utf-8") as fh:
-        fh.write(bad_line + "\n")
-    return StagePlan("II", (str(_real_tsv(tmp_path, 5)),), str(syn), 2, seed=1)
-
-
 @pytest.mark.parametrize("bad_line, error", [
     ("{broken", MalformedLine),
     ('{"id": "x", "source": "a b"}', SchemaError),
 ])
 def test_a_bad_synthetic_row_past_the_cap_still_fails(tmp_path: Path, bad_line, error):
-    plan = _malformed_past_the_cap(tmp_path, bad_line)
+    # Six valid synthetic rows, then a bad one at line 7, past every cap used below.
+    syn = _synthetic_jsonl(tmp_path, 6)
+    with syn.open("a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    plan = StagePlan("II", (str(_real_tsv(tmp_path, 5)),), str(syn), 2, seed=1)
     with pytest.raises(error) as ref:
         reference_mix(plan)
     assert ref.value.line_no == 7

@@ -64,7 +64,10 @@ def _sample_lines(tmp: Path) -> list[str]:
 
 
 def _entries(obj: dict) -> list[dict]:
-    return [e for key in ("planted", "requested") for e in obj[key] if isinstance(e, dict)]
+    # An earlier edit may have dropped either key or replaced its list.
+    lists = [obj.get(key) for key in ("planted", "requested")]
+    return [e for entries in lists if isinstance(entries, list) for e in entries
+            if isinstance(e, dict)]
 
 
 @st.composite
