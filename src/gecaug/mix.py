@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
@@ -138,9 +139,9 @@ def sweep_orders(
     Returns the kept values, in input order, and an iterator over the
     caps, in order. It yields each cap, the indices of its mix into the
     kept values, shuffled with ``Random(plan.seed)``, and its manifest. A
-    cap takes the first pairs: as many as its manifest's ``total``. A cap
-    larger than the synthetic corpus is a ValueError when it is reached,
-    never a silent truncation.
+    cap takes the first pairs: as many as its manifest's ``total``. A
+    negative cap, or one larger than the synthetic corpus, is a ValueError
+    when it is reached, never a silent truncation.
     """
     kept: list[T] = []
     digests: list[str] = []
@@ -157,10 +158,14 @@ def sweep_orders(
     n_synthetic = 0
     if plan.synthetic is not None:
         pairs = read_jsonl(plan.synthetic, id_prefix=f"{len(plan.real)}:")
-        n_synthetic = take(islice(pairs, max(caps, default=0))) + sum(1 for _ in pairs)
+        # A cap past ``sys.maxsize`` exceeds any corpus; the check below says so.
+        stop = min(max([0, *caps]), sys.maxsize)
+        n_synthetic = take(islice(pairs, stop)) + sum(1 for _ in pairs)
 
     def orders() -> Iterator[tuple[int, list[int], dict]]:
         for cap in caps:
+            if cap < 0:
+                raise ValueError("synthetic_count must be non-negative")
             if cap > n_synthetic:
                 raise ValueError(f"synthetic_count {cap} exceeds corpus size {n_synthetic}")
             # Hash before the order is built, so the two are never held at once.

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -244,28 +244,6 @@ def _two_real_inputs(tmp_path: Path) -> tuple[str, str, str]:
     return str(real_tsv), str(real_jsonl), str(_synthetic_jsonl(tmp_path, 40))
 
 
-def test_mix_and_sweep_match_reference(tmp_path: Path):
-    real_tsv, real_jsonl, syn = _two_real_inputs(tmp_path)
-    plan = StagePlan("II", (real_tsv, real_jsonl), syn, 7, seed=13)
-    caps = [40, 0, 7, 25]  # 40 is the whole synthetic corpus
-    sweep = ratio_sweep(plan, caps)
-    want = reference_ratio_sweep(plan, caps)
-    assert [cap for cap, _, _ in sweep] == caps
-    for (cap, examples, manifest), (_, ref_examples, ref_manifest) in zip(sweep, want):
-        assert examples == ref_examples, cap
-        assert manifest == ref_manifest, cap
-    for one in (plan, StagePlan("I", (real_tsv, real_jsonl), seed=13)):
-        examples, manifest = mix(one)
-        ref_examples, ref_manifest = reference_mix(one)
-        assert (examples, manifest) == (ref_examples, ref_manifest)
-    for bad in ([0, 41], [5, 5]):
-        with pytest.raises(ValueError) as got:
-            ratio_sweep(plan, bad)
-        with pytest.raises(ValueError) as ref:
-            reference_ratio_sweep(plan, bad)
-        assert str(got.value) == str(ref.value)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -277,32 +255,53 @@ _SIDE = st.lists(st.sampled_from(("a", "b", "go", "went", ".")), min_size=1, max
 _PAIR = st.tuples(_SIDE.map(tuple), _SIDE.map(tuple))
 
 
+@st.composite
+def _plan_shapes(draw):
+    """A plan's stage, real inputs, synthetic rows or None, cap and seed, and sweep caps."""
+    stage = draw(st.sampled_from(STAGES))
+    real = draw(st.lists(st.tuples(st.sampled_from(("tsv", "jsonl")), st.lists(_PAIR, max_size=5)),
+                         min_size=1, max_size=3))
+    rows = None if stage == "I" else draw(st.none() | st.lists(_PAIR, max_size=8))
+    n = 0 if rows is None else len(rows)
+    # Caps at 0, the corpus size, one past it and past ``sys.maxsize``, in any order.
+    caps = st.sampled_from((0, n, n + 1, 2**63)) | st.integers(0, n + 1)
+    count = None if rows is None else draw(caps)
+    # Only a sweep can take a negative cap: a plan rejects one.
+    sweep = draw(st.lists(caps | st.just(-1), min_size=1, max_size=5))
+    return stage, real, rows, count, draw(st.integers()), sweep
+
+
+# 30 TSV and 12 JSONL real pairs, 40 synthetic ones.
+_REAL = [("tsv", [((f"r{i}", "wrong"), (f"r{i}", "right", "indeed")) for i in range(30)]),
+         ("jsonl", [(("j", str(i)), ("j", str(i), "!")) for i in range(12)])]
+_ROWS = [((f"s{i}", "fine"), (f"s{i}", "fine")) for i in range(40)]
+
+
+@example(shape=("II", _REAL, _ROWS, 7, 13, [40, 0, 7, 25]))
+@example(shape=("II", _REAL, _ROWS, 7, 13, [0, 41]))
+@example(shape=("II", _REAL, _ROWS, 7, 13, [5, 5]))
+@example(shape=("II", _REAL, _ROWS, 2**63, 13, [5, -1]))
+@example(shape=("III", _REAL, _ROWS, 40, 13, [0, 2**63]))
+@example(shape=("I", _REAL, None, None, 13, [0, 1]))
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), stage=st.sampled_from(STAGES), seed=st.integers())
-def test_mix_and_sweep_match_reference_on_drawn_plans(tmp_path: Path, data, stage, seed):
+@given(shape=_plan_shapes())
+def test_mix_and_sweep_match_reference(tmp_path: Path, shape):
+    stage, real_inputs, rows, count, seed, caps = shape
     real = []
-    for k, ext in enumerate(data.draw(st.lists(st.sampled_from(("tsv", "jsonl")),
-                                               min_size=1, max_size=3))):
+    for k, (ext, drawn) in enumerate(real_inputs):
         path = tmp_path / f"real{k}.{ext}"
         pairs = [ParallelExample(src, tgt, id=f"r{i}", meta={"i": i})
-                 for i, (src, tgt) in enumerate(data.draw(st.lists(_PAIR, max_size=5)))]
+                 for i, (src, tgt) in enumerate(drawn)]
         (write_parallel_tsv if ext == "tsv" else write_jsonl)(pairs, path)
         real.append(str(path))
-    rows = None if stage == "I" else data.draw(st.none() | st.lists(_PAIR, max_size=8))
     if rows is None:
         plan = StagePlan(stage, tuple(real), seed=seed)
-        n = 0
     else:
         syn = tmp_path / "syn.jsonl"
         write_jsonl([ParallelExample(src, tgt, id=f"s{i}", meta={"s": [i]})
                      for i, (src, tgt) in enumerate(rows)], syn)
-        n = len(rows)
-        count = data.draw(st.sampled_from((0, n, n + 1)) | st.integers(0, n + 1))
         plan = StagePlan(stage, tuple(real), str(syn), count, seed)
-    # Caps at 0, the corpus size and one past it, and repeats, in any order.
-    caps = data.draw(st.lists(st.sampled_from((0, n, n + 1)) | st.integers(0, n + 1),
-                              min_size=1, max_size=5))
     assert _outcome(mix, plan) == _outcome(reference_mix, plan)
     assert _outcome(ratio_sweep, plan, caps) == _outcome(reference_ratio_sweep, plan, caps)
 
