@@ -27,6 +27,9 @@ from urllib.parse import SplitResult, quote, unquote, urlsplit
 # percent-encoded as UTF-8, as requests re-quotes a URL.
 _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
+# Each back-off is this many times the one before it.
+_BACKOFF_FACTOR = 2.0
+
 
 class TransportError(Exception):
     """A remote call that failed for good, with the attempt count."""
@@ -91,7 +94,6 @@ class JsonHttpClient:
         timeout: float = 30.0,
         max_attempts: int = 5,
         backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if not endpoint:
@@ -112,7 +114,6 @@ class JsonHttpClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self._sleep = sleep
         # A Retry-After never waits longer than the schedule's longest delay.
         self._max_delay = max(map(self._delay, range(1, max_attempts)), default=0.0)
@@ -199,7 +200,7 @@ class JsonHttpClient:
 
     def _delay(self, attempt: int) -> float:
         """The back-off after failed attempt ``attempt`` (1-based)."""
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
+        return self.backoff_base * _BACKOFF_FACTOR ** (attempt - 1)
 
     def _exchange(self, data: bytes) -> tuple[int, str | None, bytes]:
         """POST ``data`` on this thread's connection: status, Retry-After, body."""

@@ -99,6 +99,19 @@ def _remove(path: str) -> None:
         os.remove(path)
 
 
+def _distinct_files(**paths: str | None) -> None:
+    """A CONFIG error if two of the given paths name one file; None is unset."""
+    named = [(dest, path) for dest, path in paths.items() if path is not None]
+    for i, (dest_a, a) in enumerate(named):
+        for dest_b, b in named[i + 1:]:
+            try:
+                same = os.path.samefile(a, b)
+            except OSError:  # one of them does not exist yet
+                same = os.path.realpath(a) == os.path.realpath(b)
+            if same:
+                raise CliError("CONFIG", f"'{dest_a}' and '{dest_b}' name one file: {b}", 2)
+
+
 class _Stage:
     """The outputs of one subcommand run; ``_stage`` commits them."""
 
@@ -186,13 +199,19 @@ _OPTIONS = {opt.dest: opt for opt in (
     _Option("seed", "--seed", "seed", "base seed", "sample synthesize"),
     _Option("error_rate", "--error-rate", "rate", "share of errorful slots", "synthesize"),
     _Option("backend", "--backend", "backend", "backend name", "synthesize denoise"),
-    _Option("workers", "--workers", "int", "parallel slots (default 1, http: cpus)", "synthesize"),
+    _Option(
+        "workers", "--workers", "int", "threads of a waiting backend (default: cpus)",
+        "synthesize",
+    ),
     _Option("attempt_budget", "--attempt-budget", "nonneg", "attempts for all slots", "synthesize"),
     _Option("stub_drop_rate", "--stub-drop-rate", "rate", "stub drop rate", "synthesize"),
     _Option("stub_refuse_rate", "--stub-refuse-rate", "rate", "stub refusal rate", "synthesize"),
     _Option("fewshot", "--fewshot", "bool", "send few-shot examples", "synthesize"),
     _Option("checkpoint", "--checkpoint", "path", "resumable run's marker file", "denoise"),
-    _Option("max_in_flight", "--max-in-flight", "int", "concurrent requests", "denoise"),
+    _Option(
+        "max_in_flight", "--max-in-flight", "int", "threads of a waiting backend (default 8)",
+        "denoise",
+    ),
     _Option("sweep", "--sweep", "caps", "comma-separated synthetic caps", "mix"),
     _Option("top_k", "--top-k", "int", "patterns in the report", "stats"),
     _Option("beta", "--beta", "number", "F-beta weight", "score"),
@@ -365,9 +384,7 @@ def _cmd_synthesize(opts: _Options) -> None:
     out = opts.get("out", required=True)
     error_rate_ = opts.get("error_rate", 0.5)
     backend_name = opts.get("backend", default="stub")
-    workers = opts.get(
-        "workers", default=(os.cpu_count() or 1) if backend_name == "http" else 1
-    )
+    workers = opts.get("workers", default=os.cpu_count() or 1)
     budget = opts.get("attempt_budget")
     # Checked before any work: the manifest records both rates whatever the backend.
     drop_rate = opts.get("stub_drop_rate", 0.0)
@@ -409,7 +426,9 @@ def _cmd_denoise(opts: _Options) -> None:
     backend_name = opts.get("backend", default="identity")
     out = opts.get("out", required=True)
     checkpoint = opts.get("checkpoint")
-    in_flight = opts.get("max_in_flight", default=8 if backend_name == "http" else 1)
+    in_flight = opts.get("max_in_flight", default=8)
+    # The output is written in place, so a shared path would destroy the input or the marker.
+    _distinct_files(in_path=in_path, out=out, checkpoint=checkpoint)
 
     samples: Iterable = read_samples(in_path)
     if backend_name == "identity":
@@ -552,6 +571,7 @@ def _cmd_stats(opts: _Options) -> None:
     top_k = opts.get("top_k", default=100)
     out = opts.get("out")
     csv_path = opts.get("csv")
+    _distinct_files(out=out, csv=csv_path)
     with _stage("stats", ref_pool=ref_path, corpus=corpus_path) as st:
         reference = load_pool(ref_path, n)
         candidate = build_pool(read_pairs(corpus_path), n)

@@ -23,9 +23,16 @@ from .synthesis import SyntheticSample
 
 
 class CorrectorBackend(ABC):
-    """A sentence corrector. Raises TransportError on remote failure."""
+    """A sentence corrector. Raises TransportError on remote failure.
+
+    ``waits`` says whether a call can wait on something outside the
+    process, such as a service. ``relabel`` runs the calls of a corrector
+    that never waits inline, whatever its ``max_in_flight``; a subclass
+    that sets nothing keeps its threads.
+    """
 
     name: str = "abstract"
+    waits: bool = True
 
     @abstractmethod
     def correct_text(self, text: str, request_id: str = "0") -> str:
@@ -39,6 +46,7 @@ class IdentityCorrector(CorrectorBackend):
     """Returns the input unchanged. Baseline and determinism fixture."""
 
     name = "identity"
+    waits = False
 
     def correct_text(self, text: str, request_id: str = "0") -> str:
         return text
@@ -55,6 +63,7 @@ class OracleCorrector(CorrectorBackend):
     """
 
     name = "oracle"
+    waits = False
 
     def __init__(self, samples: Iterable[SyntheticSample]):
         self._table: dict[tuple[str, str], str] = {}
@@ -108,16 +117,21 @@ def relabel(
     """Yield (source, corrector(source)) pairs in input order.
 
     Up to ``max_in_flight`` corrector calls run at once (see
-    ``map_ordered``); closing the generator early stops them. An empty
+    ``map_ordered``) when the corrector waits; one that never waits runs
+    inline. Closing the generator early stops the calls. An empty
     corrector reply falls back to the uncorrected source. Meta flags on
     each pair: matches_target (corrector agreed with the generated
     sentence) and matches_source (corrector left the input unchanged).
     """
 
+    if max_in_flight < 1:
+        raise ValueError("max_in_flight must be at least 1")
+
     def correct(s: SyntheticSample) -> tuple[SyntheticSample, str]:
         return s, corrector.correct_text(" ".join(s.source), s.id)
 
-    with closing(map_ordered(correct, samples, max_in_flight)) as corrected:
+    in_flight = max_in_flight if corrector.waits else 1
+    with closing(map_ordered(correct, samples, in_flight)) as corrected:
         for s, text in corrected:
             tokens = tuple(text.split())
             if not tokens:

@@ -192,9 +192,16 @@ def build_fewshot_prompt(request: GenerationRequest) -> str:
 
 class GeneratorBackend(ABC):
     """A text generator. Implementations raise TransportError on failure
-    and return an empty string to signal refusal."""
+    and return an empty string to signal refusal.
+
+    ``waits`` says whether a call can wait on something outside the
+    process, such as a service. ``synthesize`` runs the calls of a backend
+    that never waits inline, whatever its ``workers``, as threads would
+    only slow it; a subclass that sets nothing keeps its threads.
+    """
 
     name: str = "abstract"
+    waits: bool = True
 
     @abstractmethod
     def generate_text(self, request: GenerationRequest) -> str:
@@ -234,6 +241,7 @@ class StubGenerator(GeneratorBackend):
     """
 
     name = "stub"
+    waits = False
 
     def __init__(self, seed: int = 0, drop_rate: float = 0.0, refuse_rate: float = 0.0):
         if not 0.0 <= drop_rate <= 1.0 or not 0.0 <= refuse_rate <= 1.0:

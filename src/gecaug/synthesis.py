@@ -214,6 +214,8 @@ def synthesize(
     plants nothing or empties its source) retry with fresh patterns against a
     global attempt budget (default 3 * count) shared by all slots; exhausting it
     raises SynthesisBudgetError with final stats. Output is ordered by slot.
+    Slots run on ``workers`` threads when the backend waits, and inline when
+    it never does; the output is the same either way.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -281,7 +283,7 @@ def synthesize(
             with lock:
                 stats.add(local)
 
-    return list(map_ordered(run_slot, range(count), workers)), stats
+    return list(map_ordered(run_slot, range(count), workers if backend.waits else 1)), stats
 
 
 def planted_counts(samples: Iterable[SyntheticSample]) -> Counter[ErrorPattern]:

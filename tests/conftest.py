@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
 from pathlib import Path
+
+import pytest
 
 from gecaug import ErrorPattern, ParallelExample, PatternPool
 
@@ -13,6 +16,18 @@ VOCAB = (
     "to", "from", "school", "yesterday", "very", "happy", "was", "were",
     "t1", "t2", "t3", "t4",
 )
+
+
+@pytest.fixture()
+def no_thread_pool(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make starting a thread pool fail the test."""
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a local backend started a thread pool")
+
+    # ``map_ordered`` imports the pool where it starts one, so it is
+    # replaced at its source.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
 
 
 def cli_env() -> dict[str, str]:

@@ -19,6 +19,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from gecaug import (
@@ -45,6 +46,7 @@ from gecaug import (
 )
 
 from _oracles import oracle_alignment_cost
+from _server import ScriptedServer
 from conftest import cli_env, insertion_pool, random_pair
 
 
@@ -275,13 +277,15 @@ def _build_tree(root: Path) -> None:
     (root / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
 
 
-def _run_pipeline(root: Path, workers: str, hash_seed: str) -> dict[str, str]:
-    for step in _PIPELINE:
+def _run_pipeline(
+    root: Path, workers: str, hash_seed: str, steps=_PIPELINE, env: dict | None = None
+) -> dict[str, str]:
+    for step in steps:
         argv = [workers if part == "WORKERS" else part for part in step]
         proc = subprocess.run(
             [sys.executable, "-m", "gecaug", *argv],
             cwd=root,
-            env={**cli_env(), "PYTHONHASHSEED": hash_seed},
+            env={**cli_env(), "PYTHONHASHSEED": hash_seed, **(env or {})},
             capture_output=True,
             text=True,
         )
@@ -315,6 +319,53 @@ def test_acceptance_determinism_envelope(tmp_path: Path):
             )
             failures.append(f"{label} variation changed {diff}")
     _verdict("determinism-envelope", failures)
+
+
+# The local backends above run inline at any worker count; the http backends
+# run on threads, so these runs check the envelope where threads do run.
+_HTTP_PIPELINE = (
+    ("extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"),
+    (
+        "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "60",
+        "--seed", "11", "--error-rate", "0.5", "--backend", "http",
+        "--out", "syn.jsonl", "--workers", "WORKERS",
+    ),
+    (
+        "denoise", "--in", "syn.jsonl", "--backend", "http",
+        "--out", "den.jsonl", "--max-in-flight", "WORKERS",
+    ),
+)
+
+
+def _service_reply(payload: dict) -> tuple[int, bytes]:
+    """A reply that depends on the request alone: a generator fills each
+    [M] of its template, a corrector echoes its text."""
+    if "template" in payload:
+        text = " ".join("so it goes" if t == "[M]" else t for t in payload["template"].split())
+    else:
+        text = payload["text"]
+    time.sleep(0.002)  # long enough that every thread gets requests
+    return 200, json.dumps({"text": text}).encode("utf-8")
+
+
+def test_acceptance_determinism_envelope_threads(tmp_path: Path):
+    roots = (tmp_path / "one", tmp_path / "four")
+    for root in roots:
+        _build_tree(root)
+    with ScriptedServer([_service_reply], keep_alive=True) as generator, \
+            ScriptedServer([_service_reply], keep_alive=True) as corrector:
+        env = {"GECAUG_GENERATOR_URL": generator.url, "GECAUG_CORRECTOR_URL": corrector.url}
+        one = _run_pipeline(roots[0], "1", "0", _HTTP_PIPELINE, env)
+        before = (generator.connections, corrector.connections)
+        four = _run_pipeline(roots[1], "4", "0", _HTTP_PIPELINE, env)
+        opened = (generator.connections - before[0], corrector.connections - before[1])
+    failures: list[str] = []
+    if four != one:
+        diff = sorted(k for k in set(one) | set(four) if one.get(k) != four.get(k))
+        failures.append(f"thread count changed {diff}")
+    if min(opened) < 2:
+        failures.append(f"connections (generator, corrector) at 4 threads: {opened}")
+    _verdict("determinism-envelope-threads", failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import importlib
 import json
 import shutil
@@ -439,22 +438,24 @@ def test_synthesize_outputs_and_worker_independence(workdir: Path, capsys):
     assert (workdir / "syn.jsonl.manifest.json").read_bytes() == first_manifest
 
 
-def test_local_backends_default_to_one_in_flight(workdir: Path, capsys, monkeypatch):
-    def no_threads(*args, **kwargs):
-        raise AssertionError("a local backend started a thread pool")
-
-    # ``map_ordered`` imports the pool where it starts one, so it is
-    # replaced at its source.
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+def test_local_backends_default_to_one_in_flight(workdir: Path, capsys, no_thread_pool):
+    # Local backends run inline at the default counts and at any given one.
     _write_corpus(workdir)
     assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
-    assert main([
-        "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "20",
-        "--seed", "3", "--backend", "stub", "--out", "syn.jsonl",
-    ]) == 0
+    for workers in ((), ("--workers", "4")):
+        assert main([
+            "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "20",
+            "--seed", "3", "--backend", "stub", *workers, "--out", "syn.jsonl",
+        ]) == 0
     assert main(["denoise", "--in", "syn.jsonl", "--out", "identity.jsonl"]) == 0
+    for backend in ("identity", "oracle"):
+        assert main([
+            "denoise", "--in", "syn.jsonl", "--backend", backend, "--max-in-flight", "8",
+            "--out", f"{backend}8.jsonl",
+        ]) == 0
     capsys.readouterr()
-    assert len((workdir / "identity.jsonl").read_text(encoding="utf-8").splitlines()) == 20
+    for name in ("identity.jsonl", "identity8.jsonl", "oracle8.jsonl"):
+        assert len((workdir / name).read_text(encoding="utf-8").splitlines()) == 20
 
 
 def test_synthesize_budget_error(workdir: Path, capsys):
@@ -512,6 +513,34 @@ def _synthesize_fixture(workdir: Path, count: int = 12) -> None:
         "--seed", "3", "--error-rate", "0.7", "--backend", "stub",
         "--out", "syn.jsonl", "--workers", "1",
     ]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--backend", "identity", "--out", "syn.jsonl"),
+         "'in_path' and 'out' name one file: syn.jsonl"),
+        (("--checkpoint", "den.jsonl", "--out", "den.jsonl"),
+         "'out' and 'checkpoint' name one file: den.jsonl"),
+        (("--checkpoint", "syn.jsonl", "--out", "den.jsonl"),
+         "'in_path' and 'checkpoint' name one file: syn.jsonl"),
+        (("--out", "link.jsonl"), "'in_path' and 'out' name one file: link.jsonl"),
+    ],
+    ids=["in-out", "out-checkpoint", "in-checkpoint", "symlink"],
+)
+def test_denoise_rejects_two_paths_to_one_file(workdir: Path, capsys, argv, message):
+    # ``denoise`` writes its output in place: a shared path would truncate
+    # the input, or the checkpoint's removal would delete the output.
+    _synthesize_fixture(workdir)
+    (workdir / "link.jsonl").symlink_to("syn.jsonl")
+    capsys.readouterr()
+    names = ("syn.jsonl", "syn.jsonl.manifest.json")
+    before = [(workdir / name).read_bytes() for name in names]
+    rc, _, events = _run(capsys, "denoise", "--in", "syn.jsonl", *argv)
+    assert rc == 2
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
+    assert [(workdir / name).read_bytes() for name in names] == before
+    assert not (workdir / "den.jsonl").exists()
 
 
 def test_denoise_identity_and_oracle(workdir: Path, capsys):
@@ -825,6 +854,12 @@ _STATS_CONFIG = {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3}
          "max_in_flight must be at least 1"),
         ("denoise", {"in_path": "syn.jsonl", "max_in_flight": -1},
          "max_in_flight must be at least 1"),
+        ("synthesize", {**_SYNTH_CONFIG, "backend": "http", "workers": 0},
+         "workers must be at least 1"),
+        ("denoise", {"in_path": "syn.jsonl", "backend": "oracle", "max_in_flight": 0},
+         "max_in_flight must be at least 1"),
+        ("denoise", {"in_path": "syn.jsonl", "backend": "http", "max_in_flight": 0},
+         "max_in_flight must be at least 1"),
         ("stats", {**_STATS_CONFIG, "top_k": 0}, "top_k must be at least 1"),
         ("stats", {**_STATS_CONFIG, "top_k": -1}, "top_k must be at least 1"),
     ],
@@ -834,6 +869,7 @@ _STATS_CONFIG = {"ref_pool": "pool.jsonl", "corpus": "corpus.tsv", "n": 3}
          "rate-nan",
          "count-negative", "budget-negative",
          "workers-zero", "workers-negative", "in-flight-zero", "in-flight-negative",
+         "workers-zero-http", "in-flight-zero-oracle", "in-flight-zero-http",
          "top-k-zero", "top-k-negative"],
 )
 def test_config_values_of_the_wrong_type(workdir: Path, capsys, command, config, message):
@@ -1090,6 +1126,21 @@ def test_stats_distribution_report(workdir: Path, capsys):
     assert csv_lines[0] == "pattern_wrong,pattern_correct,reference_count,candidate_count"
     assert csv_lines[1] == "move one,move from one,3,3"
     assert len(csv_lines) == 4
+
+
+def test_stats_rejects_one_file_for_report_and_csv(workdir: Path, capsys):
+    _write_corpus(workdir)
+    assert main(["extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"]) == 0
+    capsys.readouterr()
+    rc, out, events = _run(
+        capsys, "stats", "--ref-pool", "pool.jsonl", "--corpus", "corpus.tsv",
+        "--n", "3", "--out", "r.json", "--csv", "./r.json",
+    )
+    assert (rc, out) == (2, "")
+    assert events == [
+        {"event": "error", "code": "CONFIG", "message": "'out' and 'csv' name one file: ./r.json"}
+    ]
+    assert not list(workdir.glob("r.json*"))
 
 
 @pytest.mark.parametrize(

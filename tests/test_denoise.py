@@ -168,14 +168,25 @@ def test_relabel_stops_at_failing_sample():
 
 
 def test_relabel_argument_validation():
-    with pytest.raises(ValueError):
-        list(relabel([], IdentityCorrector(), max_in_flight=0))
+    for corrector in (
+        IdentityCorrector(), OracleCorrector([]), HttpCorrector(endpoint="http://127.0.0.1:9/")
+    ):
+        with pytest.raises(ValueError, match="max_in_flight must be at least 1"):
+            list(relabel([], corrector, max_in_flight=0))
     # A pure ordered map: progress is the caller's to record.
     params = inspect.signature(relabel).parameters.values()
     empty = inspect.Parameter.empty
     assert [(p.name, p.default) for p in params] == [
         ("samples", empty), ("corrector", empty), ("max_in_flight", 8)
     ]
+
+
+def test_local_correctors_run_inline(no_thread_pool):
+    samples = _corpus()
+    inline = list(relabel(samples, IdentityCorrector(), max_in_flight=1))
+    assert list(relabel(samples, IdentityCorrector(), max_in_flight=8)) == inline
+    oracle = list(relabel(samples, OracleCorrector(samples)))
+    assert [ex.target for ex in oracle] == [s.target for s in samples]
 
 
 def test_relabel_diff_stats_hand_case():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from gecaug import (
     ErrorPattern,
     GeneratorBackend,
+    HttpGenerator,
     MalformedLine,
     PatternPool,
     SchemaError,
@@ -146,6 +148,29 @@ def test_synthesize_error_rate_extremes():
 
 
 def test_synthesize_worker_count_is_immaterial():
+    class Delegating(GeneratorBackend):
+        """The stub behind a subclass that leaves ``waits`` as it is, so it gets threads."""
+
+        name = StubGenerator.name
+
+        def __init__(self):
+            self.stub = StubGenerator(seed=4)
+            self.threads: set[str] = set()
+
+        def generate_text(self, request):
+            self.threads.add(threading.current_thread().name)
+            return self.stub.generate_text(request)
+
+    pool = insertion_pool(15)
+    one, stats_one = synthesize(pool, 80, StubGenerator(seed=4), base_seed=21, workers=1)
+    threaded = Delegating()
+    four, stats_four = synthesize(pool, 80, threaded, base_seed=21, workers=4)
+    assert one == four
+    assert stats_one.as_dict() == stats_four.as_dict()
+    assert any(name.startswith("map_ordered") for name in threaded.threads)
+
+
+def test_stub_runs_inline_at_any_worker_count(no_thread_pool):
     pool = insertion_pool(15)
     one, stats_one = synthesize(pool, 80, StubGenerator(seed=4), base_seed=21, workers=1)
     four, stats_four = synthesize(pool, 80, StubGenerator(seed=4), base_seed=21, workers=4)
@@ -225,8 +250,9 @@ def test_synthesize_count_validation():
     assert samples == [] and stats.samples == 0
     with pytest.raises(ValueError):
         synthesize(pool, -1, StubGenerator(), base_seed=0)
-    with pytest.raises(ValueError):
-        synthesize(pool, 1, StubGenerator(), base_seed=0, workers=0)
+    for backend in (StubGenerator(), HttpGenerator(endpoint="http://127.0.0.1:9/")):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            synthesize(pool, 1, backend, base_seed=0, workers=0)
     with pytest.raises(ValueError):
         synthesize(pool, 1, StubGenerator(), base_seed=0, error_rate=2.0)
 
