@@ -11,12 +11,12 @@ One executable, one subcommand per pipeline stage:
 * stats       pool stats, or reference-vs-corpus distribution report
 * score       hypothesis corpus vs gold M2 annotations
 
-Options resolve flag > config file > default, and a config key that no
-option declares (``_OPTIONS``) is an error. Every artifact-producing
-command writes ``<out>.manifest.json`` recording the resolved config, a
-config hash, the seed, input file hashes and row counts, and is
-idempotent: identical config and seed reproduce identical bytes, whatever
-the worker count; an artifact that has a manifest matches it (``_stage``).
+Options resolve flag > config file > default; a config key that no
+option declares (``_OPTIONS``) and a written file that is another file
+used are errors. Each artifact gets ``<out>.manifest.json``: the resolved
+config, its hash, the seed, the hashes of the files read and row counts.
+Identical config and seed reproduce identical bytes, whatever the worker
+count; an artifact that has a manifest matches it (``_stage``).
 Structured log events go to stderr as JSON lines; on failure the last
 stderr line is a single machine-parsable error object and the exit code
 is non-zero (2 for usage/config, 1 at runtime).
@@ -99,24 +99,11 @@ def _remove(path: str) -> None:
         os.remove(path)
 
 
-def _distinct_files(**paths: str | None) -> None:
-    """A CONFIG error if two of the given paths name one file; None is unset."""
-    named = [(dest, path) for dest, path in paths.items() if path is not None]
-    for i, (dest_a, a) in enumerate(named):
-        for dest_b, b in named[i + 1:]:
-            try:
-                same = os.path.samefile(a, b)
-            except OSError:  # one of them does not exist yet
-                same = os.path.realpath(a) == os.path.realpath(b)
-            if same:
-                raise CliError("CONFIG", f"'{dest_a}' and '{dest_b}' name one file: {b}", 2)
-
-
 class _Stage:
     """The outputs of one subcommand run; ``_stage`` commits them."""
 
-    def __init__(self, command: str):
-        self.command = command
+    def __init__(self, opts: _Options):
+        self.opts = opts
         self.end: dict = {}
         self.temps: dict[str, str] = {}
         self.manifests: dict[str, dict] = {}
@@ -131,27 +118,26 @@ class _Stage:
         _remove(final + ".manifest.json")
         return final
 
-    def manifest(
-        self, out: str, config: dict, seed: int | None, inputs: Sequence[str], counts: dict
-    ) -> None:
+    def manifest(self, out: str, config: dict, seed: int | None, counts: dict) -> None:
         """Record <out>.manifest.json; ``out`` and ``counts`` become the end event.
 
         ``config`` holds only data-affecting options and there are no
         timestamps, so the same artifact always gets the same manifest.
         """
+        inputs = sorted({p for d, p, w in self.opts.files if not w and d != "config"})
         self.manifests[out + ".manifest.json"] = {
-            "command": self.command,
+            "command": self.opts.args.command,
             "config": config,
             "config_hash": hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest(),
             "seed": seed,
-            "inputs": {p: _sha256_file(p) for p in sorted(set(inputs))},
+            "inputs": {p: _sha256_file(p) for p in inputs},
             "counts": counts,
         }
         self.end = {"out": out, **counts}
 
 
 @contextmanager
-def _stage(command: str, **start) -> Iterator[_Stage]:
+def _stage(opts: _Options, **start) -> Iterator[_Stage]:
     """Run one subcommand between its stage events and commit its outputs.
 
     On success the manifests are written to temporaries, the old ones are
@@ -159,8 +145,8 @@ def _stage(command: str, **start) -> Iterator[_Stage]:
     manifests are renamed last, so an artifact that has a manifest is
     complete and matches it. On an exception the temporaries are removed.
     """
-    _log("stage", command=command, phase="start", **start)
-    st = _Stage(command)
+    _log("stage", command=opts.args.command, phase="start", **start)
+    st = _Stage(opts)
     try:
         yield st
         for path, manifest in st.manifests.items():
@@ -173,13 +159,13 @@ def _stage(command: str, **start) -> Iterator[_Stage]:
     finally:
         for tmp in st.temps.values():
             _remove(tmp)
-    _log("stage", command=command, phase="end", **st.end)
+    _log("stage", command=opts.args.command, phase="end", **st.end)
 
 
 class _Option(NamedTuple):
     dest: str  # also the option's config key
     flag: str
-    kind: str  # how argparse reads the flag (_FLAG_KWARGS) and _check checks the value
+    kind: str  # how argparse reads it (_FLAG_KWARGS) and _check checks it; "output" is written
     help: str
     commands: str  # the subcommands that take it, space-separated
 
@@ -207,7 +193,7 @@ _OPTIONS = {opt.dest: opt for opt in (
     _Option("stub_drop_rate", "--stub-drop-rate", "rate", "stub drop rate", "synthesize"),
     _Option("stub_refuse_rate", "--stub-refuse-rate", "rate", "stub refusal rate", "synthesize"),
     _Option("fewshot", "--fewshot", "bool", "send few-shot examples", "synthesize"),
-    _Option("checkpoint", "--checkpoint", "path", "resumable run's marker file", "denoise"),
+    _Option("checkpoint", "--checkpoint", "output", "resumable run's marker file", "denoise"),
     _Option(
         "max_in_flight", "--max-in-flight", "int", "threads of a waiting backend (default 8)",
         "denoise",
@@ -216,10 +202,10 @@ _OPTIONS = {opt.dest: opt for opt in (
     _Option("top_k", "--top-k", "int", "patterns in the report", "stats"),
     _Option("beta", "--beta", "number", "F-beta weight", "score"),
     _Option(
-        "out", "--out", "path", "file to write",
+        "out", "--out", "output", "file to write",
         "extract pool sample synthesize denoise mix stats score",
     ),
-    _Option("csv", "--csv", "path", "write the per-pattern frequency table here", "stats"),
+    _Option("csv", "--csv", "output", "write the per-pattern frequency table here", "stats"),
 )}
 
 # How argparse reads each kind's flag; a kind not listed takes one string.
@@ -243,7 +229,7 @@ def _check(kind: str, dest: str, value, command: str):
     def fail(message: str):
         raise CliError("CONFIG", message, 2)
 
-    if kind == "path" and not isinstance(value, str):
+    if kind in ("path", "output") and not isinstance(value, str):
         fail(f"'{dest}' must be a path string")
     if kind == "paths" and not (
         isinstance(value, list) and value and all(isinstance(p, str) for p in value)
@@ -287,11 +273,12 @@ def _check(kind: str, dest: str, value, command: str):
 
 
 class _Options:
-    """Flag > config file > default resolution for one invocation."""
+    """One invocation's options, resolved flag > config file > default, and their files."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config: dict = {}
+        self.files: list[tuple[str, str, bool]] = []  # (dest, path, written)
         config_path = getattr(args, "config", None)
         if config_path:
             try:
@@ -307,6 +294,7 @@ class _Options:
                 if key not in _OPTIONS:
                     raise CliError("CONFIG", f"unknown config key {key!r}", 2)
             self.config = loaded
+            self.claim("config", [config_path])
 
     def get(self, dest: str, default=None, required: bool = False):
         """Option ``dest``, checked against its kind; None if unset and not required."""
@@ -319,7 +307,24 @@ class _Options:
             if required:
                 raise CliError("CONFIG", f"missing required option '{dest}'", 2)
             return None
-        return _check(_OPTIONS[dest].kind, dest, value, self.args.command)
+        kind = _OPTIONS[dest].kind
+        value = _check(kind, dest, value, self.args.command)
+        if kind in ("path", "paths", "output"):
+            self.claim(dest, value if kind == "paths" else [value], written=kind == "output")
+        return value
+
+    def claim(self, dest: str, paths: Iterable[str], written: bool = False) -> None:
+        """Record ``paths`` under ``dest``; a file written may be no other file recorded."""
+        for path in paths:
+            for other, known, known_written in self.files:
+                if written or known_written:  # two reads may name one file
+                    try:
+                        same = os.path.samefile(known, path)
+                    except OSError:  # one of them does not exist yet
+                        same = os.path.realpath(known) == os.path.realpath(path)
+                    if same:
+                        raise CliError("CONFIG", f"'{other}' and '{dest}' name one file: {path}", 2)
+            self.files.append((dest, path, written))
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +335,11 @@ def _cmd_extract(opts: _Options) -> None:
     in_path = opts.get("in_path", required=True)
     n = opts.get("n", required=True)
     out = opts.get("out", required=True)
-    with _stage("extract", input=in_path, n=n) as st:
+    with _stage(opts, input=in_path, n=n) as st:
         pool = build_pool(read_pairs(in_path), n, provenance=(in_path,))
         save_pool(pool, st.path(out))
         config = {"in": in_path, "n": n, "out": out}
-        st.manifest(out, config, None, [in_path], pool_stats(pool))
+        st.manifest(out, config, None, pool_stats(pool))
 
 
 def _cmd_pool(opts: _Options) -> None:
@@ -342,11 +347,11 @@ def _cmd_pool(opts: _Options) -> None:
     in_paths = opts.get("in_paths", required=True)
     n = opts.get("n", required=True)
     out = opts.get("out", required=True)
-    with _stage("pool", inputs=in_paths, n=n) as st:
+    with _stage(opts, inputs=in_paths, n=n) as st:
         merged = merge_pools([load_pool(p, n, provenance=(p,)) for p in in_paths])
         save_pool(merged, st.path(out))
         config = {"in": in_paths, "n": n, "out": out}
-        st.manifest(out, config, None, in_paths, pool_stats(merged))
+        st.manifest(out, config, None, pool_stats(merged))
 
 
 def _cmd_sample(opts: _Options) -> None:
@@ -356,7 +361,7 @@ def _cmd_sample(opts: _Options) -> None:
     count = opts.get("count", required=True)
     seed = opts.get("seed", required=True)
     out = opts.get("out", required=True)
-    with _stage("sample", pool=pool_path, count=count) as st:
+    with _stage(opts, pool=pool_path, count=count) as st:
         pool = restrict_sendable(load_pool(pool_path, n))
         if len(pool) == 0:
             raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
@@ -372,7 +377,7 @@ def _cmd_sample(opts: _Options) -> None:
 
         write_lines(map(line, range(count)), st.path(out))
         config = {"pool": pool_path, "n": n, "count": count, "seed": seed, "out": out}
-        st.manifest(out, config, seed, [pool_path], {"rows": count})
+        st.manifest(out, config, seed, {"rows": count})
 
 
 def _cmd_synthesize(opts: _Options) -> None:
@@ -400,7 +405,7 @@ def _cmd_synthesize(opts: _Options) -> None:
             raise CliError("CONFIG", str(exc), 2)
 
     with closing(backend), _stage(
-        "synthesize", pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_
+        opts, pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_
     ) as st:
         pool = load_pool(pool_path, n)
         samples, stats = synthesize(
@@ -417,7 +422,7 @@ def _cmd_synthesize(opts: _Options) -> None:
         if fewshot:  # recorded only when set, so a default manifest keeps its bytes
             config["fewshot"] = True
         counts = {"samples": stats.samples, "errorful": stats.errorful}
-        st.manifest(out, config, seed, [pool_path], counts)
+        st.manifest(out, config, seed, counts)
 
 
 def _cmd_denoise(opts: _Options) -> None:
@@ -427,8 +432,6 @@ def _cmd_denoise(opts: _Options) -> None:
     out = opts.get("out", required=True)
     checkpoint = opts.get("checkpoint")
     in_flight = opts.get("max_in_flight", default=8)
-    # The output is written in place, so a shared path would destroy the input or the marker.
-    _distinct_files(in_path=in_path, out=out, checkpoint=checkpoint)
 
     samples: Iterable = read_samples(in_path)
     if backend_name == "identity":
@@ -446,12 +449,10 @@ def _cmd_denoise(opts: _Options) -> None:
     marker = canonical_json(config).encode("utf-8")
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
-    kept = 0
-    if checkpoint is not None:
-        kept = _resume_point(out, checkpoint, marker, samples, counts)
+    kept = _resume_point(out, checkpoint, marker, samples, counts) if checkpoint else 0
     skip = counts["pairs"]
     with closing(corrector), _stage(
-        "denoise", input=in_path, backend=backend_name, resume_skip=skip
+        opts, input=in_path, backend=backend_name, resume_skip=skip
     ) as st:
         pairs = relabel(samples, corrector, max_in_flight=in_flight)
         with open(st.stream(out), "a", encoding="utf-8") as fh, closing(pairs):
@@ -464,7 +465,7 @@ def _cmd_denoise(opts: _Options) -> None:
                 fh.write(jsonl_line(pair) + "\n")
                 fh.flush()
                 _tally(counts, pair)
-        st.manifest(out, config, None, [in_path], counts)
+        st.manifest(out, config, None, counts)
     if checkpoint is not None:
         _remove(checkpoint)
 
@@ -515,16 +516,19 @@ def _cmd_mix(opts: _Options) -> None:
     plan = load_plan(plan_path)
     if caps is not None and plan.synthetic is None:
         raise CliError("CONFIG", "ratio sweep needs a plan with a synthetic corpus", 2)
-    inputs = [plan_path, *plan.real] + ([plan.synthetic] if plan.synthetic else [])
-    with _stage("mix", plan=plan_path, sweep=caps is not None) as st:
+    opts.claim("real", plan.real)
+    opts.claim("synthetic", [plan.synthetic] if plan.synthetic else [])
+    root, ext = os.path.splitext(out)
+    cap_outs = {cap: f"{root}.cap{cap}{ext}" for cap in caps or ()}
+    opts.claim("out", cap_outs.values(), written=True)  # a sweep writes these, not out
+    with _stage(opts, plan=plan_path, sweep=caps is not None) as st:
         if caps is None:
             examples, manifest = mix(plan)
             write_jsonl(examples, st.path(out))
-            st.manifest(out, {"plan": plan_path, "out": out}, plan.seed, inputs, manifest)
+            st.manifest(out, {"plan": plan_path, "out": out}, plan.seed, manifest)
             st.end = {"out": out, "total": manifest["total"]}
             return
 
-        root, ext = os.path.splitext(out)
         summary = []
         # Each pair is encoded once for every cap, and its line and errorful
         # flag replace it in memory.
@@ -532,19 +536,14 @@ def _cmd_mix(opts: _Options) -> None:
             plan, caps, lambda ex: (jsonl_line(ex), ex.source != ex.target)
         )
         for cap, order, manifest in orders:
-            cap_out = f"{root}.cap{cap}{ext}"
+            cap_out = cap_outs[cap]
             write_lines((rows[i][0] for i in order), st.path(cap_out))
             config = {"plan": plan_path, "out": out, "cap": cap}
-            st.manifest(cap_out, config, plan.seed, inputs, manifest)
+            st.manifest(cap_out, config, plan.seed, manifest)
             total = manifest["total"]  # a cap takes the first pairs
             errorful = sum(flag for _, flag in islice(rows, total)) / total if total else 0.0
             summary.append(
-                {
-                    "cap": cap,
-                    "path": cap_out,
-                    "total": manifest["total"],
-                    "errorful": round(errorful, 6),
-                }
+                {"cap": cap, "path": cap_out, "total": total, "errorful": round(errorful, 6)}
             )
         summary_path = out + ".sweep.json"
         _write_json(st.path(summary_path), summary)
@@ -559,10 +558,12 @@ def _cmd_stats(opts: _Options) -> None:
     ref_path = opts.get("ref_pool")
     if (pool_path is None) == (ref_path is None):
         raise CliError("CONFIG", "pass exactly one of --pool or --ref-pool", 2)
+    for dest in ("corpus", "top_k", "out", "csv"):  # flags only: one config drives a pipeline
+        if pool_path is not None and getattr(opts.args, dest) is not None:
+            raise CliError("CONFIG", f"{_OPTIONS[dest].flag} needs --ref-pool, not --pool", 2)
     n = opts.get("n", required=True)
-
     if pool_path is not None:
-        with _stage("stats", pool=pool_path) as st:
+        with _stage(opts, pool=pool_path) as st:
             st.end = pool_stats(load_pool(pool_path, n))
             print(canonical_json(st.end))
         return
@@ -571,8 +572,7 @@ def _cmd_stats(opts: _Options) -> None:
     top_k = opts.get("top_k", default=100)
     out = opts.get("out")
     csv_path = opts.get("csv")
-    _distinct_files(out=out, csv=csv_path)
-    with _stage("stats", ref_pool=ref_path, corpus=corpus_path) as st:
+    with _stage(opts, ref_pool=ref_path, corpus=corpus_path) as st:
         reference = load_pool(ref_path, n)
         candidate = build_pool(read_pairs(corpus_path), n)
         report = distribution_from_counts(reference, candidate.counts, top_k)
@@ -581,7 +581,7 @@ def _cmd_stats(opts: _Options) -> None:
         if out:
             _write_json(st.path(out), report.as_dict())
             config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
-            st.manifest(out, config, None, [ref_path, corpus_path], {"top_k": report.top_k})
+            st.manifest(out, config, None, {"top_k": report.top_k})
         if csv_path:
             with open(st.path(csv_path), "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -603,7 +603,7 @@ def _cmd_score(opts: _Options) -> None:
     if not beta > 0:
         raise CliError("CONFIG", "beta must be positive", 2)
     out = opts.get("out")
-    with _stage("score", hyp=hyp_path, gold=gold_path) as st:
+    with _stage(opts, hyp=hyp_path, gold=gold_path) as st:
         report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
         print(f"TP {report.tp}")
         print(f"FP {report.fp}")
@@ -617,7 +617,7 @@ def _cmd_score(opts: _Options) -> None:
             _write_json(st.path(out), report.as_dict())
             config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}
             counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
-            st.manifest(out, config, None, [hyp_path, gold_path], counts)
+            st.manifest(out, config, None, counts)
         st.end = {"f": report.f_beta}
 
 
