@@ -314,7 +314,12 @@ class _Options:
         return value
 
     def claim(self, dest: str, paths: Iterable[str], written: bool = False) -> None:
-        """Record ``paths`` under ``dest``; a file written may be no other file recorded."""
+        """Record ``paths`` under ``dest``; a file written may be no other file recorded.
+
+        A written path also claims the names written beside it (``_written_names``).
+        """
+        if written:
+            paths = [p for path in paths for p in _written_names(dest, path, self.args.command)]
         for path in paths:
             for other, known, known_written in self.files:
                 if written or known_written:  # two reads may name one file
@@ -325,6 +330,24 @@ class _Options:
                     if same:
                         raise CliError("CONFIG", f"'{other}' and '{dest}' name one file: {path}", 2)
             self.files.append((dest, path, written))
+
+
+# The sidecar a command writes beside its --out.
+_SIDECARS = {"synthesize": ".stats.json", "mix": ".sweep.json"}
+
+
+def _written_names(dest: str, path: str, command: str) -> list[str]:
+    """``path`` and what writing it as option ``dest`` of ``command`` writes beside it.
+
+    A stage writes each file through its temporary (``_Stage.path``), and
+    beside --out its manifest and the command's sidecar.
+    """
+    names = [path]
+    if dest == "out":
+        names.append(path + ".manifest.json")
+        if command in _SIDECARS:
+            names.append(path + _SIDECARS[command])
+    return [name + tmp for name in names for tmp in ("", ".tmp")]
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def extend_to_ngram(
     conditions coincide, so omitting ``edits`` only matters for pairs with
     pathological multi-edit geometry.
     """
+    return ErrorPattern(*_ngram_sides(edit, source, target, n, edits), n)
+
+
+def _ngram_sides(
+    edit: Edit,
+    source: Sequence[str],
+    target: Sequence[str],
+    n: int,
+    edits: Sequence[Edit] | None,
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The (wrong, correct) sides of ``extend_to_ngram``'s pattern, not yet checked."""
     _check_width(n)
     k = (n - 1) // 2
     start, end = edit.src_span
@@ -104,7 +115,7 @@ def extend_to_ngram(
     suffix = tuple(source[end:end + s])
     wrong = prefix + tuple(source[start:end]) + suffix
     correct = prefix + edit.replacement + suffix
-    return ErrorPattern(wrong, correct, n)
+    return wrong, correct
 
 
 class PatternPool:
@@ -176,13 +187,22 @@ class PatternPool:
 def build_pool(
     corpus: Iterable[ParallelExample], n: int, provenance: Sequence[str] = ()
 ) -> PatternPool:
-    """Extract every edit in ``corpus`` and count its n-gram pattern."""
-    counts: Counter[ErrorPattern] = Counter()
+    """Extract every edit in ``corpus`` and count its n-gram pattern.
+
+    Each distinct pair of sides is checked as an ``ErrorPattern`` once, when
+    it first occurs; later occurrences only count.
+    """
+    found: dict[tuple, list] = {}  # (wrong, correct) -> [pattern, count]
     for pair in corpus:
         edits = extract_edits(pair)
         for edit in edits:
-            counts[extend_to_ngram(edit, pair.source, pair.target, n, edits)] += 1
-    return PatternPool(counts, n, provenance)
+            sides = _ngram_sides(edit, pair.source, pair.target, n, edits)
+            entry = found.get(sides)
+            if entry is None:
+                found[sides] = [ErrorPattern(*sides, n), 1]
+            else:
+                entry[1] += 1
+    return PatternPool(dict(found.values()), n, provenance)
 
 
 def merge_pools(pools: Sequence[PatternPool]) -> PatternPool:

@@ -25,6 +25,10 @@ took their place. The first two applied edits right to left, so two
 edits at one point landed in reverse order; on every other input all
 five agree with the package.
 
+``reference_build_pool`` is a frozen copy of ``build_pool`` from before it
+checked each distinct pattern once; it shares the package's
+``extend_to_ngram``, so pools compare with ``==``.
+
 ``reference_read_parallel_tsv``, ``reference_read_jsonl`` and
 ``reference_read_samples`` are frozen copies of the readers before they
 split each side once and built each sample pattern once per file. They
@@ -37,19 +41,22 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from gecaug.align import DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp, Edit
+from gecaug.align import (
+    DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp, Edit, extract_edits,
+)
 from gecaug.corpus import (
     GoldEdit, MalformedLine, ParallelExample, SchemaError, SpanOutOfBounds, _lines, check_tokens,
     is_int, read_json_rows, read_jsonl, read_pairs,
 )
 from gecaug.generation import MASK, SEP, FinetuneExample
 from gecaug.mix import StagePlan
-from gecaug.patterns import ErrorPattern, pattern_from_row
+from gecaug.patterns import ErrorPattern, PatternPool, extend_to_ngram, pattern_from_row
 from gecaug.synthesis import Match, SyntheticSample
 
 
@@ -214,6 +221,18 @@ def reference_align_tokens(source: Sequence[str], target: Sequence[str]) -> list
             i, j = i - k, j - k
     ops.reverse()
     return ops
+
+
+def reference_build_pool(
+    corpus: Iterable[ParallelExample], n: int, provenance: Sequence[str] = ()
+) -> PatternPool:
+    """Frozen copy of the original ``gecaug.patterns.build_pool``; do not edit."""
+    counts: Counter[ErrorPattern] = Counter()
+    for pair in corpus:
+        edits = extract_edits(pair)
+        for edit in edits:
+            counts[extend_to_ngram(edit, pair.source, pair.target, n, edits)] += 1
+    return PatternPool(counts, n, provenance)
 
 
 def reference_check_tokens(

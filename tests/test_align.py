@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from gecaug import (
     AlignOp,
+    AnnotatedExample,
+    GoldEdit,
     ParallelExample,
     align_tokens,
     alignment_cost,
@@ -17,7 +19,10 @@ from gecaug import (
     merge_edits,
     substitution_cost,
 )
+from gecaug import align
 from gecaug.align import _char_similarity
+from gecaug.patterns import build_pool
+from gecaug.scoring import score
 
 from _oracles import (
     _reference_char_similarity,
@@ -257,6 +262,50 @@ def test_transposition_may_end_before_an_equal_last_token(source, target):
     assert alignment_cost(source, target) == oracle_alignment_cost(source, target)
 
 
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        # The two pairs above inside a shared prefix and suffix.
+        ("c A A A b ab c a b a", "c A A c ab a b A a b a"),
+        ("c A on The no a in teh b a", "c A a teh in no The on teh b a"),
+        # The optimum steps over the first row of the common suffix with a
+        # transposition window while every other cell of that row costs
+        # too much, so only the window bound stops the cut there.
+        ("w6 w11 w0 w8 w4 ab w7", "w6 ab w4 w8 w11 w7 w0 w7"),
+        ("w10 w6 A w9 w11 w8 w3 ab", "w10 w6 w3 w8 ab w11 w9 A ab"),
+        # Here another cell of that row ties, and the window bound alone
+        # would allow the cut.
+        ("ab t2 t1 t1x t1x t2 T1 t1x", "t1x t1 T1 t2 t2 ab t1x"),
+    ],
+)
+def test_suffix_is_cut_only_where_a_row_certifies_it(source, target):
+    source, target = source.split(), target.split()
+    assert align_tokens(source, target) == reference_align_tokens(source, target)
+    assert alignment_cost(source, target) == oracle_alignment_cost(source, target)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_align_matches_reference_on_windows_across_a_shared_suffix(seed):
+    # A permuted window, with or without a token inserted before its end,
+    # followed by a shared tail: windows that reach into the common suffix.
+    rng = random.Random(4000 + seed)
+    vocab = tuple(f"w{i}" for i in range(12)) + ("a", "A", "ab", "b")
+    for _ in range(2500):
+        words = vocab[: rng.randint(2, len(vocab))]
+        window = [rng.choice(words) for _ in range(rng.randint(2, 8))]
+        shuffled = list(window)
+        rng.shuffle(shuffled)
+        head = [rng.choice(words) for _ in range(rng.randint(0, 3))]
+        tail = [rng.choice(words) for _ in range(rng.randint(1, 3))]
+        extra = [rng.choice(words) for _ in range(rng.randint(1, 2))]
+        source = head + window + tail
+        target = head + shuffled[:-1] + extra + shuffled[-1:] + tail
+        if rng.random() < 0.5:
+            source, target = target, source
+        got = align_tokens(source, target)
+        assert got == reference_align_tokens(source, target), (source, target)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_align_matches_reference_on_shuffled_pairs_with_a_repeated_last_token(seed):
     # A permuted target that ends with a copy of the source's last token:
@@ -304,3 +353,49 @@ def test_align_matches_reference_property(source, target):
 def test_apply_edits_round_trip_property(source, target):
     pair = ParallelExample(tuple(source), tuple(target), id="h")
     assert apply_edits(pair.source, extract_edits(pair)) == pair.target
+
+
+_SIDE = st.lists(st.sampled_from(("a", "A", "b", "ab", "c")), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SIDE, _TOKENS, _TOKENS, _SIDE)
+def test_align_matches_reference_around_a_shared_prefix_and_suffix(
+    prefix, middle_s, middle_t, suffix
+):
+    source, target = prefix + middle_s + suffix, prefix + middle_t + suffix
+    assert align_tokens(source, target) == reference_align_tokens(source, target)
+
+
+def test_callers_reach_the_aligner_through_the_module(monkeypatch):
+    # The benchmark's tracer counts the aligner by wrapping this attribute.
+    calls = []
+    aligner = align.align_tokens
+
+    def counting(source, target):
+        calls.append((tuple(source), tuple(target)))
+        return aligner(source, target)
+
+    monkeypatch.setattr(align, "align_tokens", counting)
+    pairs = [
+        ParallelExample(("He", "go", "."), ("He", "goes", "."), id="0"),
+        ParallelExample(("I", "like", "apple", "."), ("I", "like", "apple", "."), id="1"),
+        ParallelExample(
+            ("They", "are", "happy", "."), ("They", "are", "very", "happy", "."), id="2"
+        ),
+    ]
+    differing = [(p.source, p.target) for p in pairs if p.source != p.target]
+    for p in pairs:
+        extract_edits(p)
+    assert calls == differing
+    calls.clear()
+    build_pool(pairs, 3)
+    assert calls == differing
+    calls.clear()
+    gold = [
+        AnnotatedExample(("He", "go", "."), {0: (GoldEdit(1, 2, "R:VERB:SVA", ("goes",)),)}),
+        AnnotatedExample(("I", "like", "apple", "."), {0: ()}),
+        AnnotatedExample(("They", "are", "happy", "."), {0: ()}),
+    ]
+    score(pairs, gold)
+    assert calls == differing

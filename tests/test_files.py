@@ -3,8 +3,11 @@
 ``cli._OPTIONS`` marks ``--out``, ``--csv`` and ``--checkpoint`` as written
 files and every other path option as read. A written file that names any
 other file the command resolved, ``--config`` included, is a ``CONFIG``
-error before the stage; two reads may name one file. A manifest's
-``inputs`` are the files read, the config file aside.
+error before the stage; two reads may name one file. A written file
+also claims the names written beside it: its temporary, and beside
+``--out`` its manifest and the sidecar of ``synthesize`` and ``mix
+--sweep``, each with a temporary. A manifest's ``inputs`` are the files
+read, the config file aside.
 """
 
 from __future__ import annotations
@@ -154,6 +157,69 @@ def test_a_sweep_writes_no_cap_file_that_it_reads(workdir: Path, capsys):
     rc, out, events = _run(capsys, "mix", "--plan", "plan.json", "--sweep", "0,6",
                            "--out", "train.tsv")
     message = "'real' and 'out' name one file: train.cap0.tsv"
+    assert (rc, out) == (2, "")
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
+    assert _files(workdir) == before
+
+
+_OUT = ("o.jsonl.tmp", "o.jsonl.manifest.json", "o.jsonl.manifest.json.tmp")
+
+# command: (argv with the file read as "{}", the file copied there, the
+# option that reads it, {written option: the names it writes beside its own})
+_BESIDE = {
+    "extract": (("extract", "--config", "{}", "--in", "corpus.tsv", "--n", "3", "--out", "o.jsonl"),
+                "job.json", "config", {"out": _OUT}),
+    "pool": (("pool", "--in", "{}", "--n", "3", "--out", "o.jsonl"),
+             "pool.jsonl", "in_paths", {"out": _OUT}),
+    "sample": (("sample", "--pool", "{}", "--n", "3", "--count", "5", "--seed", "1",
+                "--out", "o.jsonl"), "pool.jsonl", "pool", {"out": _OUT}),
+    "synthesize": (
+        ("synthesize", "--pool", "{}", "--n", "3", "--count", "5", "--seed", "1",
+         "--out", "o.jsonl"),
+        "pool.jsonl", "pool", {"out": (*_OUT, "o.jsonl.stats.json", "o.jsonl.stats.json.tmp")},
+    ),
+    # denoise writes its output in place, so no o.jsonl.tmp.
+    "denoise": (
+        ("denoise", "--in", "{}", "--out", "o.jsonl", "--checkpoint", "o.ckpt"), "syn.jsonl",
+        "in_path", {"out": ("o.jsonl.manifest.json", "o.jsonl.manifest.json.tmp"),
+                    "checkpoint": ("o.ckpt.tmp",)},
+    ),
+    "mix": (("mix", "--plan", "{}", "--out", "o.jsonl"), "plan.json", "plan", {"out": _OUT}),
+    # A sweep writes each cap file as a plain mix writes --out, and the summary.
+    "mix-sweep": (
+        ("mix", "--plan", "{}", "--sweep", "0,6", "--out", "o.jsonl"), "plan.json", "plan",
+        {"out": ("o.cap0.jsonl.tmp", "o.cap0.jsonl.manifest.json",
+                 "o.cap0.jsonl.manifest.json.tmp", "o.jsonl.sweep.json", "o.jsonl.sweep.json.tmp")},
+    ),
+    "stats": (
+        ("stats", "--ref-pool", "{}", "--corpus", "corpus.tsv", "--n", "3", "--out", "o.json",
+         "--csv", "o.csv"),
+        "pool.jsonl", "ref_pool",
+        {"out": ("o.json.tmp", "o.json.manifest.json", "o.json.manifest.json.tmp"),
+         "csv": ("o.csv.tmp",)},
+    ),
+    "score": (
+        ("score", "--hyp", "hyp.tsv", "--gold", "{}", "--out", "o.json"), "gold.m2", "gold",
+        {"out": ("o.json.tmp", "o.json.manifest.json", "o.json.manifest.json.tmp")},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, written, name",
+    [(case, written, name) for case, (_, _, _, beside) in sorted(_BESIDE.items())
+     for written, names in beside.items() for name in names],
+)
+def test_no_command_writes_beside_its_output_a_file_it_reads(
+    workdir: Path, capsys, case, written, name
+):
+    argv, source, read, _ = _BESIDE[case]
+    shutil.copy(workdir / source, workdir / name)
+    if (workdir / f"{source}.manifest.json").exists():
+        shutil.copy(workdir / f"{source}.manifest.json", workdir / f"{name}.manifest.json")
+    before = _files(workdir)
+    rc, out, events = _run(capsys, *(a.replace("{}", name) for a in argv))
+    message = f"'{read}' and '{written}' name one file: {name}"
     assert (rc, out) == (2, "")
     assert events == [{"event": "error", "code": "CONFIG", "message": message}]
     assert _files(workdir) == before

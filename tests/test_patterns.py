@@ -28,7 +28,8 @@ from gecaug import (
     sides_overlap,
 )
 
-from conftest import insertion_pool
+from _oracles import reference_build_pool
+from conftest import insertion_pool, random_pair
 
 TABLE_PAIR = ParallelExample(
     (
@@ -151,6 +152,28 @@ def test_build_pool_counts_repeats():
     assert pool.total == 7
     assert pool.provenance == ("unit",)
     assert pool_stats(pool) == {"patterns": 1, "total": 7}
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_build_pool_matches_reference(n):
+    # Repeated pairs and a small vocabulary: most patterns occur many times.
+    rng = random.Random(50 + n)
+    corpus = [random_pair(rng) for _ in range(400)]
+    corpus += corpus[:100]
+    pool = build_pool(corpus, n, provenance=("c",))
+    reference = reference_build_pool(corpus, n, provenance=("c",))
+    assert pool == reference
+    assert list(pool.counts) == list(reference.counts)
+
+
+def test_build_pool_checks_the_width_as_before():
+    for corpus in ([TABLE_PAIR], []):
+        for n in (2, True):
+            with pytest.raises(ValueError) as got:
+                build_pool(corpus, n)
+            with pytest.raises(ValueError) as want:
+                reference_build_pool(corpus, n)
+            assert str(got.value) == str(want.value)
 
 
 def test_pool_validation():
