@@ -113,11 +113,6 @@ class _Stage:
         tmp = self.temps[final] = final + ".tmp"
         return tmp
 
-    def stream(self, final: str) -> str:
-        """``final`` itself, to write in place; its old manifest goes first."""
-        _remove(final + ".manifest.json")
-        return final
-
     def manifest(self, out: str, config: dict, seed: int | None, counts: dict) -> None:
         """Record <out>.manifest.json; ``out`` and ``counts`` become the end event.
 
@@ -436,7 +431,7 @@ def _cmd_synthesize(opts: _Options) -> None:
             error_rate=error_rate_, workers=workers, attempt_budget=budget,
         )
         write_samples(samples, st.path(out))
-        _write_json(st.path(out + ".stats.json"), stats.as_dict())
+        _write_json(st.path(out + _SIDECARS["synthesize"]), stats.as_dict())
         config = {
             "pool": pool_path, "n": n, "count": count, "seed": seed, "out": out,
             "error_rate": error_rate_, "backend": backend_name,
@@ -472,13 +467,16 @@ def _cmd_denoise(opts: _Options) -> None:
     marker = canonical_json(config).encode("utf-8")
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
-    kept = _resume_point(out, checkpoint, marker, samples, counts) if checkpoint else 0
+    # st.path(out), the rows' temporary. A checkpoint run registers it only
+    # once every row is in, so that a failure keeps it as the run's progress.
+    tmp = out + ".tmp"
+    kept = _resume_point(tmp, checkpoint, marker, samples, counts) if checkpoint else 0
     skip = counts["pairs"]
     with closing(corrector), _stage(
         opts, input=in_path, backend=backend_name, resume_skip=skip
     ) as st:
         pairs = relabel(samples, corrector, max_in_flight=in_flight)
-        with open(st.stream(out), "a", encoding="utf-8") as fh, closing(pairs):
+        with open(tmp if checkpoint else st.path(out), "a", encoding="utf-8") as fh, closing(pairs):
             fh.truncate(kept)
             if checkpoint is not None:
                 with open(checkpoint + ".tmp", "wb") as marker_fh:
@@ -488,6 +486,7 @@ def _cmd_denoise(opts: _Options) -> None:
                 fh.write(jsonl_line(pair) + "\n")
                 fh.flush()
                 _tally(counts, pair)
+        st.path(out)  # every row is in: commit the temporary with the manifest
         st.manifest(out, config, None, counts)
     if checkpoint is not None:
         _remove(checkpoint)
@@ -500,13 +499,12 @@ def _tally(counts: dict, pair) -> None:
     counts["matches_source"] += bool(meta.get("matches_source"))
 
 
-def _resume_point(out: str, checkpoint: str, marker: bytes, samples: Iterator, counts: dict) -> int:
-    """Where an interrupted ``denoise`` run stopped, read from its output.
+def _resume_point(tmp: str, checkpoint: str, marker: bytes, samples: Iterator, counts: dict) -> int:
+    """Where an interrupted ``denoise`` run stopped, read from ``tmp``, its output's temporary.
 
-    Nothing to resume without the checkpoint, or from an output that a
-    finished run committed (it has a manifest); a checkpoint whose bytes
+    Nothing to resume without the checkpoint; a checkpoint whose bytes
     are not ``marker`` is a CONFIG error. Keeps the complete rows of
-    ``out`` (a torn last line is dropped), checks each one's id and
+    ``tmp`` (a torn last line is dropped), checks each one's id and
     source against the input at its position, consumes that many inputs,
     tallies the rows into ``counts`` and returns their length in bytes.
     """
@@ -516,19 +514,16 @@ def _resume_point(out: str, checkpoint: str, marker: bytes, samples: Iterator, c
         if fh.read() != marker:
             message = f"checkpoint {checkpoint} does not mark this run ({marker.decode()})"
             raise CliError("CONFIG", message, 2)
-    if os.path.exists(out + ".manifest.json"):
-        return 0
     sizes: list[int] = []
-    with suppress(FileNotFoundError), open(out, "rb") as fh:
+    with suppress(FileNotFoundError), open(tmp, "rb") as fh:
         sizes = [len(line) for line in fh if line.endswith(b"\n")]
-    kept, rows = sum(sizes), len(sizes)
-    for line_no, pair in enumerate(islice(read_jsonl(out), rows), start=1):
+    for line_no, pair in enumerate(islice(read_jsonl(tmp), len(sizes)), start=1):
         expected = next(samples, None)
         if expected is None or (expected.id, expected.source) != (pair.id, pair.source):
-            message = f"{out}:{line_no}: id {pair.id!r} or its source does not match the input's"
+            message = f"{tmp}:{line_no}: id {pair.id!r} or its source does not match the input's"
             raise CliError("CONFIG", message, 2)
         _tally(counts, pair)
-    return kept
+    return sum(sizes)
 
 
 def _cmd_mix(opts: _Options) -> None:
@@ -568,7 +563,7 @@ def _cmd_mix(opts: _Options) -> None:
             summary.append(
                 {"cap": cap, "path": cap_out, "total": total, "errorful": round(errorful, 6)}
             )
-        summary_path = out + ".sweep.json"
+        summary_path = out + _SIDECARS["mix"]
         _write_json(st.path(summary_path), summary)
         for row in summary:
             print(f"cap={row['cap']} total={row['total']} errorful={row['errorful']:.4f}")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gecaug import IdentityCorrector, ParallelExample, cli, corpus, write_jsonl
-from gecaug._http import JsonHttpClient
+from gecaug._http import JsonHttpClient, TransportError
 from gecaug.cli import main
 
 from _server import ScriptedServer
@@ -529,8 +529,8 @@ def _synthesize_fixture(workdir: Path, count: int = 12) -> None:
     ids=["in-out", "out-checkpoint", "in-checkpoint", "symlink"],
 )
 def test_denoise_rejects_two_paths_to_one_file(workdir: Path, capsys, argv, message):
-    # ``denoise`` writes its output in place: a shared path would truncate
-    # the input, or the checkpoint's removal would delete the output.
+    # A shared path would have the commit replace the input, or the
+    # checkpoint's removal delete the output.
     _synthesize_fixture(workdir)
     (workdir / "link.jsonl").symlink_to("syn.jsonl")
     capsys.readouterr()
@@ -605,7 +605,32 @@ _MARKER = json.dumps({"in": "syn.jsonl", "backend": "identity", "out": "denoised
                      sort_keys=True)
 
 
-def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
+def _committed(workdir: Path) -> tuple[bytes | None, bytes | None]:
+    """The committed denoised.jsonl and its manifest; None for a missing one."""
+    paths = (workdir / "denoised.jsonl", workdir / "denoised.jsonl.manifest.json")
+    return tuple(p.read_bytes() if p.exists() else None for p in paths)
+
+
+def _commit_oracle_output(workdir: Path) -> tuple[bytes, bytes]:
+    """Commit denoised.jsonl from the oracle, unlike an identity run's bytes."""
+    argv = list(_PLAIN_DENOISE)
+    argv[argv.index("identity")] = "oracle"
+    assert main(argv) == 0
+    return _committed(workdir)
+
+
+def _watch_committed(monkeypatch, workdir: Path) -> None:
+    """Check at each identity corrector call that the committed pair is unchanged."""
+    committed = _committed(workdir)
+
+    def correct_text(self, text, request_id="0"):
+        assert _committed(workdir) == committed
+        return text
+
+    monkeypatch.setattr(IdentityCorrector, "correct_text", correct_text)
+
+
+def test_denoise_resume_from_checkpoint(workdir: Path, capsys, monkeypatch):
     _synthesize_fixture(workdir)
     rc, _, _ = _run(
         capsys, "denoise", "--in", "syn.jsonl", "--backend", "identity",
@@ -614,14 +639,19 @@ def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
     assert rc == 0
     full_lines = (workdir / "full.jsonl").read_text(encoding="utf-8").splitlines(True)
 
-    # Simulate an interrupted run: 5 pairs written, its marker on disk.
-    (workdir / "denoised.jsonl").write_text("".join(full_lines[:5]), encoding="utf-8")
+    # Simulate an interrupted run over a committed output: 5 pairs written
+    # to the output's temporary, its marker on disk.
+    _commit_oracle_output(workdir)
+    (workdir / "denoised.jsonl.tmp").write_text("".join(full_lines[:5]), encoding="utf-8")
     (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
+    _watch_committed(monkeypatch, workdir)
+    capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
     assert events[0]["resume_skip"] == 5
     assert (workdir / "denoised.jsonl").read_bytes() == (workdir / "full.jsonl").read_bytes()
     assert not (workdir / "relabel.ckpt").exists()
+    assert not (workdir / "denoised.jsonl.tmp").exists()
     manifest = json.loads(
         (workdir / "denoised.jsonl.manifest.json").read_text(encoding="utf-8")
     )
@@ -631,6 +661,9 @@ def test_denoise_resume_from_checkpoint(workdir: Path, capsys):
 _DENOISE = (
     "denoise", "--in", "syn.jsonl", "--backend", "identity",
     "--checkpoint", "relabel.ckpt", "--out", "denoised.jsonl",
+)
+_PLAIN_DENOISE = (
+    "denoise", "--in", "syn.jsonl", "--backend", "identity", "--out", "denoised.jsonl",
 )
 
 
@@ -675,6 +708,15 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def _kill_denoise_at(workdir: Path, stop_id: str, *argv: str) -> None:
+    """Run denoise in a child that SIGKILLs itself at sample ``stop_id``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_AT_SAMPLE, stop_id, *argv],
+        cwd=workdir, env=cli_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+
 @pytest.mark.parametrize("killed", [False, True], ids=["finally", "killed"])
 def test_denoise_resumes_from_output_after_interrupt(
     workdir: Path, capsys, monkeypatch, killed
@@ -683,60 +725,84 @@ def test_denoise_resumes_from_output_after_interrupt(
     expected = _uninterrupted_denoise(workdir)
     if killed:
         # No finally block runs: only what was written before the kill is left.
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILL_AT_SAMPLE, "25", *_DENOISE],
-            cwd=workdir, env=cli_env(), capture_output=True, text=True,
-        )
-        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        _kill_denoise_at(workdir, "25", *_DENOISE)
     else:
         _interrupt_denoise_at(monkeypatch, "25", *_DENOISE)
-    out = workdir / "denoised.jsonl"
-    assert len(out.read_bytes().splitlines()) == 25
+    tmp = workdir / "denoised.jsonl.tmp"
+    assert len(tmp.read_bytes().splitlines()) == 25
     assert (workdir / "relabel.ckpt").read_text(encoding="utf-8") == _MARKER
     assert not (workdir / "denoised.jsonl.manifest.json").exists()
+    assert _committed(workdir) == (None, None)  # nothing appears before the commit
 
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
     assert events[0]["resume_skip"] == 25
-    assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
+    assert _committed(workdir) == expected
     assert not (workdir / "relabel.ckpt").exists()
+    assert not tmp.exists()
 
 
-def test_denoise_resume_drops_a_torn_last_line(workdir: Path, capsys):
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["plain", "checkpoint"])
+def test_killed_denoise_keeps_the_committed_output(workdir: Path, capsys, checkpoint):
     _synthesize_fixture(workdir, count=50)
     expected = _uninterrupted_denoise(workdir)
+    committed = _commit_oracle_output(workdir)
+    argv = _DENOISE if checkpoint else _PLAIN_DENOISE
+    _kill_denoise_at(workdir, "25", *argv)
+    assert _committed(workdir) == committed
+    # The complete rows are in the temporary: a resume's progress, and
+    # for a plain run a leftover that its rerun truncates.
+    rows = expected[0].splitlines(True)
+    assert (workdir / "denoised.jsonl.tmp").read_bytes() == b"".join(rows[:25])
+
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *argv)
+    assert rc == 0
+    assert events[0]["resume_skip"] == (25 if checkpoint else 0)
+    assert _committed(workdir) == expected
+    assert not [p.name for p in workdir.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_denoise_resume_drops_a_torn_last_line(workdir: Path, capsys, monkeypatch):
+    _synthesize_fixture(workdir, count=50)
+    expected = _uninterrupted_denoise(workdir)
+    _commit_oracle_output(workdir)
     lines = expected[0].splitlines(True)
-    (workdir / "denoised.jsonl").write_bytes(b"".join(lines[:17]) + lines[17][:30])
+    (workdir / "denoised.jsonl.tmp").write_bytes(b"".join(lines[:17]) + lines[17][:30])
     (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
+    _watch_committed(monkeypatch, workdir)
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
     assert events[0]["resume_skip"] == 17
-    out = workdir / "denoised.jsonl"
-    assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
+    assert _committed(workdir) == expected
 
 
 def test_denoise_resume_cross_checks(workdir: Path, capsys):
     _synthesize_fixture(workdir, count=50)
     lines = _uninterrupted_denoise(workdir)[0].splitlines(True)
-    out = workdir / "denoised.jsonl"
+    committed = _commit_oracle_output(workdir)
+    tmp = workdir / "denoised.jsonl.tmp"
     (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
 
-    out.write_bytes(b"".join(lines[:3] + lines[4:6]))
+    tmp.write_bytes(b"".join(lines[:3] + lines[4:6]))
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 2
     assert events[-1]["code"] == "CONFIG"
-    assert events[-1]["message"].startswith("denoised.jsonl:4: ")
-    assert out.read_bytes() == b"".join(lines[:3] + lines[4:6])
+    assert events[-1]["message"].startswith("denoised.jsonl.tmp:4: ")
+    assert tmp.read_bytes() == b"".join(lines[:3] + lines[4:6])
+    assert _committed(workdir) == committed
 
 
 @pytest.mark.parametrize("change", ["stale-input", "other-backend"])
 def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, change):
     _synthesize_fixture(workdir, count=40)
+    committed = _commit_oracle_output(workdir)
     _interrupt_denoise_at(monkeypatch, "10", *_DENOISE)
-    out = workdir / "denoised.jsonl"
-    partial, marker = out.read_bytes(), (workdir / "relabel.ckpt").read_bytes()
+    assert _committed(workdir) == committed
+    tmp = workdir / "denoised.jsonl.tmp"
+    partial, marker = tmp.read_bytes(), (workdir / "relabel.ckpt").read_bytes()
     assert len(partial.splitlines()) == 10
     argv = list(_DENOISE)
     if change == "stale-input":
@@ -745,7 +811,7 @@ def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, 
             "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "40",
             "--seed", "4", "--error-rate", "0.7", "--out", "syn.jsonl",
         ]) == 0
-        message = "denoised.jsonl:1: id '0' or its source does not match the input's"
+        message = "denoised.jsonl.tmp:1: id '0' or its source does not match the input's"
     else:
         argv[argv.index("identity")] = "oracle"
         oracle_marker = _MARKER.replace("identity", "oracle")
@@ -754,24 +820,24 @@ def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, 
     rc, _, events = _run(capsys, *argv)
     assert rc == 2
     assert events == [{"event": "error", "code": "CONFIG", "message": message}]
-    assert (out.read_bytes(), (workdir / "relabel.ckpt").read_bytes()) == (partial, marker)
+    assert (tmp.read_bytes(), (workdir / "relabel.ckpt").read_bytes()) == (partial, marker)
+    assert _committed(workdir) == committed
 
 
 def test_denoise_resume_starts_over_on_a_finished_output(workdir: Path, capsys, monkeypatch):
     _synthesize_fixture(workdir)
     expected = _uninterrupted_denoise(workdir)
     _interrupt_denoise_at(monkeypatch, "5", *_DENOISE)
-    # A run without --checkpoint finishes the output and leaves the marker.
-    oracle = [arg for arg in _DENOISE if arg not in ("--checkpoint", "relabel.ckpt")]
-    oracle[oracle.index("identity")] = "oracle"
-    assert main(oracle) == 0
+    # A run without --checkpoint rewrites the temporary from its first row
+    # and commits it, so no progress is left; the marker stays.
+    _commit_oracle_output(workdir)
+    assert not (workdir / "denoised.jsonl.tmp").exists()
     assert (workdir / "relabel.ckpt").read_text(encoding="utf-8") == _MARKER
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
     assert events[0]["resume_skip"] == 0
-    out = workdir / "denoised.jsonl"
-    assert (out.read_bytes(), (workdir / "denoised.jsonl.manifest.json").read_bytes()) == expected
+    assert _committed(workdir) == expected
 
 
 @pytest.mark.parametrize(
@@ -1370,3 +1436,18 @@ def test_failed_stage_removes_its_temporaries(workdir: Path, capsys, monkeypatch
     after = _files(workdir)
     assert after.pop("plan.json") != before.pop("plan.json")
     assert after == before
+
+    # A denoise whose corrector fails mid-stream keeps the committed output.
+    def fail_at_sample_5(self, text, request_id="0"):
+        if request_id == "5":
+            raise TransportError("corrector down", 3)
+        return text
+
+    monkeypatch.setattr(IdentityCorrector, "correct_text", fail_at_sample_5)
+    before = _files(workdir)
+    rc, _, events = _run(capsys, "denoise", "--in", "syn.jsonl", "--out", "denoised.jsonl")
+    assert rc == 1
+    assert events[-1] == {
+        "event": "error", "code": "TRANSPORT", "message": "corrector down (attempts=3)"
+    }
+    assert _files(workdir) == before

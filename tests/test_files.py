@@ -178,11 +178,9 @@ _BESIDE = {
          "--out", "o.jsonl"),
         "pool.jsonl", "pool", {"out": (*_OUT, "o.jsonl.stats.json", "o.jsonl.stats.json.tmp")},
     ),
-    # denoise writes its output in place, so no o.jsonl.tmp.
     "denoise": (
         ("denoise", "--in", "{}", "--out", "o.jsonl", "--checkpoint", "o.ckpt"), "syn.jsonl",
-        "in_path", {"out": ("o.jsonl.manifest.json", "o.jsonl.manifest.json.tmp"),
-                    "checkpoint": ("o.ckpt.tmp",)},
+        "in_path", {"out": _OUT, "checkpoint": ("o.ckpt.tmp",)},
     ),
     "mix": (("mix", "--plan", "{}", "--out", "o.jsonl"), "plan.json", "plan", {"out": _OUT}),
     # A sweep writes each cap file as a plain mix writes --out, and the summary.
