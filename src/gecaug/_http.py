@@ -23,6 +23,8 @@ from functools import partial
 from typing import Callable
 from urllib.parse import SplitResult, quote, unquote, urlsplit
 
+from .corpus import CodedError
+
 # Characters left as they are in the request target; the rest is
 # percent-encoded as UTF-8, as requests re-quotes a URL.
 _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
@@ -31,7 +33,7 @@ _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 _BACKOFF_FACTOR = 2.0
 
 
-class TransportError(Exception):
+class TransportError(CodedError):
     """A remote call that failed for good, with the attempt count."""
 
     code = "TRANSPORT"

@@ -25,8 +25,8 @@ is non-zero (2 for usage/config, 1 at runtime).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -34,39 +34,63 @@ from contextlib import closing, contextmanager, suppress
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from ._http import TransportError
 from .corpus import (
-    CorpusError, MalformedLine, canonical_json, is_int, jsonl_line, read_json_file, read_jsonl,
-    read_m2, read_pairs, write_jsonl, write_lines,
+    VALID_N, CodedError, MalformedLine, canonical_json, is_int, jsonl_line, read_json_file,
+    read_jsonl, read_m2, read_pairs, write_jsonl, write_lines,
 )
-from .denoise import HttpCorrector, IdentityCorrector, OracleCorrector, relabel
-from .generation import HttpGenerator, StubGenerator, assemble_input
-from .mix import load_plan, mix, sweep_orders
-from .patterns import (
-    VALID_N,
-    build_pool,
-    load_pool,
-    merge_pools,
-    pattern_row_cache,
-    pool_stats,
-    restrict_sendable,
-    sample_patterns,
-    save_pool,
-)
-from .scoring import ScoringError, distribution_from_counts, score
-from .seeding import slot_rng
-from .synthesis import SynthesisBudgetError, read_samples, synthesize, write_samples
+
+# What each subcommand runs beyond ``corpus``, by module. The names become
+# globals of this module when the command is dispatched (``_load``) or on
+# first use as ``cli.<name>`` (``__getattr__``); a name already set, such as
+# a wrapper, is kept.
+_RUNS = {
+    "extract": {"patterns": "build_pool pool_stats save_pool"},
+    "pool": {"patterns": "load_pool merge_pools pool_stats save_pool"},
+    "sample": {
+        "patterns": "load_pool pattern_row_cache restrict_sendable sample_patterns",
+        "generation": "assemble_input",
+        "seeding": "slot_rng",
+    },
+    "synthesize": {
+        "patterns": "load_pool",
+        "generation": "HttpGenerator StubGenerator",
+        "synthesis": "synthesize write_samples",
+    },
+    "denoise": {
+        "denoise": "HttpCorrector IdentityCorrector OracleCorrector relabel",
+        "synthesis": "read_samples",
+    },
+    "mix": {"mix": "load_plan mix sweep_orders"},
+    "stats": {
+        "patterns": "build_pool load_pool pool_stats",
+        "scoring": "distribution_from_counts",
+    },
+    "score": {"scoring": "score"},
+}
+_ORIGIN = {
+    name: module for runs in _RUNS.values() for module, names in runs.items()
+    for name in names.split()
+}
 
 
-class CliError(Exception):
+def _load(command: str) -> None:
+    for names in _RUNS[command].values():
+        for name in names.split():
+            __getattr__(name)
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_ORIGIN[name]}")
+    return globals().setdefault(name, getattr(module, name))
+
+
+class CliError(CodedError):
     def __init__(self, code: str, message: str, exit_code: int = 1):
         super().__init__(message)
         self.code = code
         self.exit_code = exit_code
-
-
-# Failures that carry their own error code; any other exit status is 1.
-_CODED_ERRORS = (CliError, CorpusError, ScoringError, SynthesisBudgetError, TransportError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -572,6 +596,8 @@ def _cmd_mix(opts: _Options) -> None:
 
 def _cmd_stats(opts: _Options) -> None:
     """pool stats or distribution consistency report"""
+    import csv
+
     pool_path = opts.get("pool")
     ref_path = opts.get("ref_pool")
     if (pool_path is None) == (ref_path is None):
@@ -654,11 +680,12 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(commands: Iterable[str] = _COMMANDS) -> _Parser:
+    """The parser of ``commands``; each one's help and usage errors are the full parser's."""
     parser = _Parser(prog="gecaug", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, run in _COMMANDS.items():
-        p = sub.add_parser(command, help=run.__doc__)
+    for command in commands:
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
         for opt in _OPTIONS.values():
             if command in opt.commands.split():
@@ -670,16 +697,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call that names its subcommand first builds only that one's parser.
+    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("USAGE", "no subcommand given", 2)
+        _load(args.command)
         _COMMANDS[args.command](_Options(args))
         return 0
-    except _CODED_ERRORS as exc:
+    except CodedError as exc:
         _log("error", code=exc.code, message=str(exc))
-        return exc.exit_code if isinstance(exc, CliError) else 1
+        return exc.exit_code
     except ValueError as exc:
         _log("error", code="INVALID_ARGUMENT", message=str(exc))
     except OSError as exc:

@@ -32,7 +32,18 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
-class CorpusError(Exception):
+# The context widths a pattern may span.
+VALID_N = (1, 3, 5)
+
+
+class CodedError(Exception):
+    """A failure reported by its error ``code``; the CLI exits with ``exit_code``."""
+
+    code = "ERROR"
+    exit_code = 1
+
+
+class CorpusError(CodedError):
     """A corpus ingest or validation failure at one line of one file."""
 
     code = "CORPUS"

@@ -21,11 +21,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .align import Edit, extract_edits
 from .corpus import (
-    ParallelExample, SchemaError, canonical_json, check_tokens, is_int, read_json_rows,
+    VALID_N, ParallelExample, SchemaError, canonical_json, check_tokens, is_int, read_json_rows,
     write_lines,
 )
-
-VALID_N = (1, 3, 5)
 
 
 def _check_width(n) -> None:

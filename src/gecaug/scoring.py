@@ -19,11 +19,11 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .align import extract_edits
-from .corpus import AnnotatedExample, ParallelExample
+from .corpus import AnnotatedExample, CodedError, ParallelExample
 from .patterns import ErrorPattern, PatternPool, build_pool, pattern_row
 
 
-class ScoringError(Exception):
+class ScoringError(CodedError):
     """Hypothesis and gold corpora that cannot be compared."""
     code = "SCORING"
 

@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Sequence
 
 from ._concurrent import map_ordered
 from .corpus import (
-    MalformedLine, SchemaError, SpanOutOfBounds, canonical_json, is_int, read_json_rows, splice,
-    split_tokens, write_lines,
+    CodedError, MalformedLine, SchemaError, SpanOutOfBounds, canonical_json, is_int,
+    read_json_rows, splice, split_tokens, write_lines,
 )
 from .generation import (
     STATUS_OK,
@@ -43,7 +43,7 @@ from .seeding import slot_rng
 Match = tuple[ErrorPattern, tuple[int, int]]
 
 
-class SynthesisBudgetError(Exception):
+class SynthesisBudgetError(CodedError):
     """Raised when retries exhaust the global attempt budget."""
 
     code = "BUDGET_EXHAUSTED"

@@ -227,10 +227,12 @@ def test_import_does_not_load_scipy():
     # The package has no numeric dependencies; tests use them as references.
     # Nothing imports requests; only the http backends need http.client, and
     # they import it when they build their client; only a map with more than
-    # one call in flight needs a thread pool.
+    # one call in flight needs a thread pool. The package itself loads none
+    # of its modules until a name is used.
     code = (
         "import gecaug, sys; assert not "
         "{'scipy', 'numpy', 'requests', 'http.client', 'concurrent.futures'} & set(sys.modules)"
+        "; assert not [m for m in sys.modules if m.startswith('gecaug.')], sys.modules"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True
