@@ -31,7 +31,6 @@ POOL = PatternPool(
         ErrorPattern(("discussed", "about", "the"), ("discussed", "the"), 3): 1,
     },
     n=3,
-    provenance=("demo",),
 )
 
 BASE_SEED = 20240

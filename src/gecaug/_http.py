@@ -7,10 +7,10 @@ exponential backoff (base 0.5 s, factor 2, at most 5 attempts); a 429 or
 the longest delay of the schedule. Other 4xx and malformed response bodies
 fail immediately; retrying cannot fix them.
 
-The client is built on ``http.client``: each thread that posts keeps one
-keep-alive connection, to the endpoint or to its proxy, for all its calls.
-``close()``, or leaving a ``with`` block, closes the connections of every
-thread; a thread that posts again opens a new one.
+The client is built on ``http.client`` and keeps one stack of idle
+keep-alive connections, to the endpoint or to its proxy: a post takes one,
+or opens one if none is idle, and puts it back after a complete reply.
+``close()``, or leaving a ``with`` block, closes the idle connections.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ class JsonHttpClient:
         # A Retry-After never waits longer than the schedule's longest delay.
         self._max_delay = max(map(self._delay, range(1, max_attempts)), default=0.0)
         self._retryable = (OSError, http.client.HTTPException)
-        self._local = threading.local()
         self._lock = threading.Lock()
-        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._idle: list[http.client.HTTPConnection] = []
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
@@ -152,12 +151,10 @@ class JsonHttpClient:
         self.close()
 
     def close(self) -> None:
-        """Close every thread's connection. Call it with no post in flight."""
+        """Close every idle connection. Call it with no post in flight."""
         with self._lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-            self._local = threading.local()
-        for conn in conns:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
     def post_text(self, payload: dict) -> str:
@@ -205,15 +202,11 @@ class JsonHttpClient:
         return self.backoff_base * _BACKOFF_FACTOR ** (attempt - 1)
 
     def _exchange(self, data: bytes) -> tuple[int, str | None, bytes]:
-        """POST ``data`` on this thread's connection: status, Retry-After, body."""
-        conn = getattr(self._local, "conn", None)
+        """POST ``data`` on an idle connection or a new one: status, Retry-After, body."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
         if conn is None:
-            conn = self._local.conn = self._connect()
-            with self._lock:
-                # A thread that has ended posts no more: close its connection now.
-                for thread in [t for t in self._conns if not t.is_alive()]:
-                    self._conns.pop(thread).close()
-                self._conns[threading.current_thread()] = conn
+            conn = self._connect()
         try:
             reused = conn.sock is not None
             try:
@@ -227,8 +220,11 @@ class JsonHttpClient:
                 conn.close()
                 conn.request("POST", self._target, data, self._headers)
                 resp = conn.getresponse()
-            return resp.status, resp.getheader("Retry-After"), resp.read()
+            reply = resp.status, resp.getheader("Retry-After"), resp.read()
         except BaseException:
-            # A failed exchange leaves the connection mid-request; start afresh.
+            # A failed exchange leaves the connection mid-request: drop it.
             conn.close()
             raise
+        with self._lock:
+            self._idle.append(conn)
+        return reply

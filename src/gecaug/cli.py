@@ -378,7 +378,7 @@ def _cmd_extract(opts: _Options) -> None:
     n = opts.get("n", required=True)
     out = opts.get("out", required=True)
     with _stage(opts, input=in_path, n=n) as st:
-        pool = build_pool(read_pairs(in_path), n, provenance=(in_path,))
+        pool = build_pool(read_pairs(in_path), n)
         save_pool(pool, st.path(out))
         config = {"in": in_path, "n": n, "out": out}
         st.manifest(out, config, None, pool_stats(pool))
@@ -390,7 +390,7 @@ def _cmd_pool(opts: _Options) -> None:
     n = opts.get("n", required=True)
     out = opts.get("out", required=True)
     with _stage(opts, inputs=in_paths, n=n) as st:
-        merged = merge_pools([load_pool(p, n, provenance=(p,)) for p in in_paths])
+        merged = merge_pools([load_pool(p, n) for p in in_paths])
         save_pool(merged, st.path(out))
         config = {"in": in_paths, "n": n, "out": out}
         st.manifest(out, config, None, pool_stats(merged))

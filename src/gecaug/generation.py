@@ -254,26 +254,19 @@ class StubGenerator(GeneratorBackend):
         rng = Random(stable_seed("stub", self.seed, request.id, request.template))
         if rng.random() < self.refuse_rate:
             return ""
-        runs: list[list[str] | None] = []
-        current: list[str] = []
-        for tok in request.template.split(" "):
-            if tok == MASK:
-                if current:
-                    runs.append(current)
-                    current = []
-                runs.append(None)
-            else:
-                current.append(tok)
-        if current:
-            runs.append(current)
         out: list[str] = []
-        for run in runs:
-            if run is None:
-                out.extend(rng.choice(_FILLERS))
-            elif rng.random() < self.drop_rate:
+        run: list[str] = []
+        # A run of pattern tokens, ended by an [M] or the template's end, is
+        # dropped on one draw; each [M] then draws its filler.
+        for tok in [*request.template.split(" "), None]:
+            if tok is not None and tok != MASK:
+                run.append(tok)
                 continue
-            else:
+            if run and rng.random() >= self.drop_rate:
                 out.extend(run)
+            run = []
+            if tok == MASK:
+                out.extend(rng.choice(_FILLERS))
         return " ".join(out)
 
 

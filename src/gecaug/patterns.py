@@ -119,17 +119,11 @@ def _ngram_sides(
 class PatternPool:
     """Pattern occurrence counts at one context width.
 
-    ``provenance`` lists the corpus ids the counts came from. Pools are
-    treated as immutable after construction; sampling structures are built
-    lazily and cached.
+    Pools are treated as immutable after construction; sampling structures
+    are built lazily and cached.
     """
 
-    def __init__(
-        self,
-        counts: Mapping[ErrorPattern, int],
-        n: int,
-        provenance: Sequence[str] = (),
-    ):
+    def __init__(self, counts: Mapping[ErrorPattern, int], n: int):
         _check_width(n)
         for pattern, count in counts.items():
             if pattern.n != n:
@@ -140,7 +134,6 @@ class PatternPool:
                 raise ValueError(f"count for {pattern} must be a positive int")
         self.counts: dict[ErrorPattern, int] = dict(counts)
         self.n = n
-        self.provenance = tuple(provenance)
         self.total = sum(self.counts.values())
         self._keys: list[ErrorPattern] | None = None
         self._cum: list[int] | None = None
@@ -151,11 +144,7 @@ class PatternPool:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternPool):
             return NotImplemented
-        return (
-            self.counts == other.counts
-            and self.n == other.n
-            and self.provenance == other.provenance
-        )
+        return self.counts == other.counts and self.n == other.n
 
     def __repr__(self) -> str:
         return f"PatternPool(n={self.n}, patterns={len(self.counts)}, total={self.total})"
@@ -182,9 +171,7 @@ class PatternPool:
         return self._keys, self._cum
 
 
-def build_pool(
-    corpus: Iterable[ParallelExample], n: int, provenance: Sequence[str] = ()
-) -> PatternPool:
+def build_pool(corpus: Iterable[ParallelExample], n: int) -> PatternPool:
     """Extract every edit in ``corpus`` and count its n-gram pattern.
 
     Each distinct pair of sides is checked as an ``ErrorPattern`` once, when
@@ -200,11 +187,11 @@ def build_pool(
                 found[sides] = [ErrorPattern(*sides, n), 1]
             else:
                 entry[1] += 1
-    return PatternPool(dict(found.values()), n, provenance)
+    return PatternPool(dict(found.values()), n)
 
 
 def merge_pools(pools: Sequence[PatternPool]) -> PatternPool:
-    """Sum counts across pools of the same width; provenance concatenates."""
+    """Sum counts across pools of the same width."""
     if not pools:
         raise ValueError("no pools to merge")
     n = pools[0].n
@@ -212,11 +199,9 @@ def merge_pools(pools: Sequence[PatternPool]) -> PatternPool:
         if pool.n != n:
             raise ValueError(f"cannot merge widths {n} and {pool.n}")
     counts: Counter[ErrorPattern] = Counter()
-    provenance: list[str] = []
     for pool in pools:
         counts.update(pool.counts)
-        provenance.extend(pool.provenance)
-    return PatternPool(counts, n, provenance)
+    return PatternPool(counts, n)
 
 
 def restrict_sendable(pool: PatternPool) -> PatternPool:
@@ -226,7 +211,7 @@ def restrict_sendable(pool: PatternPool) -> PatternPool:
     sentence, so it can never be planted.
     """
     counts = {p: c for p, c in pool.counts.items() if p.correct}
-    return PatternPool(counts, pool.n, pool.provenance)
+    return PatternPool(counts, pool.n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +284,8 @@ def save_pool(pool: PatternPool, path) -> int:
     """Write one {wrong, correct, count} JSON object per line.
 
     Rows are ordered by descending count with lexicographic tie-breaks, so
-    equal pools serialize to identical bytes. Width and provenance are not
-    stored; loading takes the width explicitly.
+    equal pools serialize to identical bytes. The width is not stored;
+    loading takes it explicitly.
     """
     rows = ({**pattern_row(p), "count": pool.counts[p]} for p in pool.patterns_by_frequency())
     return write_lines(map(canonical_json, rows), path)
@@ -342,7 +327,7 @@ def pattern_from_row(obj: dict, n: int, path: str, line_no: int) -> ErrorPattern
         raise SchemaError(path, line_no, str(exc)) from exc
 
 
-def load_pool(path, n: int, provenance: Sequence[str] = ()) -> PatternPool:
+def load_pool(path, n: int) -> PatternPool:
     """Read a pool written by save_pool. ``n`` must be supplied by the caller."""
     path = os.fspath(path)
     counts: dict[ErrorPattern, int] = {}
@@ -353,7 +338,7 @@ def load_pool(path, n: int, provenance: Sequence[str] = ()) -> PatternPool:
         if pattern in counts:
             raise SchemaError(path, line_no, "duplicate pattern row")
         counts[pattern] = obj["count"]
-    return PatternPool(counts, n, provenance)
+    return PatternPool(counts, n)
 
 
 def pool_stats(pool: PatternPool) -> dict[str, int]:

@@ -15,6 +15,7 @@ faulty backends force retries.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import Counter
@@ -83,10 +84,6 @@ class SynthStats:
     patterns_matched: int = 0
     unmatched_absent: int = 0
     unmatched_overlap: int = 0
-
-    def add(self, other: "SynthStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
     def as_dict(self) -> dict:
         return {
@@ -233,55 +230,45 @@ def synthesize(
         raise ValueError("pool has no patterns with a non-empty correct side")
     budget = attempt_budget if attempt_budget is not None else 3 * count
     lock = threading.Lock()
-    used = [0]
-
-    def take_attempt() -> bool:
-        with lock:
-            if used[0] >= budget:
-                return False
-            used[0] += 1
-            return True
 
     def run_slot(slot: int) -> SyntheticSample:
         rng = slot_rng(base_seed, slot)
         apply = rng.random() < error_rate
-        local = SynthStats()
-        try:
-            while True:
-                if not take_attempt():
+        for attempt in itertools.count():
+            with lock:
+                if stats.attempts >= budget:
                     raise SynthesisBudgetError(
                         f"attempt budget exhausted ({budget} attempts for {count} "
                         f"samples; slot {slot} still unfilled)",
                         stats,
                     )
-                local.attempts += 1
-                pats = tuple(sample_patterns(sendable, rng))
-                request = assemble_input(
-                    [p.correct for p in pats], rng, request_id=f"{slot}.{local.attempts - 1}"
-                )
-                result = generate(request, backend)
-                if result.status != STATUS_OK:
+                stats.attempts += 1
+            pats = tuple(sample_patterns(sendable, rng))
+            request = assemble_input(
+                [p.correct for p in pats], rng, request_id=f"{slot}.{attempt}"
+            )
+            result = generate(request, backend)
+            if result.status != STATUS_OK:
+                with lock:
                     if result.status == STATUS_REFUSED:
-                        local.refused += 1
+                        stats.refused += 1
                     else:
-                        local.transport_errors += 1
-                    continue
-                target = tuple(result.text.split())
-                matches, absent, overlap = _match_indexed(target, pats)
-                local.patterns_requested += len(pats)
-                local.patterns_matched += len(matches)
-                local.unmatched_absent += len(absent)
-                local.unmatched_overlap += len(overlap)
-                source, planted = _plant(target, matches) if apply else (target, ())
-                if apply and not (planted and source):
-                    local.zero_match_retries += 1
-                    continue
-                local.samples += 1
-                local.errorful += source != target
-                return SyntheticSample(source, target, planted, pats, backend.name, str(slot))
-        finally:
+                        stats.transport_errors += 1
+                continue
+            target = tuple(result.text.split())
+            matches, absent, overlap = _match_indexed(target, pats)
+            source, planted = _plant(target, matches) if apply else (target, ())
             with lock:
-                stats.add(local)
+                stats.patterns_requested += len(pats)
+                stats.patterns_matched += len(matches)
+                stats.unmatched_absent += len(absent)
+                stats.unmatched_overlap += len(overlap)
+                if apply and not (planted and source):
+                    stats.zero_match_retries += 1
+                    continue
+                stats.samples += 1
+                stats.errorful += source != target
+            return SyntheticSample(source, target, planted, pats, backend.name, str(slot))
 
     return list(map_ordered(run_slot, range(count), workers if backend.waits else 1)), stats
 

@@ -223,16 +223,14 @@ def reference_align_tokens(source: Sequence[str], target: Sequence[str]) -> list
     return ops
 
 
-def reference_build_pool(
-    corpus: Iterable[ParallelExample], n: int, provenance: Sequence[str] = ()
-) -> PatternPool:
+def reference_build_pool(corpus: Iterable[ParallelExample], n: int) -> PatternPool:
     """Frozen copy of the original ``gecaug.patterns.build_pool``; do not edit."""
     counts: Counter[ErrorPattern] = Counter()
     for pair in corpus:
         edits = extract_edits(pair)
         for edit in edits:
             counts[extend_to_ngram(edit, pair.source, pair.target, n, edits)] += 1
-    return PatternPool(counts, n, provenance)
+    return PatternPool(counts, n)
 
 
 def reference_check_tokens(

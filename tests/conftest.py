@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,15 @@ def no_thread_pool(monkeypatch: pytest.MonkeyPatch) -> None:
     # ``map_ordered`` imports the pool where it starts one, so it is
     # replaced at its source.
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+
+
+@pytest.fixture()
+def fast_switching():
+    """Switch threads every microsecond, so an unlocked update between them shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 def cli_env() -> dict[str, str]:
@@ -82,4 +92,4 @@ def insertion_pool(size: int, n: int = 3, zipf: float = 1.0) -> PatternPool:
         correct = (f"tok{i}a", f"fix{i}", f"tok{i}b")
         weight = max(1, int(1000 / (i + 1) ** zipf))
         counts[ErrorPattern(wrong, correct, n)] = weight
-    return PatternPool(counts, n=n, provenance=("fixture",))
+    return PatternPool(counts, n=n)

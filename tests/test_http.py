@@ -3,9 +3,9 @@ connection reuse and running without ``requests``."""
 
 from __future__ import annotations
 
+import http.client
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -111,26 +111,39 @@ def test_endpoint_credentials_are_basic_auth_unless_a_token_is_set():
     assert server.targets == ["/", "/"]
 
 
-def test_posts_from_one_thread_reuse_one_connection():
+def opened_connections(client: JsonHttpClient) -> list:
+    """Record every connection ``client`` opens from now on, in order."""
+    opened = []
+    connect = client._connect
+
+    def record():
+        opened.append(connect())
+        return opened[-1]
+
+    client._connect = record
+    return opened
+
+
+def test_sequential_posts_reuse_one_connection():
     with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server, JsonHttpClient(
         server.url
     ) as client:
         for i in range(5):
             assert client.post_text({"id": i}) == "ok"
+        assert len(server.requests) == 5
         assert server.connections == 1
 
-        def post_three():
-            for i in range(3):
-                client.post({"id": i})
 
-        threads = [threading.Thread(target=post_three) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(server.requests) == 11
-        assert server.connections == 3  # one more for each new thread
+def test_concurrent_runs_share_the_idle_connections(fast_switching):
+    with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server, JsonHttpClient(
+        server.url
+    ) as client:
+        for _ in range(2):
+            replies = list(map_ordered(lambda i: client.post_text({"id": i}), range(12), 3))
+            assert replies == ["ok"] * 12
+        assert len(server.requests) == 24
+        # No more connections than posts in flight at once, over both runs.
+        assert 1 <= server.connections <= 3
 
 
 def test_server_closing_idle_connections_costs_no_retry():
@@ -145,24 +158,41 @@ def test_server_closing_idle_connections_costs_no_retry():
     assert server.connections == 5
 
 
-def test_close_closes_the_connection_of_every_thread():
+def test_close_closes_every_idle_connection():
     with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server:
         with JsonHttpClient(server.url) as client:
-
-            def post(i: int):
-                client.post({"id": i})
-                return client._local.conn
-
-            pooled = set(map_ordered(post, range(12), 3))
-            assert len(pooled) == 3 and all(conn.sock is not None for conn in pooled)
-            # The pool's threads have ended: a new connection closes theirs.
-            client.post({})
-            own = client._local.conn
+            opened = opened_connections(client)
+            list(map_ordered(lambda i: client.post({"id": i}), range(12), 3))
+            pooled = list(opened)
+            assert 1 <= len(pooled) <= 3 and all(conn.sock is not None for conn in pooled)
+            client.close()
             assert all(conn.sock is None for conn in pooled)
-            pooled = set(map_ordered(post, range(12), 3))
-            assert own.sock is not None
-        assert all(conn.sock is None for conn in {own, *pooled})
-        assert server.connections == 7
+            client.post({})
+            assert len(opened) == len(pooled) + 1 and opened[-1].sock is not None
+        assert all(conn.sock is None for conn in opened)
+        assert server.connections == len(opened)
+
+
+def test_a_connection_whose_exchange_raised_is_not_reused():
+    sleeps: list[float] = []
+    with ScriptedServer([(200, {"text": "ok"})], keep_alive=True) as server, JsonHttpClient(
+        server.url, sleep=sleeps.append
+    ) as client:
+        opened = opened_connections(client)
+        client.post({})
+        broken = opened[0]
+        getresponse = broken.getresponse
+
+        def cut_short():
+            getresponse().read()  # the server's reply is all sent; the client fails it
+            raise http.client.IncompleteRead(b"")
+
+        broken.getresponse = cut_short
+        for i in range(3):
+            assert client.post_text({"id": i}) == "ok"
+        assert len(opened) == 2 and broken.sock is None
+        assert sleeps == [0.5]  # the failed exchange cost one attempt
+        assert server.connections == 2
 
 
 _WITHOUT_REQUESTS = """

@@ -146,11 +146,10 @@ def test_build_pool_counts_repeats():
     corpus = [TABLE_PAIR] * 7 + [
         ParallelExample(("all", "good", "."), ("all", "good", "."), id="clean")
     ]
-    pool = build_pool(corpus, 3, provenance=("unit",))
+    pool = build_pool(corpus, 3)
     key = ErrorPattern(("move", "one"), ("move", "from", "one"), 3)
     assert pool.counts == {key: 7}
     assert pool.total == 7
-    assert pool.provenance == ("unit",)
     assert pool_stats(pool) == {"patterns": 1, "total": 7}
 
 
@@ -160,8 +159,8 @@ def test_build_pool_matches_reference(n):
     rng = random.Random(50 + n)
     corpus = [random_pair(rng) for _ in range(400)]
     corpus += corpus[:100]
-    pool = build_pool(corpus, n, provenance=("c",))
-    reference = reference_build_pool(corpus, n, provenance=("c",))
+    pool = build_pool(corpus, n)
+    reference = reference_build_pool(corpus, n)
     assert pool == reference
     assert list(pool.counts) == list(reference.counts)
 
@@ -189,11 +188,10 @@ def test_pool_validation():
 def test_merge_pools():
     a = ErrorPattern(("a",), ("b",), 1)
     b = ErrorPattern(("c",), ("d",), 1)
-    p1 = PatternPool({a: 2}, 1, provenance=("one",))
-    p2 = PatternPool({a: 3, b: 1}, 1, provenance=("two",))
+    p1 = PatternPool({a: 2}, 1)
+    p2 = PatternPool({a: 3, b: 1}, 1)
     merged = merge_pools([p1, p2])
     assert merged.counts == {a: 5, b: 1}
-    assert merged.provenance == ("one", "two")
     with pytest.raises(ValueError):
         merge_pools([])
     with pytest.raises(ValueError):
@@ -213,7 +211,7 @@ def test_pool_round_trip(tmp_path: Path):
     pool = insertion_pool(40)
     path = tmp_path / "pool.jsonl"
     assert save_pool(pool, path) == 40
-    back = load_pool(path, 3, provenance=("fixture",))
+    back = load_pool(path, 3)
     assert back == pool
     # Serialization order is count-descending, so a reload re-saves to the
     # same bytes.

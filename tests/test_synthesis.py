@@ -147,26 +147,43 @@ def test_synthesize_error_rate_extremes():
     assert all(s.planted for s in dirty)
 
 
-def test_synthesize_worker_count_is_immaterial():
+@pytest.mark.parametrize(
+    "pool, faults, error_rate",
+    [
+        (insertion_pool(15), {}, 0.5),
+        (insertion_pool(15), {"drop_rate": 0.2, "refuse_rate": 0.1}, 0.5),
+        # A missing-word pattern at n=1 often plants an empty source: zero-match retries.
+        (PatternPool({ErrorPattern((), ("the",), 1): 1}, 1), {}, 1.0),
+    ],
+    ids=["clean", "drop-and-refuse", "zero-match-retries"],
+)
+def test_synthesize_worker_count_is_immaterial(pool, faults, error_rate, fast_switching):
     class Delegating(GeneratorBackend):
         """The stub behind a subclass that leaves ``waits`` as it is, so it gets threads."""
 
         name = StubGenerator.name
 
         def __init__(self):
-            self.stub = StubGenerator(seed=4)
+            self.stub = StubGenerator(seed=4, **faults)
             self.threads: set[str] = set()
 
         def generate_text(self, request):
             self.threads.add(threading.current_thread().name)
             return self.stub.generate_text(request)
 
-    pool = insertion_pool(15)
-    one, stats_one = synthesize(pool, 80, StubGenerator(seed=4), base_seed=21, workers=1)
+    one, stats_one = synthesize(
+        pool, 80, StubGenerator(seed=4, **faults), base_seed=21, error_rate=error_rate, workers=1
+    )
     threaded = Delegating()
-    four, stats_four = synthesize(pool, 80, threaded, base_seed=21, workers=4)
+    four, stats_four = synthesize(
+        pool, 80, threaded, base_seed=21, error_rate=error_rate, workers=4
+    )
     assert one == four
     assert stats_one.as_dict() == stats_four.as_dict()
+    for stats in (stats_one, stats_four):
+        assert stats.attempts == (
+            stats.samples + stats.refused + stats.transport_errors + stats.zero_match_retries
+        )
     assert any(name.startswith("map_ordered") for name in threaded.threads)
 
 
