@@ -7,9 +7,16 @@ exponential backoff (base 0.5 s, factor 2, at most 5 attempts); a 429 or
 the longest delay of the schedule. Other 4xx and malformed response bodies
 fail immediately; retrying cannot fix them.
 
-The client is built on ``http.client`` and keeps one stack of idle
-keep-alive connections, to the endpoint or to its proxy: a post takes one,
-or opens one if none is idle, and puts it back after a complete reply.
+The client speaks HTTP/1.1 over a socket itself. It builds the request
+head once, sends head and body in one write, and reads each reply from the
+connection's buffered reader: the status line (1xx interim replies are
+skipped), the headers, and the body by ``Content-Length``, by chunked
+encoding or up to the server's close. A reply that breaks this framing is
+a ``ProtocolError`` and is retried as a connection failure is.
+
+The client keeps one stack of idle keep-alive connections, to the endpoint
+or to its proxy: a post takes one, or opens one if none is idle, and puts
+it back after a complete HTTP/1.1 reply without ``Connection: close``.
 ``close()``, or leaving a ``with`` block, closes the idle connections.
 """
 
@@ -32,6 +39,14 @@ _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 # Each back-off is this many times the one before it.
 _BACKOFF_FACTOR = 2.0
 
+# A reply line longer than this, or a head with more lines (its blank
+# line included), is refused: the limits http.client applies.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+# The most bytes of a body or chunk read in one call.
+_MAX_READ = 1 << 20
+
 
 class TransportError(CodedError):
     """A remote call that failed for good, with the attempt count."""
@@ -43,52 +58,227 @@ class TransportError(CodedError):
         self.attempts = attempts
 
 
+class ProtocolError(Exception):
+    """A reply that breaks HTTP/1.1 framing: a bad status line, a bad chunk
+    size, a body cut short or a line or head too long."""
+
+
+def _refuse_controls(what: str, value: str, space: bool = False) -> str:
+    """``value``, refused if a control character (or, with ``space``, a
+    space) in it could end a line or field of the request head."""
+    if any(c < " " or c == "\x7f" or (space and c == " ") for c in value):
+        raise ValueError(f"{what} contains a control character{' or space' if space else ''}")
+    return value
+
+
 def _basic_auth(parts: SplitResult) -> str:
     """Basic credentials from a URL's user info, latin-1 encoded as requests does."""
     import base64
 
     creds = f"{unquote(parts.username or '')}:{unquote(parts.password or '')}"
+    _refuse_controls(f"user info of {parts.hostname}", creds)
     return "Basic " + base64.b64encode(creds.encode("latin-1")).decode("ascii")
 
 
-def _route(parts: SplitResult, port: int | None, timeout: float):
-    """How to reach ``parts``: a connection factory, the request target and
-    the headers a plain-HTTP proxy needs.
+def _proxy_for(parts: SplitResult) -> str | None:
+    """The proxy the environment names for ``parts``, or None.
 
-    The proxy comes from the environment (``HTTP(S)_PROXY``, ``ALL_PROXY``,
-    ``NO_PROXY``), read once here. HTTPS goes through a proxy in a CONNECT
-    tunnel; plain HTTP sends the proxy the absolute URI.
+    ``urllib.request`` reads ``HTTP(S)_PROXY``, ``ALL_PROXY`` and
+    ``NO_PROXY``, and on macOS and Windows the system settings too. It is
+    imported only where it can find a proxy.
     """
-    import http.client
-    import ssl
+    import sys
+
+    if sys.platform not in ("darwin", "win32") and not any(
+        name.lower().endswith("_proxy") for name in os.environ
+    ):
+        return None
     from urllib.request import getproxies, proxy_bypass
 
-    connection: Callable[..., http.client.HTTPConnection] = http.client.HTTPConnection
-    if parts.scheme == "https":
-        connection = partial(http.client.HTTPSConnection, context=ssl.create_default_context())
-    query = f"?{parts.query}" if parts.query else ""
-    target = quote((parts.path or "/") + query, safe=_TARGET_SAFE)
     proxies = getproxies()
     proxy = proxies.get(parts.scheme) or proxies.get("all")
-    if not proxy or proxy_bypass(parts.hostname):
-        return partial(connection, parts.hostname, port, timeout=timeout), target, {}
+    return None if not proxy or proxy_bypass(parts.hostname) else proxy
+
+
+def _route(parts: SplitResult, port: int | None, timeout: float):
+    """How to reach ``parts``: a connection factory, the request target, the
+    ``Host`` header and the headers a plain-HTTP proxy needs.
+
+    The proxy is read from the environment once, here. HTTPS goes through a
+    proxy in a CONNECT tunnel; plain HTTP sends the proxy the absolute URI.
+    """
+    host = _refuse_controls(f"host {parts.hostname!r}", parts.hostname, space=True)
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    if ":" in host:
+        host = f"[{host}]"
+    default_port = 443 if parts.scheme == "https" else 80
+    authority = f"{host}:{port or default_port}"
+    host_header = authority if port not in (None, default_port) else host
+    tls = None
+    if parts.scheme == "https":
+        import ssl
+
+        tls = partial(ssl.create_default_context().wrap_socket, server_hostname=parts.hostname)
+    query = f"?{parts.query}" if parts.query else ""
+    target = quote((parts.path or "/") + query, safe=_TARGET_SAFE)
+    proxy = _proxy_for(parts)
+    if proxy is None:
+        address = (parts.hostname, port or default_port)
+        return partial(_open, address, timeout, tls), target, host_header, {}
     via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     if via.scheme != "http" or not via.hostname:
         raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+    address = (via.hostname, via.port or 80)
     auth = {"Proxy-Authorization": _basic_auth(via)} if via.username is not None else {}
     if parts.scheme == "http":
-        absolute = f"http://{parts.netloc.rpartition('@')[2]}{target}"
-        return partial(connection, via.hostname, via.port, timeout=timeout), absolute, auth
+        netloc = parts.netloc.rpartition("@")[2]
+        return partial(_open, address, timeout), f"http://{netloc}{target}", netloc, auth
+    connect = [f"CONNECT {authority} HTTP/1.1", f"Host: {authority}"]
+    connect += [f"{name}: {value}" for name, value in auth.items()]
+    tunnel = ("\r\n".join(connect) + "\r\n\r\n").encode("latin-1")
+    return partial(_open, address, timeout, tls, tunnel), target, host_header, {}
 
-    def tunnel() -> http.client.HTTPConnection:
-        conn = connection(via.hostname, via.port, timeout=timeout)
-        conn.set_tunnel(parts.hostname, port, auth)
-        return conn
 
-    return tunnel, target, {}
+class _Connection:
+    """A socket to the endpoint or its proxy, and the buffered reader that
+    its replies are read from. ``sock`` is None once it is closed."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = None
+
+
+def _open(
+    address: tuple[str, int], timeout: float, tls=None, tunnel: bytes = b""
+) -> _Connection:
+    """A connection to ``address``: through the CONNECT request ``tunnel``
+    first, if one is given, and wrapped in TLS by ``tls``, if given."""
+    import socket
+
+    sock = socket.create_connection(address, timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if tunnel:
+            sock.sendall(tunnel)
+            with sock.makefile("rb") as reader:
+                status = _read_head(reader)[1]
+            if status != 200:
+                raise OSError(f"tunnel connection failed: status {status}")
+        if tls is not None:
+            sock = tls(sock)
+    except BaseException:
+        sock.close()
+        raise
+    return _Connection(sock)
+
+
+def _line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ProtocolError(f"{what} longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_exact(reader, size: int) -> bytes:
+    """``size`` bytes, read at most ``_MAX_READ`` at a time: a huge length
+    fails where the reply ends, not where its buffer would be allocated."""
+    parts = []
+    left = size
+    while left > 0:
+        part = reader.read(min(left, _MAX_READ))
+        if not part:
+            raise ProtocolError(f"reply cut short: {size - left} of {size} bytes")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def _read_head(reader) -> tuple[bool, int, dict[str, str]]:
+    """The head of the next final reply: whether it is HTTP/1.1, its status
+    and its headers by lowercased name (the first of repeated ones).
+
+    Interim 1xx replies are skipped. A server that closes before a status
+    line raises ``ConnectionResetError``, as on a kept-alive connection
+    that it closed while idle.
+    """
+    status = 0
+    while status < 200:
+        line = _line(reader, "status line")
+        if not line:
+            raise ConnectionResetError("the server closed the connection without a reply")
+        version, code, *_ = str(line, "latin-1").split(None, 2) + ["", ""]
+        try:
+            status = int(code)
+        except ValueError:
+            status = 0
+        if not version.startswith("HTTP/") or not 100 <= status <= 999:
+            raise ProtocolError(f"bad status line {line!r}")
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS):
+            line = _line(reader, "header line")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "latin-1").partition(":")
+            if colon:
+                headers.setdefault(name.lower(), value.lstrip(" \t").rstrip("\r\n"))
+        else:
+            raise ProtocolError(f"more than {_MAX_HEADERS} header lines")
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        return False, status, headers
+    if version.startswith("HTTP/1."):
+        return True, status, headers
+    raise ProtocolError(f"unsupported protocol {version!r}")
+
+
+def _read_chunked(reader) -> bytes:
+    """A chunked body; chunk extensions and the trailer are dropped."""
+    chunks = []
+    while True:
+        line = _line(reader, "chunk size line")
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise ProtocolError(f"bad chunk size line {line!r}")
+        if size == 0:
+            break
+        chunks.append(_read_exact(reader, size))
+        _read_exact(reader, 2)  # the line end after the chunk's data
+    while _line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def _read_body(reader, head: tuple[bool, int, dict[str, str]]) -> tuple[bytes, bool]:
+    """The body of the reply whose head ``_read_head`` gave, and whether the
+    connection can carry the next request."""
+    http11, status, headers = head
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        body = _read_chunked(reader)
+    else:
+        try:
+            length = 0 if status in (204, 304) else int(headers["content-length"])
+        except (KeyError, ValueError):
+            length = -1
+        if length < 0:
+            # No usable length: the body ends where the server closes.
+            return reader.read(), False
+        body = _read_exact(reader, length)
+    return body, http11 and "close" not in headers.get("connection", "").lower()
 
 
 class JsonHttpClient:
+    # What a failed exchange raises when another attempt may succeed.
+    _retryable = (OSError, ProtocolError)
+
     def __init__(
         self,
         endpoint: str,
@@ -109,8 +299,6 @@ class JsonHttpClient:
             port = parts.port
         except ValueError as exc:
             raise ValueError(f"endpoint has a bad port: {endpoint!r}") from exc
-        # Imported here, not at module top: only the http backends need it.
-        import http.client
 
         self.endpoint = endpoint
         self.timeout = timeout
@@ -119,17 +307,20 @@ class JsonHttpClient:
         self._sleep = sleep
         # A Retry-After never waits longer than the schedule's longest delay.
         self._max_delay = max(map(self._delay, range(1, max_attempts)), default=0.0)
-        self._retryable = (OSError, http.client.HTTPException)
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []
-        self._headers = {"Content-Type": "application/json"}
+        self._idle: list[_Connection] = []
+        headers = {"Content-Type": "application/json"}
         if auth_token:
-            self._headers["Authorization"] = f"Bearer {auth_token}"
+            headers["Authorization"] = "Bearer " + _refuse_controls("auth token", auth_token)
         elif parts.username is not None:
-            self._headers["Authorization"] = _basic_auth(parts)
+            headers["Authorization"] = _basic_auth(parts)
 
-        self._connect, self._target, proxy_headers = _route(parts, port, timeout)
-        self._headers.update(proxy_headers)
+        self._connect, target, host, proxy_headers = _route(parts, port, timeout)
+        headers.update(proxy_headers)
+        head = [f"POST {target} HTTP/1.1", f"Host: {host}", "Accept-Encoding: identity"]
+        head += [f"{name}: {value}" for name, value in headers.items()]
+        # Each request appends its body's length, a blank line and the body.
+        self._head = "\r\n".join([*head, "Content-Length: "]).encode("latin-1")
 
     @classmethod
     def from_env(
@@ -203,28 +394,34 @@ class JsonHttpClient:
 
     def _exchange(self, data: bytes) -> tuple[int, str | None, bytes]:
         """POST ``data`` on an idle connection or a new one: status, Retry-After, body."""
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
         with self._lock:
             conn = self._idle.pop() if self._idle else None
-        if conn is None:
+        reused = conn is not None
+        if not reused:
             conn = self._connect()
         try:
-            reused = conn.sock is not None
             try:
-                conn.request("POST", self._target, data, self._headers)
-                resp = conn.getresponse()
+                conn.sock.sendall(request)
+                head = _read_head(conn.reader)
             except ConnectionError:
                 # The server closed a kept-alive connection while it was idle:
                 # reconnect once, which is not an attempt.
                 if not reused:
                     raise
                 conn.close()
-                conn.request("POST", self._target, data, self._headers)
-                resp = conn.getresponse()
-            reply = resp.status, resp.getheader("Retry-After"), resp.read()
+                conn = self._connect()
+                conn.sock.sendall(request)
+                head = _read_head(conn.reader)
+            body, reuse = _read_body(conn.reader, head)
         except BaseException:
             # A failed exchange leaves the connection mid-request: drop it.
             conn.close()
             raise
-        with self._lock:
-            self._idle.append(conn)
-        return reply
+        if reuse:
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            conn.close()
+        _, status, headers = head
+        return status, headers.get("retry-after"), body

@@ -107,7 +107,7 @@ class HttpCorrector(CorrectorBackend):
         return self._client.post_text({"id": request_id, "text": text})
 
     def close(self) -> None:
-        """Close the client's connections, those of every thread."""
+        """Close the client's idle connections."""
         self._client.close()
 
 

@@ -313,7 +313,7 @@ class HttpGenerator(GeneratorBackend):
         return self._client.post_text(payload)
 
     def close(self) -> None:
-        """Close the client's connections, those of every thread."""
+        """Close the client's idle connections."""
         self._client.close()
 
 

@@ -35,11 +35,16 @@ split each side once and built each sample pattern once per file. They
 share the package's line and row readers, its token check and its
 pattern row check, so rows compare with ``==`` and errors by class and
 message.
+
+``reference_read_reply`` is the reply reader the HTTP client used before
+it spoke HTTP/1.1 over its socket itself: ``http.client.HTTPResponse``,
+read as the client read it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 from collections import Counter
 from dataclasses import replace
@@ -475,3 +480,22 @@ def reference_read_samples(path) -> Iterator[SyntheticSample]:
         yield SyntheticSample(
             source, target, tuple(planted), requested, obj["generator"], obj["id"]
         )
+
+
+def reference_read_reply(raw: bytes) -> tuple[int, str | None, bytes, bool]:
+    """``http.client``'s reading of the reply bytes ``raw``: status,
+    Retry-After, body and whether the connection stays open for the next
+    request. The client keeps only HTTP/1.1 connections, so an HTTP/1.0
+    reply that asks for keep-alive, which ``http.client`` would keep,
+    counts as closing here."""
+    import http.client
+
+    class Replay:
+        def makefile(self, mode):
+            return io.BytesIO(raw)
+
+    resp = http.client.HTTPResponse(Replay(), method="POST")
+    resp.begin()
+    body = resp.read()
+    kept = resp.version == 11 and not resp.will_close
+    return resp.status, resp.getheader("Retry-After"), body, kept

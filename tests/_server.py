@@ -13,6 +13,11 @@ answers HTTP/1.1 and keeps connections open; ``drop_idle`` also answers
 HTTP/1.1 without ``Connection: close`` but closes each connection after
 its reply, as a server that times out idle connections does. A CONNECT
 request is recorded in ``targets`` and refused with 502.
+
+Each reply goes out in one write: the handler's ``wfile`` is buffered and
+flushed after each request. Written head first and body second, a reply
+on a kept-alive connection would wait about 40 ms for the client's
+delayed ACK (Nagle's algorithm).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ class ScriptedServer:
         recorder = self
 
         class Handler(BaseHTTPRequestHandler):
+            wbufsize = 1 << 16
             if keep_alive or drop_idle:
                 protocol_version = "HTTP/1.1"
 

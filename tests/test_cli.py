@@ -981,6 +981,37 @@ def test_bad_endpoint_is_a_config_error_before_the_stage(
     assert not (workdir / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "command, endpoint, token, message",
+    [
+        ("synthesize", "http://127.0.0.1:9/", "tok\r\nX-Injected: 1",
+         "auth token contains a control character"),
+        ("denoise", "http://us%0Aer:pw@127.0.0.1:9/", None,
+         "user info of 127.0.0.1 contains a control character"),
+        ("denoise", "http://gecaug .invalid/", None,
+         "host 'gecaug .invalid' contains a control character or space"),
+    ],
+    ids=["token", "user-info", "host"],
+)
+def test_a_value_that_could_break_the_request_head_is_a_config_error_before_the_stage(
+    workdir: Path, capsys, monkeypatch, command, endpoint, token, message
+):
+    _synthesize_fixture(workdir)
+    capsys.readouterr()
+    kind = {"synthesize": "GENERATOR", "denoise": "CORRECTOR"}[command]
+    monkeypatch.setenv(f"GECAUG_{kind}_URL", endpoint)
+    if token is not None:
+        monkeypatch.setenv(f"GECAUG_{kind}_TOKEN", token)
+    args = {
+        "synthesize": ["--pool", "pool.jsonl", "--n", "3", "--count", "2", "--seed", "1"],
+        "denoise": ["--in", "syn.jsonl"],
+    }[command]
+    rc, _, events = _run(capsys, command, *args, "--backend", "http", "--out", "out.jsonl")
+    assert rc == 2
+    assert events == [{"event": "error", "code": "CONFIG", "message": message}]
+    assert not (workdir / "out.jsonl").exists()
+
+
 def test_fewshot_is_in_the_manifest_only_when_set(workdir: Path):
     _synthesize_fixture(workdir)
     manifest = workdir / "syn.jsonl.manifest.json"

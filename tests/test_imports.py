@@ -20,6 +20,7 @@ import pytest
 from gecaug import cli
 from gecaug.cli import main
 
+from _server import ScriptedServer
 from conftest import cli_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,10 +103,10 @@ def workdir(tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> Path:
     return tmp_path
 
 
-def _child(code: str, *args: str, cwd: Path | None = None) -> str:
+def _child(code: str, *args: str, cwd: Path | None = None, env: dict | None = None) -> str:
     """Run ``code`` in a fresh interpreter; its last stdout line."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=cwd, env=cli_env(),
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env or cli_env(),
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -124,6 +125,37 @@ def test_subcommand_loads_only_its_modules(command: str, inputs: Path):
     rc, loaded = json.loads(_child(code, *COMMANDS[command], cwd=inputs))
     assert rc == 0
     assert set(loaded) <= ALLOWED[command], set(loaded) - ALLOWED[command]
+
+
+def _answer(payload: dict):
+    """A generator's reply to a template, a corrector's to a text."""
+    text = payload["template"].replace("[M]", "so") if "template" in payload else payload["text"]
+    return 200, json.dumps({"text": text}).encode("utf-8")
+
+
+@pytest.mark.parametrize("proxied", [False, True], ids=["direct", "proxied"])
+@pytest.mark.parametrize("command", ["synthesize", "denoise"])
+def test_http_backends_load_no_stdlib_http_stack_without_a_proxy(
+    command: str, proxied: bool, inputs: Path
+):
+    stack = ("http.client", "email", "ssl", "urllib.request")
+    code = (
+        "import json, sys\nfrom gecaug.cli import main\nrc = main(sys.argv[1:])\n"
+        f"print(json.dumps([rc, [m for m in {stack} if m in sys.modules]]))"
+    )
+    env = {name: value for name, value in cli_env().items() if not name.lower().endswith("_proxy")}
+    with ScriptedServer([_answer], keep_alive=True) as server:
+        endpoint = server.url
+        if proxied:  # the server stands in for the proxy too
+            env["HTTP_PROXY"] = server.url
+            endpoint = "http://gecaug.invalid/"
+        env["GECAUG_GENERATOR_URL"] = env["GECAUG_CORRECTOR_URL"] = endpoint
+        argv = [*COMMANDS[command], "--backend", "http"]
+        rc, loaded = json.loads(_child(code, *argv, cwd=inputs, env=env))
+    assert rc == 0
+    assert server.targets and set(server.targets) == {endpoint if proxied else "/"}
+    if not proxied:
+        assert loaded == []
 
 
 def test_mix_is_the_function_after_importing_its_module():

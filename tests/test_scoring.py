@@ -225,10 +225,10 @@ def test_distribution_self_comparison():
 
 def test_import_does_not_load_scipy():
     # The package has no numeric dependencies; tests use them as references.
-    # Nothing imports requests; only the http backends need http.client, and
-    # they import it when they build their client; only a map with more than
-    # one call in flight needs a thread pool. The package itself loads none
-    # of its modules until a name is used.
+    # Nothing imports requests or http.client: the http backends speak HTTP
+    # over a socket, imported when they build their client. Only a map with
+    # more than one call in flight needs a thread pool. The package itself
+    # loads none of its modules until a name is used.
     code = (
         "import gecaug, sys; assert not "
         "{'scipy', 'numpy', 'requests', 'http.client', 'concurrent.futures'} & set(sys.modules)"
