@@ -29,14 +29,15 @@ import hashlib
 import importlib
 import json
 import os
+import signal
 import sys
 from contextlib import closing, contextmanager, suppress
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
-    VALID_N, CodedError, MalformedLine, canonical_json, is_int, jsonl_line, read_json_file,
-    read_jsonl, read_m2, read_pairs, write_jsonl, write_lines,
+    VALID_N, CodedError, MalformedLine, canonical_json, is_int, jsonl_line,
+    read_json_file, read_json_rows, read_m2, read_pairs, write_jsonl, write_lines,
 )
 
 # What each subcommand runs beyond ``corpus``, by module. The names become
@@ -162,7 +163,8 @@ def _stage(opts: _Options, **start) -> Iterator[_Stage]:
     On success the manifests are written to temporaries, the old ones are
     removed, each artifact's temporary is renamed into place and the new
     manifests are renamed last, so an artifact that has a manifest is
-    complete and matches it. On an exception the temporaries are removed.
+    complete and matches it. On an exception (``KeyboardInterrupt`` too) the
+    temporaries are removed, which a ``denoise --checkpoint`` file is not.
     """
     _log("stage", command=opts.args.command, phase="start", **start)
     st = _Stage(opts)
@@ -212,7 +214,7 @@ _OPTIONS = {opt.dest: opt for opt in (
     _Option("stub_drop_rate", "--stub-drop-rate", "rate", "stub drop rate", "synthesize"),
     _Option("stub_refuse_rate", "--stub-refuse-rate", "rate", "stub refusal rate", "synthesize"),
     _Option("fewshot", "--fewshot", "bool", "send few-shot examples", "synthesize"),
-    _Option("checkpoint", "--checkpoint", "output", "resumable run's marker file", "denoise"),
+    _Option("checkpoint", "--checkpoint", "output", "resumable run's progress file", "denoise"),
     _Option(
         "max_in_flight", "--max-in-flight", "int", "threads of a waiting backend (default 8)",
         "denoise",
@@ -488,66 +490,65 @@ def _cmd_denoise(opts: _Options) -> None:
             raise CliError("CONFIG", str(exc), 2)
 
     config = {"in": in_path, "backend": backend_name, "out": out}
-    marker = canonical_json(config).encode("utf-8")
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
-    # st.path(out), the rows' temporary. A checkpoint run registers it only
-    # once every row is in, so that a failure keeps it as the run's progress.
-    tmp = out + ".tmp"
-    kept = _resume_point(tmp, checkpoint, marker, samples, counts) if checkpoint else 0
-    skip = counts["pairs"]
+    if checkpoint is not None:
+        _resume_point(checkpoint, canonical_json(config), samples, counts)
+
+    def lines(pairs: Iterable) -> Iterator[str]:
+        for pair in pairs:
+            _tally(counts, pair.meta)
+            yield jsonl_line(pair)
+
     with closing(corrector), _stage(
-        opts, input=in_path, backend=backend_name, resume_skip=skip
+        opts, input=in_path, backend=backend_name, resume_skip=counts["pairs"]
     ) as st:
-        pairs = relabel(samples, corrector, max_in_flight=in_flight)
-        with open(tmp if checkpoint else st.path(out), "a", encoding="utf-8") as fh, closing(pairs):
-            fh.truncate(kept)
-            if checkpoint is not None:
-                with open(checkpoint + ".tmp", "wb") as marker_fh:
-                    marker_fh.write(marker)
-                os.replace(checkpoint + ".tmp", checkpoint)
-            for pair in pairs:
-                fh.write(jsonl_line(pair) + "\n")
-                fh.flush()
-                _tally(counts, pair)
-        st.path(out)  # every row is in: commit the temporary with the manifest
+        with closing(relabel(samples, corrector, max_in_flight=in_flight)) as pairs:
+            if checkpoint is None:
+                write_lines(lines(pairs), st.path(out))
+            else:
+                with open(checkpoint, "a", encoding="utf-8", buffering=1) as fh:  # flush per line
+                    fh.writelines(line + "\n" for line in lines(pairs))
+                with open(checkpoint, "rb") as fh, open(st.path(out), "wb") as rows:
+                    rows.writelines(islice(fh, 1, None))  # the rows after the marker line
         st.manifest(out, config, None, counts)
     if checkpoint is not None:
         _remove(checkpoint)
 
 
-def _tally(counts: dict, pair) -> None:
-    meta = pair.meta or {}
+def _tally(counts: dict, meta) -> None:
+    meta = meta if isinstance(meta, dict) else {}
     counts["pairs"] += 1
     counts["matches_target"] += bool(meta.get("matches_target"))
     counts["matches_source"] += bool(meta.get("matches_source"))
 
 
-def _resume_point(tmp: str, checkpoint: str, marker: bytes, samples: Iterator, counts: dict) -> int:
-    """Where an interrupted ``denoise`` run stopped, read from ``tmp``, its output's temporary.
+def _resume_point(checkpoint: str, marker: str, samples: Iterator, counts: dict) -> None:
+    """Make ``checkpoint`` the line ``marker`` and the rows an interrupted run left.
 
-    Nothing to resume without the checkpoint; a checkpoint whose bytes
-    are not ``marker`` is a CONFIG error. Keeps the complete rows of
-    ``tmp`` (a torn last line is dropped), checks each one's id and
-    source against the input at its position, consumes that many inputs,
-    tallies the rows into ``counts`` and returns their length in bytes.
+    A missing or empty checkpoint, or a cut-off marker line, starts over;
+    another first line is a CONFIG error. Keeps the complete rows (a torn
+    last one is dropped), checks each one's id and source against the
+    input at its position, consumes that many inputs and tallies the rows
+    into ``counts``. The file changes only once every check has passed.
     """
-    if not os.path.exists(checkpoint):
-        return 0
-    with open(checkpoint, "rb") as fh:
-        if fh.read() != marker:
-            message = f"checkpoint {checkpoint} does not mark this run ({marker.decode()})"
-            raise CliError("CONFIG", message, 2)
-    sizes: list[int] = []
-    with suppress(FileNotFoundError), open(tmp, "rb") as fh:
+    head = (marker + "\n").encode("utf-8")
+    with open(checkpoint, "a+b") as fh:
+        fh.seek(0)
+        if (first := fh.readline()) != head:
+            if not head.startswith(first):
+                message = f"checkpoint {checkpoint} does not mark this run ({marker})"
+                raise CliError("CONFIG", message, 2)
+            fh.write(head[len(first):])  # the file is empty or holds a cut-off marker line
+            return
         sizes = [len(line) for line in fh if line.endswith(b"\n")]
-    for line_no, pair in enumerate(islice(read_jsonl(tmp), len(sizes)), start=1):
-        expected = next(samples, None)
-        if expected is None or (expected.id, expected.source) != (pair.id, pair.source):
-            message = f"{tmp}:{line_no}: id {pair.id!r} or its source does not match the input's"
-            raise CliError("CONFIG", message, 2)
-        _tally(counts, pair)
-    return sum(sizes)
+        for line_no, row in islice(read_json_rows(checkpoint), 1, len(sizes) + 1):
+            want, row_id = next(samples, None), row.get("id")
+            if want is None or (want.id, " ".join(want.source)) != (row_id, row.get("source")):
+                raise CliError("CONFIG", f"{checkpoint}:{line_no}: id {row_id!r} or its source"
+                               " does not match the input's", 2)
+            _tally(counts, row.get("meta"))
+        fh.truncate(len(head) + sum(sizes))
 
 
 def _cmd_mix(opts: _Options) -> None:
@@ -696,10 +697,19 @@ def _build_parser(commands: Iterable[str] = _COMMANDS) -> _Parser:
     return parser
 
 
+def _terminate(signum: int, frame) -> None:
+    raise KeyboardInterrupt("SIGTERM")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A call that names its subcommand first builds only that one's parser.
     parser = _build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS)
+    # SIGTERM stops a stage as Ctrl-C does: its temporaries are removed.
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # not the main thread, where no handler can be set
+        previous = None
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -710,10 +720,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CodedError as exc:
         _log("error", code=exc.code, message=str(exc))
         return exc.exit_code
+    except KeyboardInterrupt as exc:
+        _log("error", code="INTERRUPTED", message=f"stopped by {str(exc) or 'SIGINT'}")
     except ValueError as exc:
         _log("error", code="INVALID_ARGUMENT", message=str(exc))
     except OSError as exc:
         _log("error", code="IO", message=str(exc))
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 1
 
 

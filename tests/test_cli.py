@@ -3,10 +3,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -600,7 +602,7 @@ def test_width_one_pipeline_writes_no_empty_source(workdir: Path, capsys):
 
 
 # The checkpoint marker of a denoise run writing denoised.jsonl: the
-# canonical JSON of its manifest config.
+# canonical JSON of its manifest config, the first line of its checkpoint.
 _MARKER = json.dumps({"in": "syn.jsonl", "backend": "identity", "out": "denoised.jsonl"},
                      sort_keys=True)
 
@@ -630,6 +632,13 @@ def _watch_committed(monkeypatch, workdir: Path) -> None:
     monkeypatch.setattr(IdentityCorrector, "correct_text", correct_text)
 
 
+def _progress(checkpoint: Path, marker: str = _MARKER) -> bytes:
+    """The rows a checkpoint holds after its marker line, which must be ``marker``."""
+    line, rows = checkpoint.read_bytes().split(b"\n", 1)
+    assert line == marker.encode("utf-8")
+    return rows
+
+
 def test_denoise_resume_from_checkpoint(workdir: Path, capsys, monkeypatch):
     _synthesize_fixture(workdir)
     rc, _, _ = _run(
@@ -639,11 +648,11 @@ def test_denoise_resume_from_checkpoint(workdir: Path, capsys, monkeypatch):
     assert rc == 0
     full_lines = (workdir / "full.jsonl").read_text(encoding="utf-8").splitlines(True)
 
-    # Simulate an interrupted run over a committed output: 5 pairs written
-    # to the output's temporary, its marker on disk.
+    # Simulate an interrupted run over a committed output: its marker line
+    # and 5 pairs in the checkpoint.
     _commit_oracle_output(workdir)
-    (workdir / "denoised.jsonl.tmp").write_text("".join(full_lines[:5]), encoding="utf-8")
-    (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
+    progress = _MARKER + "\n" + "".join(full_lines[:5])
+    (workdir / "relabel.ckpt").write_text(progress, encoding="utf-8")
     _watch_committed(monkeypatch, workdir)
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
@@ -665,20 +674,23 @@ _DENOISE = (
 _PLAIN_DENOISE = (
     "denoise", "--in", "syn.jsonl", "--backend", "identity", "--out", "denoised.jsonl",
 )
+_INTERRUPTED = {"event": "error", "code": "INTERRUPTED", "message": "stopped by SIGINT"}
 
 
-def _uninterrupted_denoise(workdir: Path) -> tuple[bytes, bytes]:
-    assert main(list(_DENOISE)) == 0
-    assert not (workdir / "relabel.ckpt").exists()
-    out = workdir / "denoised.jsonl"
-    manifest = workdir / "denoised.jsonl.manifest.json"
+def _uninterrupted_denoise(workdir: Path, *argv: str) -> tuple[bytes, bytes]:
+    """The output and manifest of an uninterrupted run of ``argv`` (default _DENOISE)."""
+    argv = list(argv or _DENOISE)
+    assert main(argv) == 0
+    assert not (workdir / argv[argv.index("--checkpoint") + 1]).exists()
+    out = workdir / argv[argv.index("--out") + 1]
+    manifest = workdir / f"{out}.manifest.json"
     expected = out.read_bytes(), manifest.read_bytes()
     out.unlink()
     manifest.unlink()
     return expected
 
 
-def _interrupt_denoise_at(monkeypatch, stop_id: str, *argv: str) -> None:
+def _interrupt_denoise_at(monkeypatch, capsys, stop_id: str, *argv: str) -> None:
     """Run denoise until the corrector is asked for sample ``stop_id``, then stop it."""
 
     def interrupt(self, text, request_id="0"):
@@ -686,34 +698,49 @@ def _interrupt_denoise_at(monkeypatch, stop_id: str, *argv: str) -> None:
             raise KeyboardInterrupt
         return text
 
+    handler = signal.getsignal(signal.SIGTERM)
     with monkeypatch.context() as patch:
         patch.setattr(IdentityCorrector, "correct_text", interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            main(list(argv))
+        capsys.readouterr()
+        rc, _, events = _run(capsys, *argv)
+    assert rc == 1
+    assert events[-1] == _INTERRUPTED
+    assert signal.getsignal(signal.SIGTERM) is handler  # main restores what it replaced
 
 
-# Runs the CLI on argv[2:] and SIGKILLs itself when the identity corrector
-# is asked for sample argv[1].
-_KILL_AT_SAMPLE = """
+# Runs the CLI on argv[3:] and sends itself signal argv[1] when a local
+# corrector is asked for sample argv[2].
+_SIGNAL_AT_SAMPLE = """
 import os, signal, sys
-from gecaug import IdentityCorrector, ParallelExample, cli, corpus, write_jsonl
+from gecaug import IdentityCorrector, OracleCorrector, ParallelExample, cli, corpus, write_jsonl
 
-def kill_at(self, text, request_id="0"):
-    if request_id == sys.argv[1]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return text
+# A shell runs a background job with SIGINT ignored, and Python then keeps it so.
+signal.signal(signal.SIGINT, signal.default_int_handler)
 
-IdentityCorrector.correct_text = kill_at
-sys.exit(cli.main(sys.argv[2:]))
+def signal_at(correct_text):
+    def correct(self, text, request_id="0"):
+        if request_id == sys.argv[2]:
+            os.kill(os.getpid(), getattr(signal, sys.argv[1]))
+        return correct_text(self, text, request_id)
+    return correct
+
+for backend in (IdentityCorrector, OracleCorrector):
+    backend.correct_text = signal_at(backend.correct_text)
+sys.exit(cli.main(sys.argv[3:]))
 """
+
+
+def _signal_denoise_at(workdir: Path, signame: str, stop_id: str, *argv: str):
+    """Run denoise in a child that sends itself ``signame`` at sample ``stop_id``."""
+    return subprocess.run(
+        [sys.executable, "-c", _SIGNAL_AT_SAMPLE, signame, stop_id, *argv],
+        cwd=workdir, env=cli_env(), capture_output=True, text=True,
+    )
 
 
 def _kill_denoise_at(workdir: Path, stop_id: str, *argv: str) -> None:
     """Run denoise in a child that SIGKILLs itself at sample ``stop_id``."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _KILL_AT_SAMPLE, stop_id, *argv],
-        cwd=workdir, env=cli_env(), capture_output=True, text=True,
-    )
+    proc = _signal_denoise_at(workdir, "SIGKILL", stop_id, *argv)
     assert proc.returncode == -signal.SIGKILL, proc.stderr
 
 
@@ -727,10 +754,9 @@ def test_denoise_resumes_from_output_after_interrupt(
         # No finally block runs: only what was written before the kill is left.
         _kill_denoise_at(workdir, "25", *_DENOISE)
     else:
-        _interrupt_denoise_at(monkeypatch, "25", *_DENOISE)
+        _interrupt_denoise_at(monkeypatch, capsys, "25", *_DENOISE)
     tmp = workdir / "denoised.jsonl.tmp"
-    assert len(tmp.read_bytes().splitlines()) == 25
-    assert (workdir / "relabel.ckpt").read_text(encoding="utf-8") == _MARKER
+    assert len(_progress(workdir / "relabel.ckpt").splitlines()) == 25
     assert not (workdir / "denoised.jsonl.manifest.json").exists()
     assert _committed(workdir) == (None, None)  # nothing appears before the commit
 
@@ -751,10 +777,11 @@ def test_killed_denoise_keeps_the_committed_output(workdir: Path, capsys, checkp
     argv = _DENOISE if checkpoint else _PLAIN_DENOISE
     _kill_denoise_at(workdir, "25", *argv)
     assert _committed(workdir) == committed
-    # The complete rows are in the temporary: a resume's progress, and
-    # for a plain run a leftover that its rerun truncates.
+    # The complete rows are in the checkpoint; a plain run's temporary is
+    # only a leftover, which its rerun rewrites.
     rows = expected[0].splitlines(True)
-    assert (workdir / "denoised.jsonl.tmp").read_bytes() == b"".join(rows[:25])
+    if checkpoint:
+        assert _progress(workdir / "relabel.ckpt") == b"".join(rows[:25])
 
     capsys.readouterr()
     rc, _, events = _run(capsys, *argv)
@@ -769,8 +796,8 @@ def test_denoise_resume_drops_a_torn_last_line(workdir: Path, capsys, monkeypatc
     expected = _uninterrupted_denoise(workdir)
     _commit_oracle_output(workdir)
     lines = expected[0].splitlines(True)
-    (workdir / "denoised.jsonl.tmp").write_bytes(b"".join(lines[:17]) + lines[17][:30])
-    (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
+    progress = (_MARKER + "\n").encode("utf-8") + b"".join(lines[:17]) + lines[17][:30]
+    (workdir / "relabel.ckpt").write_bytes(progress)
     _watch_committed(monkeypatch, workdir)
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
@@ -783,15 +810,15 @@ def test_denoise_resume_cross_checks(workdir: Path, capsys):
     _synthesize_fixture(workdir, count=50)
     lines = _uninterrupted_denoise(workdir)[0].splitlines(True)
     committed = _commit_oracle_output(workdir)
-    tmp = workdir / "denoised.jsonl.tmp"
-    (workdir / "relabel.ckpt").write_text(_MARKER, encoding="utf-8")
+    checkpoint = workdir / "relabel.ckpt"
 
-    tmp.write_bytes(b"".join(lines[:3] + lines[4:6]))
+    progress = (_MARKER + "\n").encode("utf-8") + b"".join(lines[:3] + lines[4:6])
+    checkpoint.write_bytes(progress)
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 2
     assert events[-1]["code"] == "CONFIG"
-    assert events[-1]["message"].startswith("denoised.jsonl.tmp:4: ")
-    assert tmp.read_bytes() == b"".join(lines[:3] + lines[4:6])
+    assert events[-1]["message"].startswith("relabel.ckpt:5: ")  # line 1 is the marker
+    assert checkpoint.read_bytes() == progress
     assert _committed(workdir) == committed
 
 
@@ -799,11 +826,11 @@ def test_denoise_resume_cross_checks(workdir: Path, capsys):
 def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, change):
     _synthesize_fixture(workdir, count=40)
     committed = _commit_oracle_output(workdir)
-    _interrupt_denoise_at(monkeypatch, "10", *_DENOISE)
+    _interrupt_denoise_at(monkeypatch, capsys, "10", *_DENOISE)
     assert _committed(workdir) == committed
-    tmp = workdir / "denoised.jsonl.tmp"
-    partial, marker = tmp.read_bytes(), (workdir / "relabel.ckpt").read_bytes()
-    assert len(partial.splitlines()) == 10
+    checkpoint = workdir / "relabel.ckpt"
+    progress = checkpoint.read_bytes()
+    assert len(_progress(checkpoint).splitlines()) == 10
     argv = list(_DENOISE)
     if change == "stale-input":
         # The same ids in the same order, but other sources.
@@ -811,7 +838,7 @@ def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, 
             "synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "40",
             "--seed", "4", "--error-rate", "0.7", "--out", "syn.jsonl",
         ]) == 0
-        message = "denoised.jsonl.tmp:1: id '0' or its source does not match the input's"
+        message = "relabel.ckpt:2: id '0' or its source does not match the input's"
     else:
         argv[argv.index("identity")] = "oracle"
         oracle_marker = _MARKER.replace("identity", "oracle")
@@ -820,24 +847,154 @@ def test_denoise_resume_refuses_another_run(workdir: Path, capsys, monkeypatch, 
     rc, _, events = _run(capsys, *argv)
     assert rc == 2
     assert events == [{"event": "error", "code": "CONFIG", "message": message}]
-    assert (tmp.read_bytes(), (workdir / "relabel.ckpt").read_bytes()) == (partial, marker)
+    assert checkpoint.read_bytes() == progress
     assert _committed(workdir) == committed
 
 
-def test_denoise_resume_starts_over_on_a_finished_output(workdir: Path, capsys, monkeypatch):
+def test_denoise_resume_keeps_its_rows_across_a_plain_run(workdir: Path, capsys, monkeypatch):
     _synthesize_fixture(workdir)
     expected = _uninterrupted_denoise(workdir)
-    _interrupt_denoise_at(monkeypatch, "5", *_DENOISE)
-    # A run without --checkpoint rewrites the temporary from its first row
-    # and commits it, so no progress is left; the marker stays.
+    _interrupt_denoise_at(monkeypatch, capsys, "5", *_DENOISE)
+    # A run without --checkpoint writes only its own temporary, which it
+    # commits: the checkpoint keeps its marker line and its rows.
     _commit_oracle_output(workdir)
     assert not (workdir / "denoised.jsonl.tmp").exists()
-    assert (workdir / "relabel.ckpt").read_text(encoding="utf-8") == _MARKER
+    assert len(_progress(workdir / "relabel.ckpt").splitlines()) == 5
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 5
+    assert _committed(workdir) == expected
+
+
+def test_denoise_resume_ignores_a_killed_plain_run(workdir: Path, capsys):
+    # A plain run killed between a checkpoint run's kill and its rerun
+    # leaves rows of another backend in the output's temporary.
+    _synthesize_fixture(workdir, count=50)
+    expected = _uninterrupted_denoise(workdir)
+    assert _commit_oracle_output(workdir)[0] != expected[0]
+    oracle = list(_PLAIN_DENOISE)
+    oracle[oracle.index("identity")] = "oracle"
+    _kill_denoise_at(workdir, "10", *_DENOISE)
+    _kill_denoise_at(workdir, "30", *oracle)
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *_DENOISE)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 10
+    assert _committed(workdir) == expected
+    assert not [p.name for p in workdir.iterdir() if p.name.endswith(".tmp")]
+    assert not (workdir / "relabel.ckpt").exists()
+
+
+def test_denoise_checkpoint_in_another_directory(workdir: Path, capsys, monkeypatch):
+    _synthesize_fixture(workdir, count=50)
+    (workdir / "ck").mkdir()
+    (workdir / "out").mkdir()
+    argv = (
+        "denoise", "--in", "syn.jsonl", "--backend", "identity",
+        "--checkpoint", "ck/relabel.ckpt", "--out", "out/denoised.jsonl",
+    )
+    expected = _uninterrupted_denoise(workdir, *argv)
+    _kill_denoise_at(workdir, "25", *argv)
+    marker = json.dumps(
+        {"in": "syn.jsonl", "backend": "identity", "out": "out/denoised.jsonl"}, sort_keys=True
+    )
+    assert len(_progress(workdir / "ck" / "relabel.ckpt", marker).splitlines()) == 25
+
+    # The commit copies the rows into the output's directory: every rename
+    # stays within one directory.
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: renames.append((a, b)) or replace(a, b))
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *argv)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 25
+    assert renames and all(os.path.dirname(a) == os.path.dirname(b) for a, b in renames)
+    out = workdir / "out" / "denoised.jsonl"
+    assert (out.read_bytes(), (workdir / "out" / "denoised.jsonl.manifest.json").read_bytes()) \
+        == expected
+    assert not list((workdir / "ck").iterdir())
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+        "denoised.jsonl", "denoised.jsonl.manifest.json"
+    ]
+
+
+@pytest.mark.parametrize(
+    "progress",
+    [b"", _MARKER[:10].encode("utf-8"), _MARKER.encode("utf-8")],
+    ids=["empty", "torn-marker", "marker-without-newline"],
+)
+def test_denoise_checkpoint_cut_while_its_marker_was_written_starts_over(
+    workdir: Path, capsys, progress
+):
+    _synthesize_fixture(workdir)
+    expected = _uninterrupted_denoise(workdir)
+    (workdir / "relabel.ckpt").write_bytes(progress)
     capsys.readouterr()
     rc, _, events = _run(capsys, *_DENOISE)
     assert rc == 0
     assert events[0]["resume_skip"] == 0
     assert _committed(workdir) == expected
+    assert not (workdir / "relabel.ckpt").exists()
+
+
+def test_two_checkpoint_runs_over_one_output_each_resume_their_own_rows(
+    workdir: Path, capsys
+):
+    _synthesize_fixture(workdir, count=50)
+    identity = list(_DENOISE)
+    oracle = list(_DENOISE)
+    oracle[oracle.index("identity")] = "oracle"
+    oracle[oracle.index("relabel.ckpt")] = "oracle.ckpt"
+    expected = {"identity": _uninterrupted_denoise(workdir, *identity),
+                "oracle": _uninterrupted_denoise(workdir, *oracle)}
+    assert expected["identity"][0] != expected["oracle"][0]
+    _kill_denoise_at(workdir, "10", *identity)
+    _kill_denoise_at(workdir, "30", *oracle)
+    for name, argv, skip in (("identity", identity, 10), ("oracle", oracle, 30)):
+        capsys.readouterr()
+        rc, _, events = _run(capsys, *argv)
+        assert rc == 0
+        assert events[0]["resume_skip"] == skip
+        assert _committed(workdir) == expected[name]
+    assert not [p.name for p in workdir.iterdir() if p.name.endswith((".tmp", ".ckpt"))]
+
+
+def test_main_runs_off_the_main_thread(workdir: Path, capsys):
+    # Only the main thread can set a signal handler; elsewhere main sets none.
+    _synthesize_fixture(workdir)
+    result = []
+    thread = threading.Thread(target=lambda: result.append(main(list(_PLAIN_DENOISE))))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert result == [0]
+    assert (workdir / "denoised.jsonl").exists()
+
+
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["plain", "checkpoint"])
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+def test_interrupted_denoise_is_one_error_line(workdir: Path, capsys, signame, checkpoint):
+    _synthesize_fixture(workdir, count=50)
+    expected = _uninterrupted_denoise(workdir)
+    committed = _commit_oracle_output(workdir)
+    argv = _DENOISE if checkpoint else _PLAIN_DENOISE
+    proc = _signal_denoise_at(workdir, signame, "25", *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == {
+        "event": "error", "code": "INTERRUPTED", "message": f"stopped by {signame}"
+    }
+    assert _committed(workdir) == committed
+    assert not [p.name for p in workdir.iterdir() if p.name.endswith(".tmp")]
+    if not checkpoint:
+        return
+    capsys.readouterr()
+    rc, _, events = _run(capsys, *argv)
+    assert rc == 0
+    assert events[0]["resume_skip"] == 25
+    assert _committed(workdir) == expected
+    assert not (workdir / "relabel.ckpt").exists()
 
 
 @pytest.mark.parametrize(
