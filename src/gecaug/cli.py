@@ -32,6 +32,7 @@ import os
 import signal
 import sys
 from contextlib import closing, contextmanager, suppress
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -133,6 +134,12 @@ class _Stage:
         self.temps: dict[str, str] = {}
         self.manifests: dict[str, dict] = {}
 
+    @cached_property
+    def inputs(self) -> dict[str, str]:
+        """The sha256 of each file read, the config file aside; hashed once, on first use."""
+        inputs = sorted({p for d, p, w in self.opts.files if not w and d != "config"})
+        return {p: _sha256_file(p) for p in inputs}
+
     def path(self, final: str) -> str:
         """The temporary to write in place of artifact ``final``."""
         tmp = self.temps[final] = final + ".tmp"
@@ -144,13 +151,12 @@ class _Stage:
         ``config`` holds only data-affecting options and there are no
         timestamps, so the same artifact always gets the same manifest.
         """
-        inputs = sorted({p for d, p, w in self.opts.files if not w and d != "config"})
         self.manifests[out + ".manifest.json"] = {
             "command": self.opts.args.command,
             "config": config,
             "config_hash": hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest(),
             "seed": seed,
-            "inputs": {p: _sha256_file(p) for p in inputs},
+            "inputs": self.inputs,
             "counts": counts,
         }
         self.end = {"out": out, **counts}
@@ -361,8 +367,11 @@ def _written_names(dest: str, path: str, command: str) -> list[str]:
     """``path`` and what writing it as option ``dest`` of ``command`` writes beside it.
 
     A stage writes each file through its temporary (``_Stage.path``), and
-    beside --out its manifest and the command's sidecar.
+    beside --out its manifest and the command's sidecar. A --checkpoint
+    file is written in place, with no temporary.
     """
+    if dest == "checkpoint":
+        return [path]
     names = [path]
     if dest == "out":
         names.append(path + ".manifest.json")

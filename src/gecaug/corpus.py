@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -140,9 +140,10 @@ def _split_pair(path: str, line_no: int, source: str, target: str, id: str, meta
 class GoldEdit:
     """One annotated edit: replace source[start:end] with ``correction``.
 
-    ``correction`` is empty for deletions. ``start == end`` marks an
-    insertion point. ``type`` is the annotation scheme's label and is
-    carried verbatim.
+    ``correction`` is empty for deletions; its tokens are checked as a
+    pair's are (``check_tokens``). ``start == end`` marks an insertion
+    point. ``type`` is the annotation scheme's label and is carried
+    verbatim.
     """
 
     start: int
@@ -156,6 +157,7 @@ class GoldEdit:
         object.__setattr__(self, "correction", tuple(self.correction))
         if self.start < 0 or self.end < self.start:
             raise ValueError(f"bad edit span ({self.start}, {self.end})")
+        check_tokens(self.correction, "correction", allow_empty=True)
 
 
 @dataclass(frozen=True)
@@ -373,13 +375,11 @@ def _parse_a_line(path: str, line_no: int, payload: str, n_source: int):
             path, line_no,
             f"span ({start}, {end}) does not fit sentence of length {n_source}",
         )
-    if correction in (_NONE_FIELD, ""):
-        corr_tokens: tuple[str, ...] = ()
-    else:
-        corr_tokens = tuple(correction.split(" "))
-        if any(t == "" for t in corr_tokens):
-            raise MalformedLine(path, line_no, "correction contains an empty token")
-    return annotator, GoldEdit(start, end, etype, corr_tokens, required, comment)
+    corr_tokens = () if correction in (_NONE_FIELD, "") else correction.split(" ")
+    try:
+        return annotator, GoldEdit(start, end, etype, corr_tokens, required, comment)
+    except ValueError as exc:
+        raise MalformedLine(path, line_no, str(exc)) from exc
 
 
 def read_m2(path) -> Iterator[AnnotatedExample]:
@@ -390,61 +390,43 @@ def read_m2(path) -> Iterator[AnnotatedExample]:
     sorted and non-overlapping.
     """
     path = os.fspath(path)
-
-    source: tuple[str, ...] | None = None
-    source_line = 0
-    edits: dict[int, list[GoldEdit]] = {}
-    noop: set[int] = set()
-    block_index = 0
-
-    def flush() -> AnnotatedExample:
-        nonlocal source, edits, noop, block_index
-        assert source is not None
-        merged: dict[int, tuple[GoldEdit, ...]] = {a: tuple(es) for a, es in edits.items()}
-        for a in noop:
-            merged[a] = ()
-        try:
-            ex = AnnotatedExample(source=source, edits=merged, id=str(block_index))
-        except ValueError as exc:
-            raise MalformedLine(path, source_line, str(exc)) from exc
-        source, edits, noop = None, {}, set()
-        block_index += 1
-        return ex
-
-    for line_no, line in _lines(path):
-        if line.strip() == "":
-            if source is not None:
-                yield flush()
+    block_id = 0
+    source = None  # the open block's tokens, from its S-line at source_line
+    # The end of the file ends a block as a blank line does.
+    for line_no, line in chain(_lines(path), [(0, "")]):
+        blank = line.strip() == ""
+        if source is not None and (blank or line.startswith("S ")):
+            try:
+                example = AnnotatedExample(
+                    source, {a: es or () for a, es in edits.items()}, str(block_id)
+                )
+            except ValueError as exc:
+                raise MalformedLine(path, source_line, str(exc)) from exc
+            yield example
+            block_id += 1
+            source = None
+        if blank:
             continue
         if line.startswith("S "):
-            if source is not None:
-                yield flush()
-            source = tuple(line[2:].split(" "))
-            source_line = line_no
             try:
-                check_tokens(source, "source")
+                source = split_tokens(line[2:], "source")
             except ValueError as exc:
                 raise MalformedLine(path, line_no, str(exc)) from exc
-        elif line.startswith("A "):
-            if source is None:
-                raise MalformedLine(path, line_no, "A-line before any S-line")
-            annotator, edit = _parse_a_line(path, line_no, line[2:], len(source))
-            if edit is None:
-                if annotator in edits:
-                    raise MalformedLine(
-                        path, line_no, f"annotator {annotator} mixes noop and edits"
-                    )
-                noop.add(annotator)
-            else:
-                if annotator in noop:
-                    raise MalformedLine(
-                        path, line_no, f"annotator {annotator} mixes noop and edits"
-                    )
-                edits.setdefault(annotator, []).append(edit)
-        else:
+            source_line = line_no
+            edits: dict[int, list[GoldEdit] | None] = {}  # None for a noop annotator
+        elif not line.startswith("A "):
             raise MalformedLine(path, line_no, f"unrecognized line {line[:40]!r}")
-    if source is not None:
-        yield flush()
+        elif source is None:
+            raise MalformedLine(path, line_no, "A-line before any S-line")
+        else:
+            annotator, edit = _parse_a_line(path, line_no, line[2:], len(source))
+            kept = edits.setdefault(annotator, None if edit is None else [])
+            if (kept is None) != (edit is None):
+                raise MalformedLine(
+                    path, line_no, f"annotator {annotator} mixes noop and edits"
+                )
+            if edit is not None:
+                kept.append(edit)
 
 
 def write_m2(examples: Iterable[AnnotatedExample], path) -> int:

@@ -13,6 +13,7 @@ error-pattern frequencies of the pool it was sampled from.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import mul
@@ -107,11 +108,7 @@ def score(
     edit's type label; FP edits only exist on the hypothesis side, so
     they are tallied under the hypothesis edit's coarse type.
     """
-    total_tp = total_fp = total_fn = 0
-    cat_tp: dict[str, int] = {}
-    cat_fp: dict[str, int] = {}
-    cat_fn: dict[str, int] = {}
-
+    counts: Counter[tuple[str, str]] = Counter()  # (category, "tp" | "fp" | "fn") -> edits
     hyp_list = list(hypothesis)
     gold_list = list(gold)
     if len(hyp_list) != len(gold_list):
@@ -126,42 +123,30 @@ def score(
         hyp_edits = extract_edits(hyp)
         hyp_keys = {(e.src_span[0], e.src_span[1], e.replacement): e for e in hyp_edits}
 
-        annotators = sorted(ann.edits) or [0]
-        best = None
-        for annotator in annotators:
-            gold_keys = _gold_edit_keys(ann, annotator)
+        def sentence_f(gold_keys: dict) -> float:
             tp = len(hyp_keys.keys() & gold_keys.keys())
-            fp = len(hyp_keys) - tp
-            fn = len(gold_keys) - tp
-            sentence_f = f_beta(tp, fp, fn, beta)
-            if best is None or sentence_f > best[0]:
-                best = (sentence_f, annotator, gold_keys, tp, fp, fn)
-        assert best is not None
-        _, _, gold_keys, tp, fp, fn = best
-        total_tp += tp
-        total_fp += fp
-        total_fn += fn
+            return f_beta(tp, len(hyp_keys) - tp, len(gold_keys) - tp, beta)
+
+        annotators = sorted(ann.edits) or [0]
+        gold_keys = max((_gold_edit_keys(ann, a) for a in annotators), key=sentence_f)
         for key, etype in gold_keys.items():
-            if key in hyp_keys:
-                cat_tp[etype] = cat_tp.get(etype, 0) + 1
-            else:
-                cat_fn[etype] = cat_fn.get(etype, 0) + 1
+            counts[etype, "tp" if key in hyp_keys else "fn"] += 1
         for key, edit in hyp_keys.items():
             if key not in gold_keys:
-                cat_fp[edit.coarse_type] = cat_fp.get(edit.coarse_type, 0) + 1
+                counts[edit.coarse_type, "fp"] += 1
 
-    precision = total_tp / (total_tp + total_fp) if total_tp + total_fp else 0.0
-    recall = total_tp / (total_tp + total_fn) if total_tp + total_fn else 0.0
+    categories = sorted({cat for cat, _ in counts})
+    tp, fp, fn = (sum(counts[cat, kind] for cat in categories) for kind in ("tp", "fp", "fn"))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
     per_category = {}
-    for cat in sorted(set(cat_tp) | set(cat_fp) | set(cat_fn)):
-        tp = cat_tp.get(cat, 0)
-        fp = cat_fp.get(cat, 0)
-        fn = cat_fn.get(cat, 0)
-        per_category[cat] = CategoryScore(tp, fp, fn, f_beta(tp, fp, fn, beta))
+    for cat in categories:
+        c_tp, c_fp, c_fn = counts[cat, "tp"], counts[cat, "fp"], counts[cat, "fn"]
+        per_category[cat] = CategoryScore(c_tp, c_fp, c_fn, f_beta(c_tp, c_fp, c_fn, beta))
     return ScoreReport(
-        total_tp,
-        total_fp,
-        total_fn,
+        tp,
+        fp,
+        fn,
         precision,
         recall,
         f_beta_from_rates(precision, recall, beta),

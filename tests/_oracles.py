@@ -36,6 +36,16 @@ share the package's line and row readers, its token check and its
 pattern row check, so rows compare with ``==`` and errors by class and
 message.
 
+``reference_read_m2`` (with ``_reference_parse_a_line``) and
+``reference_score`` are frozen copies of the M2 reader, with its
+``flush`` closure, and of ``score``, with its per-category dicts and
+running totals, from before the gold path was rewritten. They share the
+package's ``GoldEdit``, ``AnnotatedExample`` and report classes, so
+examples and reports compare with ``==`` and errors by class and
+message. Since ``GoldEdit`` checks its correction, the frozen reader
+raises that check's bare ValueError on a whitespace-bearing correction
+token, which the original accepted.
+
 ``reference_read_reply`` is the reply reader the HTTP client used before
 it spoke HTTP/1.1 over its socket itself: ``http.client.HTTPResponse``,
 read as the client read it.
@@ -56,12 +66,15 @@ from gecaug.align import (
     DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp, Edit, extract_edits,
 )
 from gecaug.corpus import (
-    GoldEdit, MalformedLine, ParallelExample, SchemaError, SpanOutOfBounds, _lines, check_tokens,
-    is_int, read_json_rows, read_jsonl, read_pairs,
+    AnnotatedExample, GoldEdit, MalformedLine, ParallelExample, SchemaError, SpanOutOfBounds,
+    _lines, check_tokens, is_int, read_json_rows, read_jsonl, read_pairs,
 )
 from gecaug.generation import MASK, SEP, FinetuneExample
 from gecaug.mix import StagePlan
 from gecaug.patterns import ErrorPattern, PatternPool, extend_to_ngram, pattern_from_row
+from gecaug.scoring import (
+    CategoryScore, ScoreReport, ScoringError, f_beta, f_beta_from_rates,
+)
 from gecaug.synthesis import Match, SyntheticSample
 
 
@@ -480,6 +493,183 @@ def reference_read_samples(path) -> Iterator[SyntheticSample]:
         yield SyntheticSample(
             source, target, tuple(planted), requested, obj["generator"], obj["id"]
         )
+
+
+def _reference_parse_a_line(path: str, line_no: int, payload: str, n_source: int):
+    """Frozen copy of the original ``gecaug.corpus._parse_a_line``; do not edit."""
+    fields = payload.split("|||")
+    if len(fields) != 6:
+        raise MalformedLine(
+            path, line_no, f"expected 6 '|||'-separated fields, got {len(fields)}"
+        )
+    span_part, etype, correction, required, comment, annot_part = fields
+    span_bits = span_part.split()
+    if len(span_bits) != 2:
+        raise MalformedLine(path, line_no, f"bad span field {span_part!r}")
+    try:
+        start, end = int(span_bits[0]), int(span_bits[1])
+    except ValueError as exc:
+        raise MalformedLine(path, line_no, f"non-integer span {span_part!r}") from exc
+    try:
+        annotator = int(annot_part)
+    except ValueError as exc:
+        raise MalformedLine(path, line_no, f"non-integer annotator {annot_part!r}") from exc
+
+    if etype == "noop" or (start, end) == (-1, -1):
+        # Both halves of the noop convention must appear together.
+        if etype != "noop" or (start, end) != (-1, -1):
+            raise MalformedLine(
+                path, line_no, "noop requires both type 'noop' and span -1 -1"
+            )
+        return annotator, None
+
+    if start < 0 or end < start or end > n_source:
+        raise SpanOutOfBounds(
+            path, line_no,
+            f"span ({start}, {end}) does not fit sentence of length {n_source}",
+        )
+    if correction in ("-NONE-", ""):
+        corr_tokens: tuple[str, ...] = ()
+    else:
+        corr_tokens = tuple(correction.split(" "))
+        if any(t == "" for t in corr_tokens):
+            raise MalformedLine(path, line_no, "correction contains an empty token")
+    return annotator, GoldEdit(start, end, etype, corr_tokens, required, comment)
+
+
+def reference_read_m2(path) -> Iterator[AnnotatedExample]:
+    """Frozen copy of the original ``gecaug.corpus.read_m2``; do not edit."""
+    path = os.fspath(path)
+
+    source: tuple[str, ...] | None = None
+    source_line = 0
+    edits: dict[int, list[GoldEdit]] = {}
+    noop: set[int] = set()
+    block_index = 0
+
+    def flush() -> AnnotatedExample:
+        nonlocal source, edits, noop, block_index
+        assert source is not None
+        merged: dict[int, tuple[GoldEdit, ...]] = {a: tuple(es) for a, es in edits.items()}
+        for a in noop:
+            merged[a] = ()
+        try:
+            ex = AnnotatedExample(source=source, edits=merged, id=str(block_index))
+        except ValueError as exc:
+            raise MalformedLine(path, source_line, str(exc)) from exc
+        source, edits, noop = None, {}, set()
+        block_index += 1
+        return ex
+
+    for line_no, line in _lines(path):
+        if line.strip() == "":
+            if source is not None:
+                yield flush()
+            continue
+        if line.startswith("S "):
+            if source is not None:
+                yield flush()
+            source = tuple(line[2:].split(" "))
+            source_line = line_no
+            try:
+                check_tokens(source, "source")
+            except ValueError as exc:
+                raise MalformedLine(path, line_no, str(exc)) from exc
+        elif line.startswith("A "):
+            if source is None:
+                raise MalformedLine(path, line_no, "A-line before any S-line")
+            annotator, edit = _reference_parse_a_line(path, line_no, line[2:], len(source))
+            if edit is None:
+                if annotator in edits:
+                    raise MalformedLine(
+                        path, line_no, f"annotator {annotator} mixes noop and edits"
+                    )
+                noop.add(annotator)
+            else:
+                if annotator in noop:
+                    raise MalformedLine(
+                        path, line_no, f"annotator {annotator} mixes noop and edits"
+                    )
+                edits.setdefault(annotator, []).append(edit)
+        else:
+            raise MalformedLine(path, line_no, f"unrecognized line {line[:40]!r}")
+    if source is not None:
+        yield flush()
+
+
+def _reference_gold_edit_keys(ex: AnnotatedExample, annotator: int):
+    return {
+        (e.start, e.end, e.correction): e.type for e in ex.edits.get(annotator, ())
+    }
+
+
+def reference_score(
+    hypothesis: Iterable[ParallelExample],
+    gold: Iterable[AnnotatedExample],
+    beta: float = 0.5,
+) -> ScoreReport:
+    """Frozen copy of the original ``gecaug.scoring.score``; do not edit."""
+    total_tp = total_fp = total_fn = 0
+    cat_tp: dict[str, int] = {}
+    cat_fp: dict[str, int] = {}
+    cat_fn: dict[str, int] = {}
+
+    hyp_list = list(hypothesis)
+    gold_list = list(gold)
+    if len(hyp_list) != len(gold_list):
+        raise ScoringError(
+            f"hypothesis has {len(hyp_list)} sentences, gold has {len(gold_list)}"
+        )
+    for hyp, ann in zip(hyp_list, gold_list):
+        if hyp.source != ann.source:
+            raise ScoringError(
+                f"source mismatch at hypothesis id {hyp.id!r} / gold id {ann.id!r}"
+            )
+        hyp_edits = extract_edits(hyp)
+        hyp_keys = {(e.src_span[0], e.src_span[1], e.replacement): e for e in hyp_edits}
+
+        annotators = sorted(ann.edits) or [0]
+        best = None
+        for annotator in annotators:
+            gold_keys = _reference_gold_edit_keys(ann, annotator)
+            tp = len(hyp_keys.keys() & gold_keys.keys())
+            fp = len(hyp_keys) - tp
+            fn = len(gold_keys) - tp
+            sentence_f = f_beta(tp, fp, fn, beta)
+            if best is None or sentence_f > best[0]:
+                best = (sentence_f, annotator, gold_keys, tp, fp, fn)
+        assert best is not None
+        _, _, gold_keys, tp, fp, fn = best
+        total_tp += tp
+        total_fp += fp
+        total_fn += fn
+        for key, etype in gold_keys.items():
+            if key in hyp_keys:
+                cat_tp[etype] = cat_tp.get(etype, 0) + 1
+            else:
+                cat_fn[etype] = cat_fn.get(etype, 0) + 1
+        for key, edit in hyp_keys.items():
+            if key not in gold_keys:
+                cat_fp[edit.coarse_type] = cat_fp.get(edit.coarse_type, 0) + 1
+
+    precision = total_tp / (total_tp + total_fp) if total_tp + total_fp else 0.0
+    recall = total_tp / (total_tp + total_fn) if total_tp + total_fn else 0.0
+    per_category = {}
+    for cat in sorted(set(cat_tp) | set(cat_fp) | set(cat_fn)):
+        tp = cat_tp.get(cat, 0)
+        fp = cat_fp.get(cat, 0)
+        fn = cat_fn.get(cat, 0)
+        per_category[cat] = CategoryScore(tp, fp, fn, f_beta(tp, fp, fn, beta))
+    return ScoreReport(
+        total_tp,
+        total_fp,
+        total_fn,
+        precision,
+        recall,
+        f_beta_from_rates(precision, recall, beta),
+        beta,
+        per_category,
+    )
 
 
 def reference_read_reply(raw: bytes) -> tuple[int, str | None, bytes, bool]:

@@ -29,7 +29,7 @@ from gecaug import (
 )
 from gecaug.corpus import check_tokens
 
-from _oracles import reference_check_tokens
+from _oracles import reference_check_tokens, reference_read_m2
 from conftest import random_pair
 
 
@@ -142,6 +142,12 @@ def test_gold_edit_validates_span():
         GoldEdit(3, 2, "R:OTHER", ("x",))
     with pytest.raises(ValueError):
         GoldEdit(-1, 0, "R:OTHER", ("x",))
+
+
+@pytest.mark.parametrize("correction", [("a b",), ("",), ("a\tb",), ("a", "")])
+def test_gold_edit_checks_its_correction(correction):
+    with pytest.raises(ValueError):
+        GoldEdit(0, 1, "X", correction)
 
 
 def test_apply_gold_edits_right_to_left():
@@ -278,6 +284,24 @@ def test_m2_rejects_junk_and_orphan_lines(tmp_path: Path):
     path.write_text("A 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
     with pytest.raises(MalformedLine):
         list(read_m2(path))
+
+
+# A tab inside a correction: no hypothesis token holds whitespace, so
+# this gold edit could never match.
+_TAB_IN_CORRECTION = "S He go .\nA 1 2|||R:VERB|||goes\thome|||REQUIRED|||-NONE-|||0\n"
+
+
+@pytest.mark.parametrize(
+    "correction, reason",
+    [("goes\thome", "correction token 'goes\\thome' contains whitespace"),
+     ("goes  home", "correction side contains an empty token")],
+)
+def test_m2_rejects_a_correction_that_breaks_the_token_rule(tmp_path: Path, correction, reason):
+    path = tmp_path / "gold.m2"
+    path.write_text(_TAB_IN_CORRECTION.replace("goes\thome", correction), encoding="utf-8")
+    with pytest.raises(MalformedLine) as err:
+        list(read_m2(path))
+    assert (err.value.line_no, err.value.reason) == (2, reason)
 
 
 def test_m2_block_without_annotations(tmp_path: Path):
@@ -471,3 +495,80 @@ def test_check_tokens_matches_reference(tokens, allow_empty):
     assert _check_outcome(check_tokens, tokens, allow_empty) == _check_outcome(
         reference_check_tokens, tokens, allow_empty
     )
+
+
+# ---------------------------------------------------------------------------
+# The M2 reader against its frozen copy, on valid and malformed files
+
+# A side whose tokens may break the token rule.
+_M2_SIDE = st.lists(st.sampled_from(["a", "b", "c", "|", "", "\t", "x\u3000y"]), max_size=4).map(
+    " ".join
+)
+# A field of an A-line set to a value that breaks the line: (index, value),
+# where index 6 adds a seventh field and the value None drops the field.
+_M2_BROKEN = st.sampled_from([
+    (0, "-1 -1"), (1, "noop"), (0, "2 1"), (0, "0 9"), (0, "1"), (0, "x 1"), (5, "x"),
+    (6, "extra"), (5, None),
+]) | st.tuples(st.just(2), _M2_SIDE)
+
+
+def _mostly(draw, good, bad):
+    """A value of ``good``, or one time in ten of ``bad``."""
+    return draw(bad if draw(st.integers(0, 9)) == 9 else good)
+
+
+@st.composite
+def _m2_a_line(draw) -> str:
+    span, etype = draw(st.sampled_from([
+        ("0 1", "R:X"), ("1 2", "R:X"), ("0 2", "R:X"), ("0 0", "M:DET"), ("1 1", "M:DET"),
+        ("-1 -1", "noop"),
+    ]))
+    correction = draw(st.sampled_from(["-NONE-", "", "y", "y z"]))
+    fields = [span, etype, correction, "REQUIRED", "-NONE-", draw(st.sampled_from("0122"))]
+    if draw(st.integers(0, 9)) == 9:
+        i, value = draw(_M2_BROKEN)
+        fields[i:i + 1] = [] if value is None else [value]
+    return "A " + "|||".join(fields)
+
+
+@st.composite
+def _m2_lines(draw) -> list[str]:
+    """An M2 file's lines: blocks of an S-line and A-lines, each ended one way or another."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append("S " + _mostly(draw, st.sampled_from(["a b c", "a b", "a"]), _M2_SIDE))
+        lines += draw(st.lists(_m2_a_line(), max_size=4))
+        lines += _mostly(
+            draw, st.sampled_from([[""], [""], [""], [" "], ["\t"], [], ["", ""]]),
+            st.sampled_from(
+                [["T x"], ["S"], ["A"], ["", "A 0 1|||R:X|||y|||REQUIRED|||-NONE-|||0"]]
+            ),
+        )
+    return lines
+
+
+def _m2_outcome(read, path):
+    """The examples ``read`` gives, or its error's class, line number and message."""
+    try:
+        return list(read(path))
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+@settings(_ROUND_TRIP, max_examples=300)
+@given(_m2_lines(), st.booleans())
+def test_m2_reader_matches_reference(tmp_path: Path, lines, final_newline):
+    path = tmp_path / "gold.m2"
+    path.write_text("\n".join(lines) + "\n" * final_newline, encoding="utf-8")
+    got = _m2_outcome(read_m2, path)
+    if isinstance(got, tuple) and got[2].startswith(f"{path}:{got[1]}: correction "):
+        # The one change: GoldEdit's token check refuses a correction with an
+        # empty or whitespace-bearing token at its A-line. Before it, nothing changed.
+        line_no = got[1]
+        tokens = tuple(lines[line_no - 1].split("|||")[2].split(" "))
+        with pytest.raises(ValueError) as err:
+            check_tokens(tokens, "correction", allow_empty=True)
+        assert got == (MalformedLine, line_no, f"{path}:{line_no}: {err.value}")
+        path.write_text("\n".join(lines[: line_no - 1]), encoding="utf-8")
+        got = _m2_outcome(read_m2, path)
+    assert got == _m2_outcome(reference_read_m2, path)

@@ -6,19 +6,26 @@ other file the command resolved, ``--config`` included, is a ``CONFIG``
 error before the stage; two reads may name one file. A written file
 also claims the names written beside it: its temporary, and beside
 ``--out`` its manifest and the sidecar of ``synthesize`` and ``mix
---sweep``, each with a temporary. A manifest's ``inputs`` are the files
-read, the config file aside.
+--sweep``, each with a temporary. A ``--checkpoint`` file is written in
+place and claims no temporary. A manifest's ``inputs`` are the files
+read, the config file aside, each hashed once per run.
+
+A stage's commit may be cut at any of its filesystem calls, by an error
+or by the process dying: every artifact that then has a manifest is
+still the clean run of that manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
+from gecaug import cli
 from gecaug.cli import main
 
 CORPUS = (
@@ -180,7 +187,7 @@ _BESIDE = {
     ),
     "denoise": (
         ("denoise", "--in", "{}", "--out", "o.jsonl", "--checkpoint", "o.ckpt"), "syn.jsonl",
-        "in_path", {"out": _OUT, "checkpoint": ("o.ckpt.tmp",)},
+        "in_path", {"out": _OUT},
     ),
     "mix": (("mix", "--plan", "{}", "--out", "o.jsonl"), "plan.json", "plan", {"out": _OUT}),
     # A sweep writes each cap file as a plain mix writes --out, and the summary.
@@ -221,6 +228,18 @@ def test_no_command_writes_beside_its_output_a_file_it_reads(
     assert (rc, out) == (2, "")
     assert events == [{"event": "error", "code": "CONFIG", "message": message}]
     assert _files(workdir) == before
+
+
+def test_a_checkpoint_claims_no_temporary(workdir: Path, capsys):
+    # Nothing writes c.tmp beside the checkpoint c, so it may be the output.
+    rc, _, _ = _run(capsys, "denoise", "--in", "syn.jsonl", "--out", "plain.jsonl")
+    assert rc == 0
+    rc, _, events = _run(
+        capsys, "denoise", "--in", "syn.jsonl", "--checkpoint", "c", "--out", "c.tmp"
+    )
+    assert rc == 0, events
+    assert (workdir / "c.tmp").read_bytes() == (workdir / "plain.jsonl").read_bytes()
+    assert not (workdir / "c").exists()
 
 
 def test_two_reads_may_name_one_file(workdir: Path, capsys):
@@ -286,3 +305,208 @@ def test_manifest_inputs_are_the_files_read(workdir: Path, capsys, case):
         assert manifest["inputs"] == {
             name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in reads
         }
+
+
+def test_a_sweep_hashes_each_input_once(workdir: Path, monkeypatch):
+    hashed = []
+    sha256_file = cli._sha256_file
+
+    def counted(path: str) -> str:
+        hashed.append(path)
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "_sha256_file", counted)
+    assert main(["mix", "--plan", "plan.json", "--sweep", "0,3,6", "--out", "o.jsonl"]) == 0
+    assert sorted(hashed) == ["corpus.tsv", "den.jsonl", "plan.json"]
+
+
+# ---------------------------------------------------------------------------
+# Crash points of the commit
+
+# The run whose commit is cut writes over a committed earlier run of
+# another config: {case: (earlier argv, argv, its artifacts that have a
+# manifest, the names written beside them, the filesystem calls of its commit)}.
+_COMMITS = {
+    # One manifest opened, one old manifest removed, two renames.
+    "extract": (
+        ("extract", "--in", "corpus.tsv", "--n", "1", "--out", "x.jsonl"),
+        ("extract", "--in", "corpus.tsv", "--n", "3", "--out", "x.jsonl"),
+        ("x.jsonl",), (), 4,
+    ),
+    "pool": (
+        ("pool", "--in", "pool.jsonl", "--n", "3", "--out", "p.jsonl"),
+        ("pool", "--in", "pool.jsonl", "pool.jsonl", "--n", "3", "--out", "p.jsonl"),
+        ("p.jsonl",), (), 4,
+    ),
+    "sample": (
+        ("sample", "--pool", "pool.jsonl", "--n", "3", "--count", "5", "--seed", "1",
+         "--out", "a.jsonl"),
+        ("sample", "--pool", "pool.jsonl", "--n", "3", "--count", "5", "--seed", "2",
+         "--out", "a.jsonl"),
+        ("a.jsonl",), (), 4,
+    ),
+    # 1 + 1 + 3: the stats sidecar is renamed too.
+    "synthesize": (
+        ("synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "12", "--seed", "1",
+         "--out", "s.jsonl"),
+        ("synthesize", "--pool", "pool.jsonl", "--n", "3", "--count", "12", "--seed", "2",
+         "--out", "s.jsonl"),
+        ("s.jsonl",), ("s.jsonl.stats.json",), 5,
+    ),
+    "mix": (
+        ("mix", "--plan", "plan.json", "--out", "m.jsonl"),
+        ("mix", "--plan", "plan2.json", "--out", "m.jsonl"),
+        ("m.jsonl",), (), 4,
+    ),
+    # Three manifests opened, three removed, three cap files, the summary
+    # and three manifests renamed.
+    "mix-sweep": (
+        ("mix", "--plan", "plan.json", "--sweep", "0,3,6", "--out", "m.jsonl"),
+        ("mix", "--plan", "plan2.json", "--sweep", "0,3,6", "--out", "m.jsonl"),
+        ("m.cap0.jsonl", "m.cap3.jsonl", "m.cap6.jsonl"), ("m.jsonl.sweep.json",), 13,
+    ),
+    "denoise": (
+        ("denoise", "--in", "syn.jsonl", "--backend", "identity", "--out", "d.jsonl"),
+        ("denoise", "--in", "syn.jsonl", "--backend", "oracle", "--out", "d.jsonl"),
+        ("d.jsonl",), (), 4,
+    ),
+    "denoise-checkpoint": (
+        ("denoise", "--in", "syn.jsonl", "--backend", "identity", "--checkpoint", "d.ckpt",
+         "--out", "d.jsonl"),
+        ("denoise", "--in", "syn.jsonl", "--backend", "oracle", "--checkpoint", "d.ckpt",
+         "--out", "d.jsonl"),
+        ("d.jsonl",), (), 4,
+    ),
+    # 1 + 1 + 3: the report, its table and its manifest.
+    "stats": (
+        (*_STATS, "--top-k", "2", "--out", "r.json", "--csv", "r.csv"),
+        (*_STATS, "--top-k", "5", "--out", "r.json", "--csv", "r.csv"),
+        ("r.json",), ("r.csv",), 5,
+    ),
+    "score": (
+        (*_SCORE, "--beta", "0.5", "--out", "o.json"),
+        (*_SCORE, "--beta", "1", "--out", "o.json"),
+        ("o.json",), (), 4,
+    ),
+}
+_DIED = 17  # the exit status of a child that died at its crash point
+
+
+def _commit_root(inputs: Path, root: Path, *runs: tuple[str, ...]) -> dict[str, bytes]:
+    """Make ``root`` a copy of ``inputs`` that ``runs`` ran in; return its files."""
+    shutil.copytree(inputs, root)
+    (root / "plan2.json").write_text(json.dumps({**PLAN, "seed": 5}), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in runs:
+            assert main(list(argv)) == 0
+    return _files(root)
+
+
+def _cut_commit(monkeypatch: pytest.MonkeyPatch, at: int, cut) -> list[str]:
+    """Count the filesystem calls of a stage's commit; ``cut()`` runs in place of call ``at``.
+
+    The commit opens each manifest's temporary, removes the old manifests
+    and renames every temporary into place; nothing else renames.
+    """
+    calls: list[str] = []
+
+    def counted(real, counts):
+        def call(path, *args):
+            if counts(path):
+                calls.append(path)
+                if len(calls) == at:
+                    cut()
+            return real(path, *args)
+        return call
+
+    monkeypatch.setattr(
+        cli, "_write_json", counted(cli._write_json, lambda p: p.endswith(".manifest.json.tmp"))
+    )
+    monkeypatch.setattr(
+        cli, "_remove", counted(cli._remove, lambda p: p.endswith(".manifest.json"))
+    )
+    monkeypatch.setattr(os, "replace", counted(os.replace, lambda p: True))
+    return calls
+
+
+def _check_manifests(root: Path, clean: list[dict[str, bytes]], outs, beside) -> None:
+    """Each of ``outs`` that has a manifest, and ``beside`` it, is that manifest's clean run."""
+    for out in outs:
+        manifest = root / f"{out}.manifest.json"
+        if manifest.exists():
+            run = next((f for f in clean if f[manifest.name] == manifest.read_bytes()), None)
+            assert run is not None, f"{manifest.name} is no clean run's"
+            for name in (out, *beside):
+                assert (root / name).read_bytes() == run[name], name
+
+
+@pytest.fixture(scope="module")
+def clean_commits(inputs: Path, tmp_path_factory: pytest.TempPathFactory) -> dict:
+    """Per case: the files of a clean earlier run, and of a clean run alone."""
+    root = tmp_path_factory.mktemp("clean")
+    return {
+        case: [_commit_root(inputs, root / f"{case}-{i}", argv) for i, argv in enumerate(runs)]
+        for case, (*runs, _, _, _) in _COMMITS.items()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_COMMITS))
+def test_commit_calls_are_counted(inputs, tmp_path, monkeypatch, clean_commits, case):
+    earlier, argv, _, _, count = _COMMITS[case]
+    root = tmp_path / "run"
+    _commit_root(inputs, root, earlier)
+    monkeypatch.chdir(root)
+    calls = _cut_commit(monkeypatch, 0, None)
+    assert main(list(argv)) == 0
+    assert len(calls) == count, calls
+    assert _files(root) == {**clean_commits[case][0], **clean_commits[case][1]}
+
+
+@pytest.mark.parametrize(
+    "case, at",
+    [(case, at) for case in sorted(_COMMITS) for at in range(1, _COMMITS[case][4] + 1)],
+)
+def test_an_error_in_the_commit_leaves_clean_manifests(
+    inputs, tmp_path, monkeypatch, capsys, clean_commits, case, at
+):
+    earlier, argv, outs, beside, _ = _COMMITS[case]
+    root = tmp_path / "run"
+    _commit_root(inputs, root, earlier)
+    monkeypatch.chdir(root)
+    capsys.readouterr()
+
+    def cut():
+        raise OSError(f"cut at call {at}")
+
+    _cut_commit(monkeypatch, at, cut)
+    rc, _, events = _run(capsys, *argv)
+    errors = [e for e in events if e["event"] == "error"]
+    assert rc == 1
+    assert errors == [events[-1]]
+    assert errors[0] == {"event": "error", "code": "IO", "message": f"cut at call {at}"}
+    assert not list(root.glob("*.tmp"))  # a checkpoint is kept under its own name
+    _check_manifests(root, clean_commits[case], outs, beside)
+
+
+@pytest.mark.parametrize(
+    "case, at", [(case, at) for case in ("extract", "mix-sweep")
+                 for at in range(1, _COMMITS[case][4] + 1)]
+)
+def test_a_process_that_dies_in_the_commit_leaves_clean_manifests(
+    inputs, tmp_path, monkeypatch, clean_commits, case, at
+):
+    earlier, argv, outs, beside, _ = _COMMITS[case]
+    root = tmp_path / "run"
+    _commit_root(inputs, root, earlier)
+    monkeypatch.chdir(root)
+    pid = os.fork()
+    if pid == 0:  # the child dies at call ``at``; reaching the end is another status
+        try:
+            _cut_commit(monkeypatch, at, lambda: os._exit(_DIED))
+            main(list(argv))
+        finally:
+            os._exit(_DIED + 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == _DIED
+    _check_manifests(root, clean_commits[case], outs, beside)

@@ -34,7 +34,9 @@ from gecaug import (
     synthesize,
     write_jsonl,
 )
+from gecaug.cli import main
 
+from _oracles import reference_score
 from conftest import cli_env, insertion_pool
 
 
@@ -201,6 +203,62 @@ def test_score_validation():
     bad = [ParallelExample(("Other", "words", "."), ("Other", "words", "."), id="0")]
     with pytest.raises(ScoringError):
         score(bad, gold[:1])
+
+
+_WORDS = ("a", "b", "c", "d")
+
+
+@st.composite
+def _scored_sentence(draw) -> tuple[ParallelExample, AnnotatedExample]:
+    """A gold sentence with a few annotators and a hypothesis of it."""
+    source = tuple(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5)))
+
+    def edit_set() -> tuple[GoldEdit, ...]:
+        etype = st.sampled_from(("R:X", "M:DET", "U:ADV"))
+        if draw(st.booleans()):  # apart, one-word replacements come back from alignment
+            at = sorted(draw(st.sets(st.integers(0, (len(source) - 1) // 2), max_size=2)))
+            return tuple(
+                GoldEdit(2 * i, 2 * i + 1, draw(etype), (source[2 * i] + "x",)) for i in at
+            )
+        # Sorted cut points paired up give sorted, disjoint spans.
+        points = sorted(draw(st.lists(st.integers(0, len(source)), max_size=4)))
+        return tuple(
+            GoldEdit(a, b, draw(etype), tuple(draw(st.lists(st.sampled_from(_WORDS), max_size=2))))
+            for a, b in zip(points[::2], points[1::2])
+        )
+
+    edits: dict[int, tuple[GoldEdit, ...]] = {}
+    for annotator in draw(st.lists(st.sampled_from((0, 1, 2, 5)), unique=True, max_size=3)):
+        # An earlier annotator's edits again make a tie.
+        same = edits and draw(st.booleans())
+        edits[annotator] = draw(st.sampled_from(list(edits.values()))) if same else edit_set()
+    # The hypothesis makes one annotator's edits, or edits of its own.
+    target = apply_gold_edits(source, draw(st.sampled_from([*edits.values(), edit_set()])))
+    return ParallelExample(source, target or source, id=""), AnnotatedExample(source, edits)
+
+
+def _score_outcome(scorer, hyp, gold, beta):
+    try:
+        return scorer(hyp, gold, beta)
+    except ScoringError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_scored_sentence(), max_size=6), st.sampled_from((0.5, 1.0, 2.0)),
+    st.sampled_from(("aligned", "one-short", "other-source")),
+)
+def test_score_matches_reference(sentences, beta, change):
+    hyp = [h for h, _ in sentences]
+    gold = [g for _, g in sentences]
+    if change == "one-short":
+        hyp = hyp[1:]
+    elif change == "other-source" and hyp:
+        hyp[-1] = ParallelExample(("z",), ("z",), id="z")
+    assert _score_outcome(score, hyp, gold, beta) == _score_outcome(
+        reference_score, hyp, gold, beta
+    )
 
 
 def test_error_rate():
@@ -389,3 +447,19 @@ def test_stats_report_runs_without_numpy_or_scipy(tmp_path: Path):
     assert (printed["cosine"], printed["spearman"]) == expected
     assert 0.0 < printed["spearman"] < 1.0
     assert (tmp_path / "report.json").exists() and (tmp_path / "table.csv").exists()
+
+
+def test_score_refuses_a_gold_correction_that_holds_a_tab(tmp_path: Path, monkeypatch, capsys):
+    # A gold edit that no hypothesis edit could match, as no token holds whitespace.
+    (tmp_path / "gold.m2").write_text(
+        "S He go .\nA 1 2|||R:VERB|||goes\thome|||REQUIRED|||-NONE-|||0\n", encoding="utf-8"
+    )
+    (tmp_path / "hyp.tsv").write_text("He go .\tHe goes home .\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["score", "--hyp", "hyp.tsv", "--gold", "gold.m2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "event": "error", "code": "MALFORMED_LINE",
+        "message": "gold.m2:2: correction token 'goes\\thome' contains whitespace",
+    }
