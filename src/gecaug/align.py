@@ -79,13 +79,12 @@ objects, the unit every downstream module consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, floor
 from operator import add
 from typing import Sequence
 
-from .corpus import ParallelExample, splice
+from .corpus import ParallelExample, Record, splice
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -100,17 +99,16 @@ SUBSTITUTION = "substitution"
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class AlignOp:
+class AlignOp(Record):
     """One alignment table step. Spans are half-open token index ranges."""
 
-    kind: str
-    src_span: tuple[int, int]
-    tgt_span: tuple[int, int]
+    _fields = ("kind", "src_span", "tgt_span")
+
+    def __init__(self, kind: str, src_span: tuple[int, int], tgt_span: tuple[int, int]):
+        self.__dict__.update(kind=kind, src_span=src_span, tgt_span=tgt_span)
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(Record):
     """A maximal contiguous difference between source and target.
 
     ``replacement`` is the target-side material for the source span; empty
@@ -118,10 +116,16 @@ class Edit:
     or "substitution" (transpositions surface as substitutions).
     """
 
-    src_span: tuple[int, int]
-    replacement: tuple[str, ...]
-    tgt_span: tuple[int, int]
-    coarse_type: str
+    _fields = ("src_span", "replacement", "tgt_span", "coarse_type")
+
+    def __init__(
+        self, src_span: tuple[int, int], replacement: tuple[str, ...],
+        tgt_span: tuple[int, int], coarse_type: str,
+    ):
+        self.__dict__.update(
+            src_span=src_span, replacement=replacement, tgt_span=tgt_span,
+            coarse_type=coarse_type,
+        )
 
 
 @lru_cache(maxsize=65536)

@@ -25,7 +25,6 @@ is non-zero (2 for usage/config, 1 at runtime).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import os
@@ -107,6 +106,8 @@ def _log(event: str, **fields) -> None:
 
 
 def _sha256_file(path: str) -> str:
+    import hashlib  # here and in ``manifest``: a stage that writes no manifest skips it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -151,6 +152,8 @@ class _Stage:
         ``config`` holds only data-affecting options and there are no
         timestamps, so the same artifact always gets the same manifest.
         """
+        import hashlib
+
         self.manifests[out + ".manifest.json"] = {
             "command": self.opts.args.command,
             "config": config,

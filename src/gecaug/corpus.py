@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -104,40 +104,78 @@ def split_tokens(text: str, label: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-@dataclass(frozen=True)
-class ParallelExample:
+class Record:
+    """The base of the package's value classes, which name their fields in ``_fields``.
+
+    As for a frozen dataclass: ``==`` holds between instances of one class
+    with equal fields, ``hash`` is the hash of the field tuple, ``repr`` is
+    ``Name(field=value, ...)``, setting or deleting an attribute raises
+    AttributeError and ``__match_args__`` are the fields. Each subclass's
+    ``__init__`` checks its arguments and stores them in ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ParallelExample(Record):
     """One wrong/correct sentence pair, both sides tokenized."""
 
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    id: str
-    meta: Mapping[str, object] | None = None
+    _fields = ("source", "target", "id", "meta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
-        check_tokens(self.source, "source")
-        check_tokens(self.target, "target")
+    def __init__(
+        self, source: tuple[str, ...], target: tuple[str, ...], id: str,
+        meta: Mapping[str, object] | None = None,
+    ):
+        source, target = tuple(source), tuple(target)
+        check_tokens(source, "source")
+        check_tokens(target, "target")
+        self.__dict__.update(source=source, target=target, id=id, meta=meta)
+
+
+def _pair(source: tuple[str, ...], target: tuple[str, ...], id: str, meta=None):
+    """A ``ParallelExample`` of sides already split and checked, not checked again."""
+    pair = object.__new__(ParallelExample)
+    pair.__dict__.update(source=source, target=target, id=id, meta=meta)
+    return pair
 
 
 def _split_pair(path: str, line_no: int, source: str, target: str, id: str, meta=None):
     """The pair of a TSV or JSONL row, each side split and checked once.
 
     Equal sides share one tuple. A bad side raises MalformedLine with the
-    message ``ParallelExample`` gives, whose checks are not run again.
+    message ``ParallelExample`` gives.
     """
     try:
         src = split_tokens(source, "source")
         tgt = src if target == source else split_tokens(target, "target")
     except ValueError as exc:
         raise MalformedLine(path, line_no, str(exc)) from exc
-    pair = object.__new__(ParallelExample)
-    pair.__dict__.update(source=src, target=tgt, id=id, meta=meta)
-    return pair
+    return _pair(src, tgt, id, meta)
 
 
-@dataclass(frozen=True)
-class GoldEdit:
+class GoldEdit(Record):
     """One annotated edit: replace source[start:end] with ``correction``.
 
     ``correction`` is empty for deletions; its tokens are checked as a
@@ -146,43 +184,46 @@ class GoldEdit:
     verbatim.
     """
 
-    start: int
-    end: int
-    type: str
-    correction: tuple[str, ...]
-    required: str = "REQUIRED"
-    comment: str = "-NONE-"
+    _fields = ("start", "end", "type", "correction", "required", "comment")
 
-    def __post_init__(self):
-        object.__setattr__(self, "correction", tuple(self.correction))
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad edit span ({self.start}, {self.end})")
-        check_tokens(self.correction, "correction", allow_empty=True)
+    def __init__(
+        self, start: int, end: int, type: str, correction: tuple[str, ...],
+        required: str = "REQUIRED", comment: str = "-NONE-",
+    ):
+        correction = tuple(correction)
+        if start < 0 or end < start:
+            raise ValueError(f"bad edit span ({start}, {end})")
+        check_tokens(correction, "correction", allow_empty=True)
+        self.__dict__.update(
+            start=start, end=end, type=type, correction=correction, required=required,
+            comment=comment,
+        )
 
 
-@dataclass(frozen=True)
-class AnnotatedExample:
+class AnnotatedExample(Record):
     """A source sentence plus per-annotator gold edits.
 
     ``edits`` maps annotator id to a tuple of edits sorted by span. An
     annotator present with an empty tuple recorded an explicit "no
     correction needed" judgement; an absent annotator recorded nothing.
+    The example holds its own copy of ``edits``.
     """
 
-    source: tuple[str, ...]
-    edits: Mapping[int, tuple[GoldEdit, ...]] = field(default_factory=dict)
-    id: str = ""
+    _fields = ("source", "edits", "id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source", tuple(self.source))
-        check_tokens(self.source, "source")
-        fixed = {int(a): tuple(es) for a, es in self.edits.items()}
-        object.__setattr__(self, "edits", fixed)
-        for annotator, edits in fixed.items():
+    def __init__(
+        self, source: tuple[str, ...], edits: Mapping[int, tuple[GoldEdit, ...]] = {},
+        id: str = "",
+    ):
+        source = tuple(source)
+        check_tokens(source, "source")
+        fixed = {int(a): tuple(es) for a, es in edits.items()}
+        for annotator, annotated in fixed.items():
             try:
-                splice(self.source, [(e.start, e.end, ()) for e in edits])
+                splice(source, [(e.start, e.end, ()) for e in annotated])
             except ValueError as exc:
                 raise ValueError(f"annotator {annotator}: {exc}") from exc
+        self.__dict__.update(source=source, edits=fixed, id=id)
 
 
 def splice(
@@ -342,6 +383,13 @@ _NOOP_TYPE = "noop"
 _NONE_FIELD = "-NONE-"
 
 
+def _m2_int(text: str) -> int:
+    """``text`` as an M2 integer: ASCII digits only, else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 def _parse_a_line(path: str, line_no: int, payload: str, n_source: int):
     """Parse one A-line payload. Returns (annotator, GoldEdit | None)."""
     fields = payload.split("|||")
@@ -353,12 +401,12 @@ def _parse_a_line(path: str, line_no: int, payload: str, n_source: int):
     span_bits = span_part.split()
     if len(span_bits) != 2:
         raise MalformedLine(path, line_no, f"bad span field {span_part!r}")
-    try:
-        start, end = int(span_bits[0]), int(span_bits[1])
+    try:  # -1 -1 is the noop span; no other span is negative
+        start, end = (-1, -1) if span_bits == ["-1", "-1"] else map(_m2_int, span_bits)
     except ValueError as exc:
         raise MalformedLine(path, line_no, f"non-integer span {span_part!r}") from exc
     try:
-        annotator = int(annot_part)
+        annotator = _m2_int(annot_part)
     except ValueError as exc:
         raise MalformedLine(path, line_no, f"non-integer annotator {annot_part!r}") from exc
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from ._concurrent import map_ordered
 from ._http import JsonHttpClient
 from .align import align_tokens, merge_edits
-from .corpus import ParallelExample, splice
+from .corpus import ParallelExample, _pair, check_tokens, splice
 from .synthesis import SyntheticSample
 
 
@@ -140,7 +140,10 @@ def relabel(
                 "matches_target": tokens == s.target,
                 "matches_source": tokens == s.source,
             }
-            yield ParallelExample(source=s.source, target=tokens, id=s.id, meta=meta)
+            # Only the source needs ``ParallelExample``'s check: split tokens pass it.
+            source = tuple(s.source)
+            check_tokens(source, "source")
+            yield _pair(source, tuple(tokens), s.id, meta)
 
 
 def relabel_diff_stats(

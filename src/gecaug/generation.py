@@ -14,12 +14,11 @@ span the loss should cover) and the frozen few-shot prompt.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
 from ._http import JsonHttpClient, TransportError
-from .corpus import check_tokens, splice
+from .corpus import Record, check_tokens, splice
 from .seeding import stable_seed
 
 __all__ = [
@@ -46,27 +45,25 @@ STATUS_REFUSED = "refused"
 STATUS_TRANSPORT_ERROR = "transport_error"
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(Record):
     """One templated request: the patterns to keep verbatim and the template."""
 
-    patterns: tuple[tuple[str, ...], ...]
-    template: str
-    id: str
+    _fields = ("patterns", "template", "id")
+
+    def __init__(self, patterns: tuple[tuple[str, ...], ...], template: str, id: str):
+        self.__dict__.update(patterns=patterns, template=template, id=id)
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(Record):
     """Backend outcome. ``text`` is non-empty exactly when status is ok."""
 
-    request_id: str
-    text: str
-    status: str
-    detail: str = ""
+    _fields = ("request_id", "text", "status", "detail")
+
+    def __init__(self, request_id: str, text: str, status: str, detail: str = ""):
+        self.__dict__.update(request_id=request_id, text=text, status=status, detail=detail)
 
 
-@dataclass(frozen=True)
-class FinetuneExample:
+class FinetuneExample(Record):
     """Masked-infilling training example.
 
     ``input`` is the masked sentence, ``<sep>``, then the full sentence.
@@ -75,9 +72,13 @@ class FinetuneExample:
     ``masked_spans`` records which sentence spans were masked.
     """
 
-    input: str
-    target_span: tuple[int, int]
-    masked_spans: tuple[tuple[int, int], ...]
+    _fields = ("input", "target_span", "masked_spans")
+
+    def __init__(
+        self, input: str, target_span: tuple[int, int],
+        masked_spans: tuple[tuple[int, int], ...],
+    ):
+        self.__dict__.update(input=input, target_span=target_span, masked_spans=masked_spans)
 
 
 def assemble_input(

@@ -15,13 +15,12 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .corpus import (
-    MalformedLine, ParallelExample, SchemaError, is_int, read_json_file, read_jsonl, read_pairs,
+    MalformedLine, ParallelExample, Record, SchemaError, is_int, read_json_file, read_jsonl, read_pairs,
 )
 
 STAGES = ("I", "II", "III")
@@ -29,8 +28,7 @@ STAGES = ("I", "II", "III")
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class StagePlan:
+class StagePlan(Record):
     """What goes into one training stage.
 
     Stage I is real-data pretraining and takes no synthetic corpus;
@@ -38,24 +36,27 @@ class StagePlan:
     is required exactly when ``synthetic`` is set.
     """
 
-    stage: str
-    real: tuple[str, ...]
-    synthetic: str | None = None
-    synthetic_count: int | None = None
-    seed: int = 0
+    _fields = ("stage", "real", "synthetic", "synthetic_count", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "real", tuple(self.real))
-        if self.stage not in STAGES:
-            raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        if not self.real and self.synthetic is None:
+    def __init__(
+        self, stage: str, real: tuple[str, ...], synthetic: str | None = None,
+        synthetic_count: int | None = None, seed: int = 0,
+    ):
+        real = tuple(real)
+        if stage not in STAGES:
+            raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+        if not real and synthetic is None:
             raise ValueError("plan names no corpora")
-        if self.stage == "I" and self.synthetic is not None:
+        if stage == "I" and synthetic is not None:
             raise ValueError("stage I takes no synthetic corpus")
-        if (self.synthetic is None) != (self.synthetic_count is None):
+        if (synthetic is None) != (synthetic_count is None):
             raise ValueError("synthetic and synthetic_count must be set together")
-        if self.synthetic_count is not None and self.synthetic_count < 0:
+        if synthetic_count is not None and synthetic_count < 0:
             raise ValueError("synthetic_count must be non-negative")
+        self.__dict__.update(
+            stage=stage, real=real, synthetic=synthetic, synthetic_count=synthetic_count,
+            seed=seed,
+        )
 
 
 def load_plan(path) -> StagePlan:

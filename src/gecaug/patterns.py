@@ -15,13 +15,12 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .align import Edit, extract_edits
 from .corpus import (
-    VALID_N, ParallelExample, SchemaError, canonical_json, check_tokens, is_int, read_json_rows,
+    VALID_N, ParallelExample, Record, SchemaError, canonical_json, check_tokens, is_int, read_json_rows,
     write_lines,
 )
 
@@ -31,22 +30,19 @@ def _check_width(n) -> None:
         raise ValueError(f"context width must be one of {VALID_N}, got {n}")
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
+class ErrorPattern(Record):
     """One (wrong, correct) n-gram pair. Either side may be empty at n=1."""
 
-    wrong: tuple[str, ...]
-    correct: tuple[str, ...]
-    n: int
+    _fields = ("wrong", "correct", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "wrong", tuple(self.wrong))
-        object.__setattr__(self, "correct", tuple(self.correct))
-        _check_width(self.n)
-        check_tokens(self.wrong, "wrong", allow_empty=True)
-        check_tokens(self.correct, "correct", allow_empty=True)
-        if self.wrong == self.correct:
+    def __init__(self, wrong: tuple[str, ...], correct: tuple[str, ...], n: int):
+        wrong, correct = tuple(wrong), tuple(correct)
+        _check_width(n)
+        check_tokens(wrong, "wrong", allow_empty=True)
+        check_tokens(correct, "correct", allow_empty=True)
+        if wrong == correct:
             raise ValueError("pattern sides are identical")
+        self.__dict__.update(wrong=wrong, correct=correct, n=n)
 
 
 def extend_to_ngram(

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .align import extract_edits
-from .corpus import AnnotatedExample, CodedError, ParallelExample
+from .corpus import AnnotatedExample, CodedError, ParallelExample, Record
 from .patterns import ErrorPattern, PatternPool, build_pool, pattern_row
 
 
@@ -53,24 +52,24 @@ def f_beta_from_rates(precision: float, recall: float, beta: float = 0.5) -> flo
     return (1.0 + b2) * precision * recall / denom
 
 
-@dataclass(frozen=True)
-class CategoryScore:
-    tp: int
-    fp: int
-    fn: int
-    f_beta: float
+class CategoryScore(Record):
+    _fields = ("tp", "fp", "fn", "f_beta")
+
+    def __init__(self, tp: int, fp: int, fn: int, f_beta: float):
+        self.__dict__.update(tp=tp, fp=fp, fn=fn, f_beta=f_beta)
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f_beta: float
-    beta: float
-    per_category: Mapping[str, CategoryScore]
+class ScoreReport(Record):
+    _fields = ("tp", "fp", "fn", "precision", "recall", "f_beta", "beta", "per_category")
+
+    def __init__(
+        self, tp: int, fp: int, fn: int, precision: float, recall: float, f_beta: float,
+        beta: float, per_category: Mapping[str, CategoryScore],
+    ):
+        self.__dict__.update(
+            tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f_beta=f_beta, beta=beta,
+            per_category=per_category,
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -169,16 +168,21 @@ def error_rate(corpus: Iterable[ParallelExample]) -> float:
     return errorful / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(Record):
     """Reference vs candidate frequencies over the reference's head patterns."""
 
-    top_k: int
-    patterns: tuple[ErrorPattern, ...]
-    reference_counts: tuple[int, ...]
-    candidate_counts: tuple[int, ...]
-    cosine: float
-    spearman: float
+    _fields = (
+        "top_k", "patterns", "reference_counts", "candidate_counts", "cosine", "spearman",
+    )
+
+    def __init__(
+        self, top_k: int, patterns: tuple[ErrorPattern, ...], reference_counts: tuple[int, ...],
+        candidate_counts: tuple[int, ...], cosine: float, spearman: float,
+    ):
+        self.__dict__.update(
+            top_k=top_k, patterns=patterns, reference_counts=reference_counts,
+            candidate_counts=candidate_counts, cosine=cosine, spearman=spearman,
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -19,13 +19,12 @@ import itertools
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
 from ._concurrent import map_ordered
 from .corpus import (
-    CodedError, MalformedLine, SchemaError, SpanOutOfBounds, canonical_json, is_int,
+    CodedError, MalformedLine, Record, SchemaError, SpanOutOfBounds, canonical_json, is_int,
     read_json_rows, splice, split_tokens, write_lines,
 )
 from .generation import (
@@ -54,36 +53,48 @@ class SynthesisBudgetError(CodedError):
         self.stats = stats
 
 
-@dataclass(frozen=True)
-class SyntheticSample:
+class SyntheticSample(Record):
     """One synthetic pair. ``target`` is the generated sentence; ``source``
     carries the planted errors (equal to target for clean samples).
     ``planted`` spans index into ``source`` and cover the wrong sides."""
 
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    planted: tuple[Match, ...]
-    requested: tuple[ErrorPattern, ...]
-    generator_id: str
-    id: str
+    _fields = ("source", "target", "planted", "requested", "generator_id", "id")
+
+    def __init__(
+        self, source: tuple[str, ...], target: tuple[str, ...], planted: tuple[Match, ...],
+        requested: tuple[ErrorPattern, ...], generator_id: str, id: str,
+    ):
+        self.__dict__.update(
+            source=source, target=target, planted=planted, requested=requested,
+            generator_id=generator_id, id=id,
+        )
 
 
-@dataclass
-class SynthStats:
+class SynthStats(Record):
     """Counters over every generation attempt, not just emitted samples.
 
-    ``zero_match_retries`` also counts plants that would empty the source."""
+    ``zero_match_retries`` also counts plants that would empty the source.
+    Unlike the other records it is mutable, so it has no hash."""
 
-    samples: int = 0
-    attempts: int = 0
-    errorful: int = 0
-    refused: int = 0
-    transport_errors: int = 0
-    zero_match_retries: int = 0
-    patterns_requested: int = 0
-    patterns_matched: int = 0
-    unmatched_absent: int = 0
-    unmatched_overlap: int = 0
+    _fields = (
+        "samples", "attempts", "errorful", "refused", "transport_errors", "zero_match_retries",
+        "patterns_requested", "patterns_matched", "unmatched_absent", "unmatched_overlap",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, samples: int = 0, attempts: int = 0, errorful: int = 0, refused: int = 0,
+        transport_errors: int = 0, zero_match_retries: int = 0, patterns_requested: int = 0,
+        patterns_matched: int = 0, unmatched_absent: int = 0, unmatched_overlap: int = 0,
+    ):
+        self.__dict__.update(
+            samples=samples, attempts=attempts, errorful=errorful, refused=refused,
+            transport_errors=transport_errors, zero_match_retries=zero_match_retries,
+            patterns_requested=patterns_requested, patterns_matched=patterns_matched,
+            unmatched_absent=unmatched_absent, unmatched_overlap=unmatched_overlap,
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -46,6 +46,15 @@ message. Since ``GoldEdit`` checks its correction, the frozen reader
 raises that check's bare ValueError on a whitespace-bearing correction
 token, which the original accepted.
 
+``ReferenceRecords`` holds frozen copies of the package's 15 value
+classes as they were while they were dataclasses: each is the
+``@dataclass`` it was, under its own name and ``__qualname__``, so
+``repr`` and ``TypeError`` messages compare as text. They share the
+package's token check, ``splice``, width check and stage names.
+
+``reference_relabel`` is a frozen copy of ``relabel`` from when it built
+each pair through ``ParallelExample``, which checked both sides again.
+
 ``reference_read_reply`` is the reply reader the HTTP client used before
 it spoke HTTP/1.1 over its socket itself: ``http.client.HTTPResponse``,
 read as the client read it.
@@ -57,21 +66,26 @@ import hashlib
 import io
 import os
 from collections import Counter
-from dataclasses import replace
+from contextlib import closing
+from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from gecaug._concurrent import map_ordered
 
 from gecaug.align import (
     DELETE, INSERT, MATCH, SUBSTITUTE, TRANSPOSE, AlignOp, Edit, extract_edits,
 )
 from gecaug.corpus import (
     AnnotatedExample, GoldEdit, MalformedLine, ParallelExample, SchemaError, SpanOutOfBounds,
-    _lines, check_tokens, is_int, read_json_rows, read_jsonl, read_pairs,
+    _lines, check_tokens, is_int, read_json_rows, read_jsonl, read_pairs, splice,
 )
 from gecaug.generation import MASK, SEP, FinetuneExample
-from gecaug.mix import StagePlan
-from gecaug.patterns import ErrorPattern, PatternPool, extend_to_ngram, pattern_from_row
+from gecaug.mix import STAGES, StagePlan
+from gecaug.patterns import (
+    ErrorPattern, PatternPool, _check_width, extend_to_ngram, pattern_from_row,
+)
 from gecaug.scoring import (
     CategoryScore, ScoreReport, ScoringError, f_beta, f_beta_from_rates,
 )
@@ -278,7 +292,7 @@ def reference_mix(plan: StagePlan) -> tuple[list[ParallelExample], dict]:
     origins: list[dict] = []
     for k, path in enumerate(plan.real):
         items = list(read_pairs(path))
-        combined.extend(replace(ex, id=f"{k}:{ex.id}") for ex in items)
+        combined.extend(ParallelExample(ex.source, ex.target, f"{k}:{ex.id}", ex.meta) for ex in items)
         origins.append({"path": path, "kind": "real", "count": len(items)})
     if plan.synthetic is not None:
         items = list(read_jsonl(plan.synthetic))
@@ -288,7 +302,7 @@ def reference_mix(plan: StagePlan) -> tuple[list[ParallelExample], dict]:
                 f"synthetic_count {cap} exceeds corpus size {len(items)}"
             )
         k = len(plan.real)
-        combined.extend(replace(ex, id=f"{k}:{ex.id}") for ex in items[:cap])
+        combined.extend(ParallelExample(ex.source, ex.target, f"{k}:{ex.id}", ex.meta) for ex in items[:cap])
         origins.append({"path": plan.synthetic, "kind": "synthetic", "count": cap})
     rng = Random(plan.seed)
     rng.shuffle(combined)
@@ -312,7 +326,7 @@ def reference_ratio_sweep(
         raise ValueError("duplicate caps in sweep")
     out = []
     for cap in caps:
-        capped = replace(plan, synthetic_count=cap)
+        capped = StagePlan(plan.stage, plan.real, plan.synthetic, cap, plan.seed)
         examples, manifest = reference_mix(capped)
         out.append((cap, examples, manifest))
     return out
@@ -689,3 +703,220 @@ def reference_read_reply(raw: bytes) -> tuple[int, str | None, bytes, bool]:
     body = resp.read()
     kept = resp.version == 11 and not resp.will_close
     return resp.status, resp.getheader("Retry-After"), body, kept
+
+
+class ReferenceRecords:
+    """Frozen copies of the package's value classes as dataclasses; do not edit."""
+
+    @dataclass(frozen=True)
+    class ParallelExample:
+        __qualname__ = "ParallelExample"
+
+        source: tuple[str, ...]
+        target: tuple[str, ...]
+        id: str
+        meta: Mapping[str, object] | None = None
+
+        def __post_init__(self):
+            object.__setattr__(self, "source", tuple(self.source))
+            object.__setattr__(self, "target", tuple(self.target))
+            check_tokens(self.source, "source")
+            check_tokens(self.target, "target")
+
+    @dataclass(frozen=True)
+    class GoldEdit:
+        __qualname__ = "GoldEdit"
+
+        start: int
+        end: int
+        type: str
+        correction: tuple[str, ...]
+        required: str = "REQUIRED"
+        comment: str = "-NONE-"
+
+        def __post_init__(self):
+            object.__setattr__(self, "correction", tuple(self.correction))
+            if self.start < 0 or self.end < self.start:
+                raise ValueError(f"bad edit span ({self.start}, {self.end})")
+            check_tokens(self.correction, "correction", allow_empty=True)
+
+    @dataclass(frozen=True)
+    class AnnotatedExample:
+        __qualname__ = "AnnotatedExample"
+
+        source: tuple[str, ...]
+        edits: Mapping[int, tuple[GoldEdit, ...]] = field(default_factory=dict)
+        id: str = ""
+
+        def __post_init__(self):
+            object.__setattr__(self, "source", tuple(self.source))
+            check_tokens(self.source, "source")
+            fixed = {int(a): tuple(es) for a, es in self.edits.items()}
+            object.__setattr__(self, "edits", fixed)
+            for annotator, edits in fixed.items():
+                try:
+                    splice(self.source, [(e.start, e.end, ()) for e in edits])
+                except ValueError as exc:
+                    raise ValueError(f"annotator {annotator}: {exc}") from exc
+
+    @dataclass(frozen=True)
+    class AlignOp:
+        __qualname__ = "AlignOp"
+
+        kind: str
+        src_span: tuple[int, int]
+        tgt_span: tuple[int, int]
+
+    @dataclass(frozen=True)
+    class Edit:
+        __qualname__ = "Edit"
+
+        src_span: tuple[int, int]
+        replacement: tuple[str, ...]
+        tgt_span: tuple[int, int]
+        coarse_type: str
+
+    @dataclass(frozen=True)
+    class ErrorPattern:
+        __qualname__ = "ErrorPattern"
+
+        wrong: tuple[str, ...]
+        correct: tuple[str, ...]
+        n: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "wrong", tuple(self.wrong))
+            object.__setattr__(self, "correct", tuple(self.correct))
+            _check_width(self.n)
+            check_tokens(self.wrong, "wrong", allow_empty=True)
+            check_tokens(self.correct, "correct", allow_empty=True)
+            if self.wrong == self.correct:
+                raise ValueError("pattern sides are identical")
+
+    @dataclass(frozen=True)
+    class GenerationRequest:
+        __qualname__ = "GenerationRequest"
+
+        patterns: tuple[tuple[str, ...], ...]
+        template: str
+        id: str
+
+    @dataclass(frozen=True)
+    class GenerationResult:
+        __qualname__ = "GenerationResult"
+
+        request_id: str
+        text: str
+        status: str
+        detail: str = ""
+
+    @dataclass(frozen=True)
+    class FinetuneExample:
+        __qualname__ = "FinetuneExample"
+
+        input: str
+        target_span: tuple[int, int]
+        masked_spans: tuple[tuple[int, int], ...]
+
+    @dataclass(frozen=True)
+    class StagePlan:
+        __qualname__ = "StagePlan"
+
+        stage: str
+        real: tuple[str, ...]
+        synthetic: str | None = None
+        synthetic_count: int | None = None
+        seed: int = 0
+
+        def __post_init__(self):
+            object.__setattr__(self, "real", tuple(self.real))
+            if self.stage not in STAGES:
+                raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
+            if not self.real and self.synthetic is None:
+                raise ValueError("plan names no corpora")
+            if self.stage == "I" and self.synthetic is not None:
+                raise ValueError("stage I takes no synthetic corpus")
+            if (self.synthetic is None) != (self.synthetic_count is None):
+                raise ValueError("synthetic and synthetic_count must be set together")
+            if self.synthetic_count is not None and self.synthetic_count < 0:
+                raise ValueError("synthetic_count must be non-negative")
+
+    @dataclass(frozen=True)
+    class CategoryScore:
+        __qualname__ = "CategoryScore"
+
+        tp: int
+        fp: int
+        fn: int
+        f_beta: float
+
+    @dataclass(frozen=True)
+    class ScoreReport:
+        __qualname__ = "ScoreReport"
+
+        tp: int
+        fp: int
+        fn: int
+        precision: float
+        recall: float
+        f_beta: float
+        beta: float
+        per_category: Mapping[str, CategoryScore]
+
+    @dataclass(frozen=True)
+    class DistributionReport:
+        __qualname__ = "DistributionReport"
+
+        top_k: int
+        patterns: tuple[ErrorPattern, ...]
+        reference_counts: tuple[int, ...]
+        candidate_counts: tuple[int, ...]
+        cosine: float
+        spearman: float
+
+    @dataclass(frozen=True)
+    class SyntheticSample:
+        __qualname__ = "SyntheticSample"
+
+        source: tuple[str, ...]
+        target: tuple[str, ...]
+        planted: tuple[Match, ...]
+        requested: tuple[ErrorPattern, ...]
+        generator_id: str
+        id: str
+
+    @dataclass
+    class SynthStats:
+        __qualname__ = "SynthStats"
+
+        samples: int = 0
+        attempts: int = 0
+        errorful: int = 0
+        refused: int = 0
+        transport_errors: int = 0
+        zero_match_retries: int = 0
+        patterns_requested: int = 0
+        patterns_matched: int = 0
+        unmatched_absent: int = 0
+        unmatched_overlap: int = 0
+
+
+def reference_relabel(samples, corrector, max_in_flight: int = 8) -> Iterator[ParallelExample]:
+    """Frozen copy of the original ``gecaug.denoise.relabel``; do not edit."""
+    if max_in_flight < 1:
+        raise ValueError("max_in_flight must be at least 1")
+
+    def correct(s: SyntheticSample) -> tuple[SyntheticSample, str]:
+        return s, corrector.correct_text(" ".join(s.source), s.id)
+
+    in_flight = max_in_flight if corrector.waits else 1
+    with closing(map_ordered(correct, samples, in_flight)) as corrected:
+        for s, text in corrected:
+            tokens = tuple(text.split())
+            if not tokens:
+                tokens = s.source
+            meta = {
+                "matches_target": tokens == s.target,
+                "matches_source": tokens == s.source,
+            }
+            yield ParallelExample(source=s.source, target=tokens, id=s.id, meta=meta)

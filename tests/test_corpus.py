@@ -264,6 +264,40 @@ def test_m2_rejects_half_noop(tmp_path: Path):
         list(read_m2(path))
 
 
+@pytest.mark.parametrize(
+    "span, annotator, reason",
+    [
+        ("0 1", "1_0", "non-integer annotator '1_0'"),
+        ("0 1", "\u0661", "non-integer annotator '\u0661'"),  # an Arabic-Indic one
+        ("0 1", "+1", "non-integer annotator '+1'"),
+        ("0 1", " 1", "non-integer annotator ' 1'"),
+        ("0 1", "1 ", "non-integer annotator '1 '"),
+        ("0 +1", "0", "non-integer span '0 +1'"),
+        ("0 1_0", "0", "non-integer span '0 1_0'"),
+        ("\uff10 1", "0", "non-integer span '\uff10 1'"),  # a fullwidth zero
+        ("-1 1", "0", "non-integer span '-1 1'"),
+        ("-0 1", "0", "non-integer span '-0 1'"),
+    ],
+)
+def test_m2_integers_are_ascii_digits(tmp_path: Path, span, annotator, reason):
+    path = tmp_path / "bad.m2"
+    path.write_text(f"S a b\nA {span}|||R:X|||y|||REQUIRED|||-NONE-|||{annotator}\n", "utf-8")
+    with pytest.raises(MalformedLine) as err:
+        list(read_m2(path))
+    assert (err.value.line_no, err.value.reason) == (2, reason)
+
+
+def test_m2_reads_leading_zeros_and_the_noop_span(tmp_path: Path):
+    path = tmp_path / "gold.m2"
+    path.write_text(
+        "S a b\nA 00 01|||R:X|||y|||REQUIRED|||-NONE-|||007\n"
+        "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\n",
+        encoding="utf-8",
+    )
+    [block] = read_m2(path)
+    assert block.edits == {7: (GoldEdit(0, 1, "R:X", ("y",)),), 1: ()}
+
+
 def test_m2_rejects_noop_mixed_with_edits(tmp_path: Path):
     path = tmp_path / "bad.m2"
     path.write_text(

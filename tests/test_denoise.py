@@ -23,6 +23,7 @@ from gecaug import (
     synthesize,
 )
 
+from _oracles import reference_relabel
 from _server import ScriptedServer
 from conftest import insertion_pool
 
@@ -187,6 +188,49 @@ def test_local_correctors_run_inline(no_thread_pool):
     assert list(relabel(samples, IdentityCorrector(), max_in_flight=8)) == inline
     oracle = list(relabel(samples, OracleCorrector(samples)))
     assert [ex.target for ex in oracle] == [s.target for s in samples]
+
+
+class Scripted(CorrectorBackend):
+    """Replies to each request id with its scripted text, inline."""
+
+    waits = False
+
+    def __init__(self, replies: dict[str, str]):
+        self.replies = replies
+
+    def correct_text(self, text: str, request_id: str = "0") -> str:
+        return self.replies[request_id]
+
+
+# A side a library caller may build a sample with: a tuple or a list,
+# possibly empty or holding an empty or whitespace-bearing token.
+_SIDE = st.lists(st.sampled_from(["a", "b", "", "x y", "c\u3000"]), max_size=3)
+_SIDE = _SIDE.map(tuple) | _SIDE | st.just(("a", "b"))
+_REPLY = st.sampled_from(["", "  ", "a b", "a", "b\ta  c", "z"])
+
+
+def _relabel_outcome(relabel_fn, samples, corrector):
+    """The pairs ``relabel_fn`` yields (with their reprs), then its error's class and message."""
+    got = []
+    try:
+        for pair in relabel_fn(samples, corrector):
+            got.append((pair, repr(pair)))
+    except Exception as exc:  # the error is part of the outcome
+        got.append((type(exc), str(exc)))
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SIDE, _SIDE, _REPLY), max_size=5))
+def test_relabel_matches_reference(rows):
+    samples = [
+        SyntheticSample(source, target, (), (), "g", str(i))
+        for i, (source, target, _) in enumerate(rows)
+    ]
+    corrector = Scripted({str(i): reply for i, (_, _, reply) in enumerate(rows)})
+    assert _relabel_outcome(relabel, samples, corrector) == _relabel_outcome(
+        reference_relabel, samples, corrector
+    )
 
 
 def test_relabel_diff_stats_hand_case():

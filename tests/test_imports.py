@@ -127,6 +127,30 @@ def test_subcommand_loads_only_its_modules(command: str, inputs: Path):
     assert set(loaded) <= ALLOWED[command], set(loaded) - ALLOWED[command]
 
 
+def _added(command: str, inputs: Path) -> set[str]:
+    """Which of ``dataclasses``, ``inspect`` and ``hashlib`` ``command`` imports
+    beyond what a bare ``python -c pass`` has."""
+    code = (
+        "import sys\nbare = set(sys.modules)\nfrom gecaug.cli import main\n"
+        "rc = main(sys.argv[1:])\nnames = ('dataclasses', 'inspect', 'hashlib')\n"
+        "print(rc, *[m for m in names if m in sys.modules and m not in bare])"
+    )
+    rc, *added = _child(code, *COMMANDS[command], cwd=inputs).split(" ")
+    assert rc == "0"
+    return set(added)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_subcommand_adds_no_dataclasses_or_inspect(command: str, inputs: Path):
+    assert not {"dataclasses", "inspect"} & _added(command, inputs)
+
+
+@pytest.mark.parametrize("command", ["stats", "score"])
+def test_command_without_a_manifest_adds_no_hashlib(command: str, inputs: Path):
+    assert "--out" not in COMMANDS[command]  # so no digest is taken
+    assert "hashlib" not in _added(command, inputs)
+
+
 def _answer(payload: dict):
     """A generator's reply to a template, a corrector's to a text."""
     text = payload["template"].replace("[M]", "so") if "template" in payload else payload["text"]

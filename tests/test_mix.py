@@ -4,7 +4,6 @@ import importlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -358,5 +357,5 @@ def test_ratio_sweep_reads_each_input_once(tmp_path: Path, monkeypatch):
     assert len(ratio_sweep(plan, [0, 10, 20, 40])) == 4
     assert opened == {real_tsv: 1, real_jsonl: 1, syn: 1}
     opened.clear()
-    assert len(mix(replace(plan, synthetic_count=10))[0]) == 52
+    assert len(mix(StagePlan("II", (real_tsv, real_jsonl), syn, 10, seed=3))[0]) == 52
     assert opened == {real_tsv: 1, real_jsonl: 1, syn: 1}

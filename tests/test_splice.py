@@ -9,7 +9,6 @@ unplanting and masking copies already worked left to right.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -21,6 +20,7 @@ from gecaug import (
     ErrorPattern,
     GoldEdit,
     OracleCorrector,
+    SyntheticSample,
     apply_edits,
     apply_gold_edits,
     build_finetune_example,
@@ -136,7 +136,10 @@ def test_substitute_and_unplant_match_reference(planting, rate, seed):
 
     # Unplanting reads the spans in any order; shuffle them.
     planted = Random(seed).sample(sample.planted, len(sample.planted))
-    shuffled = replace(sample, planted=tuple(planted))
+    shuffled = SyntheticSample(
+        sample.source, sample.target, tuple(planted), sample.requested, sample.generator_id,
+        sample.id,
+    )
     corrector = OracleCorrector([shuffled])
     assert corrector.correct_text(" ".join(sample.source), "s") == reference_unplant(shuffled)
 
