@@ -146,14 +146,19 @@ class _Stage:
         tmp = self.temps[final] = final + ".tmp"
         return tmp
 
-    def manifest(self, out: str, config: dict, seed: int | None, counts: dict) -> None:
+    def manifest(self, out: str, seed: int | None, counts: dict, **extra) -> None:
         """Record <out>.manifest.json; ``out`` and ``counts`` become the end event.
 
-        ``config`` holds only data-affecting options and there are no
-        timestamps, so the same artifact always gets the same manifest.
+        Its ``config`` is the options the command resolved that change
+        output bytes (``_Options.recorded``), plus ``extra``, such as a sweep
+        file's ``cap``. No run-only option is in it (workers, max_in_flight,
+        attempt_budget, sweep, checkpoint, csv, and the optional ``out`` of
+        stats and score), nor a timestamp, so the same artifact always gets
+        the same manifest.
         """
         import hashlib
 
+        config = {**self.opts.recorded, **extra}
         self.manifests[out + ".manifest.json"] = {
             "command": self.opts.args.command,
             "config": config,
@@ -198,12 +203,16 @@ class _Option(NamedTuple):
     kind: str  # how argparse reads it (_FLAG_KWARGS) and _check checks it; "output" is written
     help: str
     commands: str  # the subcommands that take it, space-separated
+    # Its key in a manifest's config, "" for ``dest``; None for an option that
+    # changes no output byte. An output is recorded only where it is required,
+    # a bool only when true (``_Options.get``).
+    key: str | None = ""
 
 
 # Every option of every subcommand, in the order their flags are listed.
 _OPTIONS = {opt.dest: opt for opt in (
-    _Option("in_path", "--in", "path", "input corpus (.tsv or .jsonl)", "extract denoise"),
-    _Option("in_paths", "--in", "paths", "pool files", "pool"),
+    _Option("in_path", "--in", "path", "input corpus (.tsv or .jsonl)", "extract denoise", "in"),
+    _Option("in_paths", "--in", "paths", "pool files", "pool", "in"),
     _Option("pool", "--pool", "path", "pattern pool", "sample synthesize stats"),
     _Option("ref_pool", "--ref-pool", "path", "reference pool for a report", "stats"),
     _Option("corpus", "--corpus", "path", "candidate corpus for a report", "stats"),
@@ -217,18 +226,21 @@ _OPTIONS = {opt.dest: opt for opt in (
     _Option("backend", "--backend", "backend", "backend name", "synthesize denoise"),
     _Option(
         "workers", "--workers", "int", "threads of a waiting backend (default: cpus)",
-        "synthesize",
+        "synthesize", None,
     ),
-    _Option("attempt_budget", "--attempt-budget", "nonneg", "attempts for all slots", "synthesize"),
+    _Option(
+        "attempt_budget", "--attempt-budget", "nonneg", "attempts for all slots",
+        "synthesize", None,
+    ),
     _Option("stub_drop_rate", "--stub-drop-rate", "rate", "stub drop rate", "synthesize"),
     _Option("stub_refuse_rate", "--stub-refuse-rate", "rate", "stub refusal rate", "synthesize"),
     _Option("fewshot", "--fewshot", "bool", "send few-shot examples", "synthesize"),
     _Option("checkpoint", "--checkpoint", "output", "resumable run's progress file", "denoise"),
     _Option(
         "max_in_flight", "--max-in-flight", "int", "threads of a waiting backend (default 8)",
-        "denoise",
+        "denoise", None,
     ),
-    _Option("sweep", "--sweep", "caps", "comma-separated synthetic caps", "mix"),
+    _Option("sweep", "--sweep", "caps", "comma-separated synthetic caps", "mix", None),
     _Option("top_k", "--top-k", "int", "patterns in the report", "stats"),
     _Option("beta", "--beta", "number", "F-beta weight", "score"),
     _Option(
@@ -308,6 +320,7 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config: dict = {}
+        self.recorded: dict = {}  # by manifest key, the values resolved that a manifest records
         self.files: list[tuple[str, str, bool]] = []  # (dest, path, written)
         config_path = getattr(args, "config", None)
         if config_path:
@@ -337,10 +350,13 @@ class _Options:
             if required:
                 raise CliError("CONFIG", f"missing required option '{dest}'", 2)
             return None
-        kind = _OPTIONS[dest].kind
+        opt = _OPTIONS[dest]
+        kind = opt.kind
         value = _check(kind, dest, value, self.args.command)
         if kind in ("path", "paths", "output"):
             self.claim(dest, value if kind == "paths" else [value], written=kind == "output")
+        if opt.key is not None and (required or kind != "output") and (kind != "bool" or value):
+            self.recorded[opt.key or dest] = value
         return value
 
     def claim(self, dest: str, paths: Iterable[str], written: bool = False) -> None:
@@ -394,8 +410,7 @@ def _cmd_extract(opts: _Options) -> None:
     with _stage(opts, input=in_path, n=n) as st:
         pool = build_pool(read_pairs(in_path), n)
         save_pool(pool, st.path(out))
-        config = {"in": in_path, "n": n, "out": out}
-        st.manifest(out, config, None, pool_stats(pool))
+        st.manifest(out, None, pool_stats(pool))
 
 
 def _cmd_pool(opts: _Options) -> None:
@@ -406,8 +421,7 @@ def _cmd_pool(opts: _Options) -> None:
     with _stage(opts, inputs=in_paths, n=n) as st:
         merged = merge_pools([load_pool(p, n) for p in in_paths])
         save_pool(merged, st.path(out))
-        config = {"in": in_paths, "n": n, "out": out}
-        st.manifest(out, config, None, pool_stats(merged))
+        st.manifest(out, None, pool_stats(merged))
 
 
 def _cmd_sample(opts: _Options) -> None:
@@ -432,8 +446,7 @@ def _cmd_sample(opts: _Options) -> None:
             return canonical_json(row)
 
         write_lines(map(line, range(count)), st.path(out))
-        config = {"pool": pool_path, "n": n, "count": count, "seed": seed, "out": out}
-        st.manifest(out, config, seed, {"rows": count})
+        st.manifest(out, seed, {"rows": count})
 
 
 def _cmd_synthesize(opts: _Options) -> None:
@@ -470,15 +483,7 @@ def _cmd_synthesize(opts: _Options) -> None:
         )
         write_samples(samples, st.path(out))
         _write_json(st.path(out + _SIDECARS["synthesize"]), stats.as_dict())
-        config = {
-            "pool": pool_path, "n": n, "count": count, "seed": seed, "out": out,
-            "error_rate": error_rate_, "backend": backend_name,
-            "stub_drop_rate": drop_rate, "stub_refuse_rate": refuse_rate,
-        }
-        if fewshot:  # recorded only when set, so a default manifest keeps its bytes
-            config["fewshot"] = True
-        counts = {"samples": stats.samples, "errorful": stats.errorful}
-        st.manifest(out, config, seed, counts)
+        st.manifest(out, seed, {"samples": stats.samples, "errorful": stats.errorful})
 
 
 def _cmd_denoise(opts: _Options) -> None:
@@ -501,11 +506,10 @@ def _cmd_denoise(opts: _Options) -> None:
         except ValueError as exc:
             raise CliError("CONFIG", str(exc), 2)
 
-    config = {"in": in_path, "backend": backend_name, "out": out}
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
     if checkpoint is not None:
-        _resume_point(checkpoint, canonical_json(config), samples, counts)
+        _resume_point(checkpoint, canonical_json(opts.recorded), samples, counts)
 
     def lines(pairs: Iterable) -> Iterator[str]:
         for pair in pairs:
@@ -523,7 +527,7 @@ def _cmd_denoise(opts: _Options) -> None:
                     fh.writelines(line + "\n" for line in lines(pairs))
                 with open(checkpoint, "rb") as fh, open(st.path(out), "wb") as rows:
                     rows.writelines(islice(fh, 1, None))  # the rows after the marker line
-        st.manifest(out, config, None, counts)
+        st.manifest(out, None, counts)
     if checkpoint is not None:
         _remove(checkpoint)
 
@@ -580,7 +584,7 @@ def _cmd_mix(opts: _Options) -> None:
         if caps is None:
             examples, manifest = mix(plan)
             write_jsonl(examples, st.path(out))
-            st.manifest(out, {"plan": plan_path, "out": out}, plan.seed, manifest)
+            st.manifest(out, plan.seed, manifest)
             st.end = {"out": out, "total": manifest["total"]}
             return
 
@@ -593,8 +597,7 @@ def _cmd_mix(opts: _Options) -> None:
         for cap, order, manifest in orders:
             cap_out = cap_outs[cap]
             write_lines((rows[i][0] for i in order), st.path(cap_out))
-            config = {"plan": plan_path, "out": out, "cap": cap}
-            st.manifest(cap_out, config, plan.seed, manifest)
+            st.manifest(cap_out, plan.seed, manifest, cap=cap)
             total = manifest["total"]  # a cap takes the first pairs
             errorful = sum(flag for _, flag in islice(rows, total)) / total if total else 0.0
             summary.append(
@@ -637,8 +640,7 @@ def _cmd_stats(opts: _Options) -> None:
         print(canonical_json(summary))
         if out:
             _write_json(st.path(out), report.as_dict())
-            config = {"ref_pool": ref_path, "corpus": corpus_path, "n": n, "top_k": top_k}
-            st.manifest(out, config, None, {"top_k": report.top_k})
+            st.manifest(out, None, {"top_k": report.top_k})
         if csv_path:
             with open(st.path(csv_path), "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -672,9 +674,7 @@ def _cmd_score(opts: _Options) -> None:
             print(f"category {cat} tp={c.tp} fp={c.fp} fn={c.fn} f={c.f_beta:.4f}")
         if out:
             _write_json(st.path(out), report.as_dict())
-            config = {"hyp": hyp_path, "gold": gold_path, "beta": beta}
-            counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
-            st.manifest(out, config, None, counts)
+            st.manifest(out, None, {"tp": report.tp, "fp": report.fp, "fn": report.fn})
         st.end = {"f": report.f_beta}
 
 
