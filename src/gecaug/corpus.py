@@ -181,7 +181,10 @@ class GoldEdit(Record):
     ``correction`` is empty for deletions; its tokens are checked as a
     pair's are (``check_tokens``). ``start == end`` marks an insertion
     point. ``type`` is the annotation scheme's label and is carried
-    verbatim.
+    verbatim. A field that an M2 file could not give back is a ValueError:
+    one holding ``|||`` or a line break, or ending in ``|`` (read as part
+    of the separator after it), and the correction ``('-NONE-',)``, M2's
+    deletion marker.
     """
 
     _fields = ("start", "end", "type", "correction", "required", "comment")
@@ -194,6 +197,16 @@ class GoldEdit(Record):
         if start < 0 or end < start:
             raise ValueError(f"bad edit span ({start}, {end})")
         check_tokens(correction, "correction", allow_empty=True)
+        for name, text in (
+            ("type", type), ("correction", " ".join(correction)), ("required", required),
+            ("comment", comment),
+        ):
+            if isinstance(text, str) and ("|||" in text or "\n" in text or "\r" in text):
+                raise ValueError(f"{name} {text!r} holds '|||' or a line break; M2 cannot carry it")
+            if isinstance(text, str) and text.endswith("|"):
+                raise ValueError(f"{name} {text!r} ends in '|', which M2 reads into its separator")
+        if correction == (_NONE_FIELD,):
+            raise ValueError("correction ('-NONE-',) is M2's deletion marker; a deletion is ()")
         self.__dict__.update(
             start=start, end=end, type=type, correction=correction, required=required,
             comment=comment,
@@ -219,6 +232,8 @@ class AnnotatedExample(Record):
         check_tokens(source, "source")
         fixed = {int(a): tuple(es) for a, es in edits.items()}
         for annotator, annotated in fixed.items():
+            if annotator < 0:
+                raise ValueError(f"annotator {annotator} is negative; M2 annotators are 0 or more")
             try:
                 splice(source, [(e.start, e.end, ()) for e in annotated])
             except ValueError as exc:

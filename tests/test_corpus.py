@@ -162,6 +162,42 @@ def test_apply_gold_edits_right_to_left():
     assert apply_gold_edits(("he", "go", ".")[:3], edits) == ("The", "he", "went", ".")
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, "R:X", ("a|",)), "correction 'a|' ends in '|', which M2 reads into its separator"),
+    ((0, 1, "R:X|", ("c",)), "type 'R:X|' ends in '|', which M2 reads into its separator"),
+    ((0, 1, "R:X", ("c",), "|"), "required '|' ends in '|', which M2 reads into its separator"),
+    ((0, 1, "R:X", ("c",), "REQUIRED", "a|"),
+     "comment 'a|' ends in '|', which M2 reads into its separator"),
+    ((0, 1, "R:X", ("c|||d",)),
+     "correction 'c|||d' holds '|||' or a line break; M2 cannot carry it"),
+    ((0, 1, "R|||X", ("c",)), "type 'R|||X' holds '|||' or a line break; M2 cannot carry it"),
+    ((0, 1, "R\nX", ("c",)), "type 'R\\nX' holds '|||' or a line break; M2 cannot carry it"),
+    ((0, 1, "R:X", ("c",), "RE\rQ"),
+     "required 'RE\\rQ' holds '|||' or a line break; M2 cannot carry it"),
+    ((0, 1, "R:X", ("c",), "REQUIRED", "a|||b"),
+     "comment 'a|||b' holds '|||' or a line break; M2 cannot carry it"),
+    ((0, 1, "R:X", ("-NONE-",)),
+     "correction ('-NONE-',) is M2's deletion marker; a deletion is ()"),
+])
+def test_gold_edit_refuses_what_m2_cannot_carry(args, message):
+    with pytest.raises(ValueError) as err:
+        GoldEdit(*args)
+    assert str(err.value) == message
+
+
+def test_m2_fields_that_start_with_a_bar_read_back(tmp_path: Path):
+    edit = GoldEdit(0, 1, "|R", ("|c", "d|", "-NONE-", "|e"), "|REQ", "|note")
+    example = AnnotatedExample(("a|", "|b"), {0: (edit,)}, "0")
+    assert write_m2([example], tmp_path / "gold.m2") == 1
+    assert list(read_m2(tmp_path / "gold.m2")) == [example]
+
+
+@pytest.mark.parametrize("edits", [{-1: (GoldEdit(0, 1, "R:X", ("c",)),)}, {-2: ()}])
+def test_annotated_example_refuses_a_negative_annotator(edits):
+    with pytest.raises(ValueError, match="is negative; M2 annotators are 0 or more"):
+        AnnotatedExample(("a", "b"), edits)
+
+
 def test_annotated_example_rejects_bad_edits():
     source = ("a", "b", "c")
     with pytest.raises(ValueError):
@@ -446,37 +482,39 @@ def test_jsonl_fuzz_round_trip(tmp_path: Path):
 # ---------------------------------------------------------------------------
 # Write -> read round trips over generated corpora
 
-# A token is any non-empty run of printable, non-space characters; M2
-# tokens also avoid "|", which its field separator "|||" is made of.
+# A token is any non-empty run of printable, non-space characters. M2
+# tokens and fields are often drawn from "|", which the field separator
+# "|||" is made of, and are often "-NONE-", M2's deletion marker.
 _TOKEN = st.text(
     st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6
 ).filter(lambda tok: not any(ch.isspace() for ch in tok))
-_M2_TOKEN = _TOKEN.filter(lambda tok: "|" not in tok)
+_M2_TOKEN = _TOKEN | st.text(st.sampled_from("a|"), min_size=1, max_size=3) | st.just("-NONE-")
+_M2_FIELD = st.text(max_size=5) | st.text(st.sampled_from("a|:\n\r"), max_size=4)
 _SENTENCE = st.lists(_TOKEN, min_size=1, max_size=6).map(tuple)
 _META = st.none() | st.dictionaries(
     st.text(max_size=4), st.none() | st.booleans() | st.integers() | st.text(max_size=4),
     max_size=3,
 )
-_EDIT_TYPES = ("R:VERB:SVA", "M:DET", "U:PUNCT", "R:OTHER")
 _ROUND_TRIP = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
 
 @st.composite
-def _m2_block(draw) -> tuple[tuple[str, ...], dict[int, tuple[GoldEdit, ...]]]:
+def _m2_block(draw) -> tuple[tuple[str, ...], dict[int, list[tuple]]]:
+    """A source and each annotator's ``GoldEdit`` arguments, which may be refused."""
     source = tuple(draw(st.lists(_M2_TOKEN, min_size=1, max_size=6)))
     edits = {}
-    for annotator in draw(st.sets(st.integers(0, 3), max_size=3)):
+    for annotator in draw(st.sets(st.integers(-2, 10), max_size=3)):
         # Sorted cut points paired up give sorted, disjoint spans.
         points = sorted(draw(st.lists(st.integers(0, len(source)), max_size=6)))
-        edits[annotator] = tuple(
-            GoldEdit(
-                start, end, draw(st.sampled_from(_EDIT_TYPES)),
-                tuple(draw(st.lists(_M2_TOKEN, max_size=3).filter(lambda c: c != ["-NONE-"]))),
+        edits[annotator] = [
+            (
+                start, end, draw(_M2_FIELD), tuple(draw(st.lists(_M2_TOKEN, max_size=3))),
+                draw(_M2_FIELD), draw(_M2_FIELD),
             )
             for start, end in zip(points[::2], points[1::2])
-        )
+        ]
     return source, edits
 
 
@@ -501,7 +539,20 @@ def test_jsonl_write_read_round_trip(tmp_path: Path, rows):
 @_ROUND_TRIP
 @given(st.lists(_m2_block(), max_size=5))
 def test_m2_write_read_round_trip(tmp_path: Path, blocks):
-    examples = [AnnotatedExample(s, e, id=str(i)) for i, (s, e) in enumerate(blocks)]
+    def built(cls, *args):
+        try:
+            return cls(*args)
+        except ValueError:  # refused when built: what M2 cannot carry
+            return None
+
+    examples = []
+    for source, edits in blocks:
+        kept = {a: [built(GoldEdit, *args) for args in es] for a, es in edits.items()}
+        example = built(AnnotatedExample, source, {
+            a: tuple(e for e in es if e is not None) for a, es in kept.items()
+        }, str(len(examples)))
+        if example is not None:
+            examples.append(example)
     path = tmp_path / "gold.m2"
     assert write_m2(examples, path) == len(examples)
     assert list(read_m2(path)) == examples

@@ -5,7 +5,9 @@ the ``@dataclass`` it was (``_oracles.ReferenceRecords``): on the same
 arguments, valid or not, both raise the same error or hold equal fields,
 and give the same ``repr``, ``hash`` and ``==``. Both refuse to have a
 field set or deleted (``SynthStats`` is mutable in both), survive
-``pickle`` and ``copy``, and take the same parameters.
+``pickle`` and ``copy``, and take the same parameters. The one change
+since: ``GoldEdit`` and ``AnnotatedExample`` refuse what an M2 file cannot
+give back (``test_corpus``), which the dataclasses built.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ def _build(cls, call):
         return type(exc), str(exc)
 
 
+def _refused_for_m2(new, old) -> bool:
+    """``new`` is a ValueError on M2's account where the dataclass built ``old``."""
+    return (
+        isinstance(new, tuple) and not isinstance(old, tuple)
+        and new[0] is ValueError and "M2" in new[1]
+    )
+
+
 def _hash(obj):
     try:
         return hash(obj)
@@ -142,10 +152,11 @@ def test_record_matches_its_frozen_dataclass(cls, data):
     old_cls = getattr(ReferenceRecords, cls.__name__)
     first, second = data.draw(_call(cls)), data.draw(_call(cls))
     new, old = _build(cls, first), _build(old_cls, first)
-    _assert_same(new, old)
     new2, old2 = _build(cls, second), _build(old_cls, second)
-    _assert_same(new2, old2)
-    if isinstance(old, tuple) or isinstance(old2, tuple):
+    for got, want in ((new, old), (new2, old2)):
+        if not _refused_for_m2(got, want):
+            _assert_same(got, want)
+    if any(isinstance(o, tuple) for o in (new, old, new2, old2)):
         return
     assert (new == new2, new != new2) == (old == old2, old != old2)
     name = data.draw(st.sampled_from(cls._fields))
