@@ -21,7 +21,7 @@ import io
 import json
 import os
 import shutil
-from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,7 @@ import pytest
 from gecaug import cli
 
 from _server import ScriptedServer
-from test_pins import _correct, _generate, write_inputs
+from test_pins import _correct, _generate, environ, write_inputs
 
 # The run-only options: each changes how a stage runs, not what it writes.
 NOT_RECORDED = {
@@ -153,40 +153,31 @@ def _run_in(root: Path, argv: list[str], known: set[str]) -> tuple[int, dict[str
 def runs(tmp_path_factory: pytest.TempPathFactory):
     inputs = tmp_path_factory.mktemp("inputs")
     write_inputs(inputs)
-    saved = {k: os.environ.get(k) for k in ("GECAUG_GENERATOR_URL", "GECAUG_CORRECTOR_URL")}
-    with ExitStack() as stack:
-        generator = stack.enter_context(ScriptedServer([_generate], keep_alive=True))
-        corrector = stack.enter_context(ScriptedServer([_correct], keep_alive=True))
-        os.environ["GECAUG_GENERATOR_URL"] = generator.url
-        os.environ["GECAUG_CORRECTOR_URL"] = corrector.url
-        try:
-            for argv in (  # each reads what the one before it wrote
-                ("extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"),
-                ("extract", "--in", "half.tsv", "--n", "3", "--out", "half.jsonl"),
-                (*_SYNTH, "--seed", "5", "--out", "syn.jsonl"),
-                (*_SYNTH, "--seed", "6", "--out", "syn_half.jsonl"),
-                ("denoise", "--in", "syn.jsonl", "--backend", "oracle", "--out", "den.jsonl"),
-            ):
-                assert _run_in(inputs, list(argv), set())[0] == 0, argv
-            sources = [line.split("\t")[0] for line in (inputs / "hyp.tsv").open(encoding="utf-8")]
-            (inputs / "hyp2.tsv").write_text("".join(f"{s}\t{s}\n" for s in sources), "utf-8")
-            # The same sentences, each marked as needing no correction.
-            blocks = (inputs / "gold.m2").read_text(encoding="utf-8").split("\n\n")
-            noop = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
-            (inputs / "gold2.m2").write_text(
-                "\n".join(b.split("\n")[0] + "\n" + noop for b in blocks), encoding="utf-8"
-            )
-            for name, seed in (("plan.json", 3), ("plan2.json", 4)):
-                plan = {"stage": "II", "real": ["corpus.tsv"], "synthetic": "den.jsonl",
-                        "synthetic_count": 20, "seed": seed}
-                (inputs / name).write_text(json.dumps(plan), encoding="utf-8")
-            yield _Runs(inputs, tmp_path_factory.mktemp("runs"))
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+    with ScriptedServer([_generate], keep_alive=True) as generator, \
+            ScriptedServer([_correct], keep_alive=True) as corrector, \
+            environ(GECAUG_GENERATOR_URL=generator.url, GECAUG_CORRECTOR_URL=corrector.url):
+        for argv in (  # each reads what the one before it wrote
+            ("extract", "--in", "corpus.tsv", "--n", "3", "--out", "pool.jsonl"),
+            ("extract", "--in", "half.tsv", "--n", "3", "--out", "half.jsonl"),
+            (*_SYNTH, "--seed", "5", "--out", "syn.jsonl"),
+            (*_SYNTH, "--seed", "6", "--out", "syn_half.jsonl"),
+            ("denoise", "--in", "syn.jsonl", "--backend", "oracle", "--out", "den.jsonl"),
+        ):
+            assert _run_in(inputs, list(argv), set())[0] == 0, argv
+        hyp = (inputs / "hyp.tsv").read_text(encoding="utf-8").splitlines()
+        sources = [line.split("\t")[0] for line in hyp]  # each left uncorrected
+        (inputs / "hyp2.tsv").write_text("".join(f"{s}\t{s}\n" for s in sources), "utf-8")
+        # The same sentences, each marked as needing no correction.
+        blocks = (inputs / "gold.m2").read_text(encoding="utf-8").split("\n\n")
+        noop = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+        (inputs / "gold2.m2").write_text(
+            "\n".join(b.split("\n")[0] + "\n" + noop for b in blocks), encoding="utf-8"
+        )
+        for name, seed in (("plan.json", 3), ("plan2.json", 4)):
+            plan = {"stage": "II", "real": ["corpus.tsv"], "synthetic": "den.jsonl",
+                    "synthetic_count": 20, "seed": seed}
+            (inputs / name).write_text(json.dumps(plan), encoding="utf-8")
+        yield _Runs(inputs, tmp_path_factory.mktemp("runs"))
 
 
 def _configs(outputs: dict[str, bytes]) -> dict[str, dict]:
@@ -210,9 +201,10 @@ def test_manifest_records_what_changes_an_output(runs, command, dest, base_chang
     base_code, base = runs(_argv(command, base_flags))
     code, variant = runs(_argv(command, {**base_flags, **changes}))
     assert (base_code, code) == (0, 0)
-    if cli._OPTIONS[dest].kind == "output" and base_flags.get(cli._OPTIONS[dest].flag):
+    opt = cli._OPTIONS[dest]
+    if opt.kind == "output" and base_flags.get(opt.flag):
         # Name the other run's outputs as the base run names them.
-        old, new = base_flags[cli._OPTIONS[dest].flag], changes[cli._OPTIONS[dest].flag]
+        old, new = base_flags[opt.flag], changes[opt.flag]
         variant = {name.replace(new, old): data for name, data in variant.items()}
     if dest == "sweep":  # the cap files both runs write
         base = {k: v for k, v in base.items() if ".cap" in k and k in variant}

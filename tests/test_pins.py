@@ -31,8 +31,9 @@ import json
 import os
 import shutil
 import sys
-from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Iterator
 
 from gecaug import (
     AnnotatedExample, GoldEdit, ParallelExample, cli, extract_edits, read_parallel_tsv, write_m2,
@@ -143,6 +144,25 @@ def write_inputs(root: Path) -> None:
         (root / name).write_text(json.dumps(obj), encoding="utf-8")
 
 
+@contextmanager
+def environ(**values: str | None) -> Iterator[None]:
+    """Set environment variables (unset those given None) for the block, then restore them."""
+    saved = {key: os.environ.get(key) for key in values}
+    try:
+        _set_environ(values)
+        yield
+    finally:
+        _set_environ(saved)
+
+
+def _set_environ(values: dict[str, str | None]) -> None:
+    for key, value in values.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -152,16 +172,12 @@ def run_round(root: Path) -> dict[str, str]:
     write_inputs(root)
     pins: dict[str, str] = {}
     cwd = os.getcwd()
-    saved = {k: os.environ.get(k) for k in ("GECAUG_GENERATOR_URL", "GECAUG_CORRECTOR_URL")}
-    with ExitStack() as stack:
-        generator = stack.enter_context(ScriptedServer([_generate], keep_alive=True))
-        corrector = stack.enter_context(ScriptedServer([_correct], keep_alive=True))
-        failing = stack.enter_context(
-            ScriptedServer([_correct] * 9 + [(400, {})], keep_alive=True)
-        )
+    with ScriptedServer([_generate], keep_alive=True) as generator, \
+            ScriptedServer([_correct], keep_alive=True) as corrector, \
+            ScriptedServer([_correct] * 9 + [(400, {})], keep_alive=True) as failing, \
+            environ(GECAUG_GENERATOR_URL=generator.url, GECAUG_CORRECTOR_URL=None):
         os.chdir(root)
         try:
-            os.environ["GECAUG_GENERATOR_URL"] = generator.url
             for label, argv in STEPS:
                 if argv[0] == "copy":
                     shutil.copyfile(argv[1], argv[2])
@@ -177,11 +193,6 @@ def run_round(root: Path) -> dict[str, str]:
                 pins[f"{label}.exit"] = str(code)
         finally:
             os.chdir(cwd)
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
     for path in sorted(root.rglob("*")):
         if path.is_file():
             pins[path.relative_to(root).as_posix()] = _sha256(path.read_bytes())
