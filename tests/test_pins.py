@@ -105,8 +105,6 @@ STEPS = (
     ("score", ("score", "--hyp", "hyp.tsv", "--gold", "gold.m2", "--beta", "1",
                "--out", "score.json")),
 )
-# The checkpoint run that fails meets a corrector whose tenth reply is an error.
-_FAILING = {"denoise-checkpoint-fails"}
 
 
 def write_inputs(root: Path) -> None:
@@ -182,8 +180,9 @@ def run_round(root: Path) -> dict[str, str]:
                 if argv[0] == "copy":
                     shutil.copyfile(argv[1], argv[2])
                     continue
+                # The checkpoint run that fails meets a corrector whose tenth reply is an error.
                 os.environ["GECAUG_CORRECTOR_URL"] = (
-                    failing if label in _FAILING else corrector
+                    failing if label == "denoise-checkpoint-fails" else corrector
                 ).url
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
