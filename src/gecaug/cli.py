@@ -48,7 +48,7 @@ _RUNS = {
     "extract": {"patterns": "build_pool pool_stats save_pool"},
     "pool": {"patterns": "load_pool merge_pools pool_stats save_pool"},
     "sample": {
-        "patterns": "load_pool pattern_row_cache restrict_sendable sample_patterns",
+        "patterns": "load_pool pattern_row restrict_sendable sample_patterns",
         "generation": "assemble_input",
         "seeding": "slot_rng",
     },
@@ -435,7 +435,6 @@ def _cmd_sample(opts: _Options) -> None:
         pool = restrict_sendable(load_pool(pool_path, n))
         if len(pool) == 0:
             raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
-        pattern_row = pattern_row_cache()
 
         def line(i: int) -> str:
             rng = slot_rng(seed, i)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -347,21 +347,12 @@ def canonical_json(obj) -> str:
     return _ROW_ENCODER.encode(obj)
 
 
-_WRITE_BATCH = 1024
-
-
 def write_lines(lines: Iterable[str], path) -> int:
-    """Write each line plus a newline to ``path``, a batch of lines per write.
-
-    Returns the number written.
-    """
+    """Write each line plus a newline to ``path``. Returns the number written."""
     count = 0
-    lines = iter(lines)
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        while batch := list(islice(lines, _WRITE_BATCH)):
-            batch.append("")  # so that the join ends the last line too
-            fh.write("\n".join(batch))
-            count += len(batch) - 1
+        for count, line in enumerate(lines, 1):
+            fh.write(line + "\n")
     return count
 
 

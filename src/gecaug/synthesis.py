@@ -20,7 +20,7 @@ import os
 import threading
 from collections import Counter
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._concurrent import map_ordered
 from .corpus import (
@@ -35,7 +35,7 @@ from .generation import (
     generate,
 )
 from .patterns import (
-    ErrorPattern, PatternPool, pattern_from_row, pattern_row_cache, restrict_sendable,
+    ErrorPattern, PatternPool, pattern_from_row, pattern_row, restrict_sendable,
     sample_patterns,
 )
 from .seeding import slot_rng
@@ -298,18 +298,17 @@ def planted_counts(samples: Iterable[SyntheticSample]) -> Counter[ErrorPattern]:
 
 def write_samples(samples: Iterable[SyntheticSample], path) -> int:
     """Write one JSON object per sample. Returns the number written."""
-    row = pattern_row_cache()
-    return write_lines((_sample_line(s, row) for s in samples), path)
+    return write_lines(map(_sample_line, samples), path)
 
 
-def _sample_line(s: SyntheticSample, row: Callable[[ErrorPattern], dict]) -> str:
+def _sample_line(s: SyntheticSample) -> str:
     witness = s.requested or tuple(p for p, _ in s.planted)
     return canonical_json({
         "id": s.id,
         "source": " ".join(s.source),
         "target": " ".join(s.target),
-        "planted": [{**row(p), "span": list(span)} for p, span in s.planted],
-        "requested": [row(p) for p in s.requested],
+        "planted": [{**pattern_row(p), "span": list(span)} for p, span in s.planted],
+        "requested": [pattern_row(p) for p in s.requested],
         "generator": s.generator_id,
         "n": witness[0].n if witness else None,
     })
