@@ -88,17 +88,20 @@ def __getattr__(name: str):
 
 
 class CliError(CodedError):
-    def __init__(self, code: str, message: str, exit_code: int = 1):
+    """A ``USAGE`` or ``CONFIG`` error: the invocation is at fault, and the CLI exits 2."""
+
+    exit_code = 2
+
+    def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-        self.exit_code = exit_code
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems on the structured error channel."""
 
     def error(self, message: str):
-        raise CliError("USAGE", message, exit_code=2)
+        raise CliError("USAGE", message)
 
 
 def _log(event: str, **fields) -> None:
@@ -269,7 +272,7 @@ def _check(kind: str, dest: str, value, command: str):
     """``value`` as option ``dest`` of ``kind`` holds it; a CONFIG error if it does not fit."""
 
     def fail(message: str):
-        raise CliError("CONFIG", message, 2)
+        raise CliError("CONFIG", message)
 
     if kind in ("path", "output") and not isinstance(value, str):
         fail(f"'{dest}' must be a path string")
@@ -327,15 +330,15 @@ class _Options:
             try:
                 loaded = read_json_file(config_path)
             except FileNotFoundError:
-                raise CliError("CONFIG", f"config file not found: {config_path}", 2)
+                raise CliError("CONFIG", f"config file not found: {config_path}")
             except MalformedLine as exc:
-                raise CliError("CONFIG", f"config file {config_path}: {exc.reason}", 2)
+                raise CliError("CONFIG", f"config file {config_path}: {exc.reason}")
             if not isinstance(loaded, dict):
-                raise CliError("CONFIG", "config file must hold a JSON object", 2)
+                raise CliError("CONFIG", "config file must hold a JSON object")
             # A key of another subcommand is allowed: one config can drive a pipeline.
             for key in loaded:
                 if key not in _OPTIONS:
-                    raise CliError("CONFIG", f"unknown config key {key!r}", 2)
+                    raise CliError("CONFIG", f"unknown config key {key!r}")
             self.config = loaded
             self.claim("config", [config_path])
 
@@ -348,7 +351,7 @@ class _Options:
             value = default
         if value is None:
             if required:
-                raise CliError("CONFIG", f"missing required option '{dest}'", 2)
+                raise CliError("CONFIG", f"missing required option '{dest}'")
             return None
         opt = _OPTIONS[dest]
         kind = opt.kind
@@ -374,7 +377,7 @@ class _Options:
                     except OSError:  # one of them does not exist yet
                         same = os.path.realpath(known) == os.path.realpath(path)
                     if same:
-                        raise CliError("CONFIG", f"'{other}' and '{dest}' name one file: {path}", 2)
+                        raise CliError("CONFIG", f"'{other}' and '{dest}' name one file: {path}")
             self.files.append((dest, path, written))
 
 
@@ -434,7 +437,7 @@ def _cmd_sample(opts: _Options) -> None:
     with _stage(opts, pool=pool_path, count=count) as st:
         pool = restrict_sendable(load_pool(pool_path, n))
         if len(pool) == 0:
-            raise CliError("INVALID_ARGUMENT", "pool has no sendable patterns")
+            raise ValueError("pool has no sendable patterns")
 
         def line(i: int) -> str:
             rng = slot_rng(seed, i)
@@ -470,7 +473,7 @@ def _cmd_synthesize(opts: _Options) -> None:
         try:
             backend = HttpGenerator(fewshot=fewshot)
         except ValueError as exc:
-            raise CliError("CONFIG", str(exc), 2)
+            raise CliError("CONFIG", str(exc))
 
     with closing(backend), _stage(
         opts, pool=pool_path, count=count, backend=backend_name, error_rate=error_rate_
@@ -503,7 +506,7 @@ def _cmd_denoise(opts: _Options) -> None:
         try:
             corrector = HttpCorrector()
         except ValueError as exc:
-            raise CliError("CONFIG", str(exc), 2)
+            raise CliError("CONFIG", str(exc))
 
     samples = iter(samples)
     counts = {"pairs": 0, "matches_target": 0, "matches_source": 0}
@@ -553,7 +556,7 @@ def _resume_point(checkpoint: str, marker: str, samples: Iterator, counts: dict)
         if (first := fh.readline()) != head:
             if not head.startswith(first):
                 message = f"checkpoint {checkpoint} does not mark this run ({marker})"
-                raise CliError("CONFIG", message, 2)
+                raise CliError("CONFIG", message)
             fh.write(head[len(first):])  # the file is empty or holds a cut-off marker line
             return
         sizes = [len(line) for line in fh if line.endswith(b"\n")]
@@ -561,7 +564,7 @@ def _resume_point(checkpoint: str, marker: str, samples: Iterator, counts: dict)
             want, row_id = next(samples, None), row.get("id")
             if want is None or (want.id, " ".join(want.source)) != (row_id, row.get("source")):
                 raise CliError("CONFIG", f"{checkpoint}:{line_no}: id {row_id!r} or its source"
-                               " does not match the input's", 2)
+                               " does not match the input's")
             _tally(counts, row.get("meta"))
         fh.truncate(len(head) + sum(sizes))
 
@@ -573,7 +576,7 @@ def _cmd_mix(opts: _Options) -> None:
     caps = opts.get("sweep")
     plan = load_plan(plan_path)
     if caps is not None and plan.synthetic is None:
-        raise CliError("CONFIG", "ratio sweep needs a plan with a synthetic corpus", 2)
+        raise CliError("CONFIG", "ratio sweep needs a plan with a synthetic corpus")
     opts.claim("real", plan.real)
     opts.claim("synthetic", [plan.synthetic] if plan.synthetic else [])
     root, ext = os.path.splitext(out)
@@ -616,10 +619,10 @@ def _cmd_stats(opts: _Options) -> None:
     pool_path = opts.get("pool")
     ref_path = opts.get("ref_pool")
     if (pool_path is None) == (ref_path is None):
-        raise CliError("CONFIG", "pass exactly one of --pool or --ref-pool", 2)
+        raise CliError("CONFIG", "pass exactly one of --pool or --ref-pool")
     for dest in ("corpus", "top_k", "out", "csv"):  # flags only: one config drives a pipeline
         if pool_path is not None and getattr(opts.args, dest) is not None:
-            raise CliError("CONFIG", f"{_OPTIONS[dest].flag} needs --ref-pool, not --pool", 2)
+            raise CliError("CONFIG", f"{_OPTIONS[dest].flag} needs --ref-pool, not --pool")
     n = opts.get("n", required=True)
     if pool_path is not None:
         with _stage(opts, pool=pool_path) as st:
@@ -659,7 +662,7 @@ def _cmd_score(opts: _Options) -> None:
     gold_path = opts.get("gold", required=True)
     beta = opts.get("beta", 0.5)
     if not beta > 0:
-        raise CliError("CONFIG", "beta must be positive", 2)
+        raise CliError("CONFIG", "beta must be positive")
     out = opts.get("out")
     with _stage(opts, hyp=hyp_path, gold=gold_path) as st:
         report = score(read_pairs(hyp_path), read_m2(gold_path), beta)
@@ -724,7 +727,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise CliError("USAGE", "no subcommand given", 2)
+            raise CliError("USAGE", "no subcommand given")
         _load(args.command)
         _COMMANDS[args.command](_Options(args))
         return 0

@@ -119,6 +119,50 @@ def test_runtime_error_codes(workdir: Path, capsys):
     assert "broken.tsv:1" in events[-1]["message"]
 
 
+_DELETION_POOL = '{"correct": [], "count": 2, "wrong": ["a"]}\n'
+
+
+@pytest.mark.parametrize(
+    "files, argv, rc, code, message",
+    [
+        ({}, ("extract", "--config", "missing.json"), 2, "CONFIG",
+         "config file not found: missing.json"),
+        ({"c.json": "[]"}, ("extract", "--config", "c.json"), 2, "CONFIG",
+         "config file must hold a JSON object"),
+        (
+            {"c.json": '{"backend": "oracle"}', "pool.jsonl": _DELETION_POOL},
+            ("synthesize", "--config", "c.json", "--pool", "pool.jsonl", "--n", "1",
+             "--count", "2", "--seed", "1", "--out", "out.jsonl"),
+            2, "CONFIG", "unknown backend 'oracle'",
+        ),
+        (
+            {"pool.jsonl": _DELETION_POOL},
+            ("sample", "--pool", "pool.jsonl", "--n", "1", "--count", "2", "--seed", "1",
+             "--out", "out.jsonl"),
+            1, "INVALID_ARGUMENT", "pool has no sendable patterns",
+        ),
+        ({"plan.json": "[]"}, ("mix", "--plan", "plan.json", "--out", "out.jsonl"), 1,
+         "SCHEMA", "plan.json:0: plan is not an object"),
+        (
+            {"pool.jsonl": "", "corpus.tsv": SVA_LINE + "\n"},
+            ("stats", "--ref-pool", "pool.jsonl", "--corpus", "corpus.tsv", "--n", "1",
+             "--out", "out.jsonl"),
+            1, "INVALID_ARGUMENT", "reference pool is empty",
+        ),
+    ],
+    ids=["config-missing", "config-array", "config-backend", "sample-unsendable", "plan-array",
+         "stats-empty-ref"],
+)
+def test_an_error_is_one_line_and_its_exit_code(workdir: Path, capsys, files, argv, rc, code,
+                                                message):
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    got, _, events = _run(capsys, *argv)
+    assert (got, events[-1]) == (rc, {"event": "error", "code": code, "message": message})
+    assert [e for e in events if e["event"] == "error"] == [events[-1]]
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(files)
+
+
 def test_invalid_utf8_is_a_malformed_line_at_its_line(workdir: Path, capsys):
     _synthesize_fixture(workdir)
     for name, argv in (

@@ -370,6 +370,27 @@ def test_a_huge_declared_length_is_a_reply_cut_short(framing):
             _read_body(reader, _read_head(reader))
 
 
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 101 + b"\r\n", "more than 100 header lines"),
+        (b"HTTP/2.0 200 OK\r\n\r\n", "unsupported protocol 'HTTP/2.0'"),
+        (b"HTTP/1.1 200 " + b"x" * 65536 + b"\r\n\r\n", "status line longer than 65536 bytes"),
+    ],
+    ids=["headers", "http2", "long-status-line"],
+)
+def test_a_reply_head_past_its_limits_is_a_protocol_error(head, message):
+    with pytest.raises(ProtocolError) as err:
+        _read_head(io.BytesIO(head + b"{}"))
+    assert str(err.value) == message
+
+
+def test_an_empty_endpoint_is_rejected_when_built():
+    with pytest.raises(ValueError) as err:
+        JsonHttpClient("")
+    assert str(err.value) == "endpoint is empty"
+
+
 _WITHOUT_REQUESTS = """
 import sys
 
