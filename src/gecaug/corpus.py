@@ -183,8 +183,9 @@ class GoldEdit(Record):
     point. ``type`` is the annotation scheme's label and is carried
     verbatim. A field that an M2 file could not give back is a ValueError:
     one holding ``|||`` or a line break, or ending in ``|`` (read as part
-    of the separator after it), and the correction ``('-NONE-',)``, M2's
-    deletion marker.
+    of the separator after it), the correction ``('-NONE-',)``, M2's
+    deletion marker, and the type ``noop``, which M2 reads as an annotator
+    with no edits.
     """
 
     _fields = ("start", "end", "type", "correction", "required", "comment")
@@ -207,6 +208,8 @@ class GoldEdit(Record):
                 raise ValueError(f"{name} {text!r} ends in '|', which M2 reads into its separator")
         if correction == (_NONE_FIELD,):
             raise ValueError("correction ('-NONE-',) is M2's deletion marker; a deletion is ()")
+        if type == _NOOP_TYPE:
+            raise ValueError("type 'noop' is M2's mark of an annotator with no edits, not an edit")
         self.__dict__.update(
             start=start, end=end, type=type, correction=correction, required=required,
             comment=comment,

@@ -302,7 +302,9 @@ def write_samples(samples: Iterable[SyntheticSample], path) -> int:
 
 
 def _sample_line(s: SyntheticSample) -> str:
-    witness = s.requested or tuple(p for p, _ in s.planted)
+    widths = {p.n for p in s.requested} | {p.n for p, _ in s.planted}
+    if len(widths) > 1:  # a row records one n, which its reader gives every pattern
+        raise ValueError(f"sample {s.id!r} mixes pattern widths {sorted(widths)}; a row has one n")
     return canonical_json({
         "id": s.id,
         "source": " ".join(s.source),
@@ -310,7 +312,7 @@ def _sample_line(s: SyntheticSample) -> str:
         "planted": [{**pattern_row(p), "span": list(span)} for p, span in s.planted],
         "requested": [pattern_row(p) for p in s.requested],
         "generator": s.generator_id,
-        "n": witness[0].n if witness else None,
+        "n": min(widths, default=None),
     })
 
 

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from gecaug import (
     AnnotatedExample,
+    ErrorPattern,
     GoldEdit,
     MalformedLine,
     ParallelExample,
+    PatternPool,
     SchemaError,
     SpanOutOfBounds,
+    StubGenerator,
+    SyntheticSample,
     apply_gold_edits,
     jsonl_line,
     load_pool,
@@ -23,11 +27,14 @@ from gecaug import (
     read_pairs,
     read_parallel_tsv,
     read_samples,
+    save_pool,
+    synthesize,
     write_jsonl,
     write_m2,
     write_parallel_tsv,
+    write_samples,
 )
-from gecaug.corpus import check_tokens
+from gecaug.corpus import VALID_N, check_tokens
 
 from _oracles import reference_check_tokens, reference_read_m2
 from conftest import random_pair
@@ -178,6 +185,7 @@ def test_apply_gold_edits_right_to_left():
      "comment 'a|||b' holds '|||' or a line break; M2 cannot carry it"),
     ((0, 1, "R:X", ("-NONE-",)),
      "correction ('-NONE-',) is M2's deletion marker; a deletion is ()"),
+    ((0, 1, "noop", ("c",)), "type 'noop' is M2's mark of an annotator with no edits, not an edit"),
 ])
 def test_gold_edit_refuses_what_m2_cannot_carry(args, message):
     with pytest.raises(ValueError) as err:
@@ -510,7 +518,8 @@ def _m2_block(draw) -> tuple[tuple[str, ...], dict[int, list[tuple]]]:
         points = sorted(draw(st.lists(st.integers(0, len(source)), max_size=6)))
         edits[annotator] = [
             (
-                start, end, draw(_M2_FIELD), tuple(draw(st.lists(_M2_TOKEN, max_size=3))),
+                start, end, draw(_M2_FIELD | st.just("noop")),
+                tuple(draw(st.lists(_M2_TOKEN, max_size=3))),
                 draw(_M2_FIELD), draw(_M2_FIELD),
             )
             for start, end in zip(points[::2], points[1::2])
@@ -556,6 +565,67 @@ def test_m2_write_read_round_trip(tmp_path: Path, blocks):
     path = tmp_path / "gold.m2"
     assert write_m2(examples, path) == len(examples)
     assert list(read_m2(path)) == examples
+
+
+@st.composite
+def _pool(draw) -> PatternPool | None:
+    """A pool at a drawn width of the drawn patterns its constructors accept; None if empty."""
+    n = draw(st.sampled_from(VALID_N))
+    side = st.lists(_TOKEN | st.sampled_from("abc"), max_size=3).map(tuple)
+    counts = {}
+    for (wrong, correct), count in draw(
+        st.dictionaries(st.tuples(side, side), st.integers(1, 9), max_size=6)
+    ).items():
+        try:
+            counts[ErrorPattern(wrong, correct, n)] = count
+        except ValueError:  # refused when built
+            pass
+    return PatternPool(counts, n) if counts else None
+
+
+@_ROUND_TRIP
+@given(_pool())
+def test_pool_save_load_round_trip(tmp_path: Path, pool):
+    if pool is None:
+        return
+    path = tmp_path / "pool.jsonl"
+    assert save_pool(pool, path) == len(pool)
+    assert load_pool(path, pool.n) == pool
+
+
+@_ROUND_TRIP
+@given(
+    st.lists(st.tuples(_pool(), st.integers(0, 6), st.integers(0, 99)), min_size=1, max_size=3),
+    st.data(),
+)
+def test_samples_write_read_round_trip(tmp_path: Path, runs, data):
+    samples = []
+    for pool, count, seed in runs:
+        try:
+            if pool is not None:
+                samples += synthesize(pool, count, StubGenerator(seed=seed), base_seed=seed)[0]
+        except ValueError:  # none of the pool's patterns can be sent
+            pass
+    # Some samples take another's requested patterns, which may be of another width.
+    for i, s in enumerate(samples):
+        if data.draw(st.booleans()):
+            other = data.draw(st.sampled_from(samples))
+            samples[i] = SyntheticSample(
+                s.source, s.target, s.planted, other.requested, s.generator_id, s.id
+            )
+    kept = []
+    for s in samples:
+        widths = {p.n for p in s.requested} | {p.n for p, _ in s.planted}
+        try:
+            write_samples([s], tmp_path / "one.jsonl")
+        except ValueError:  # refused when written: a row records one width
+            assert len(widths) > 1
+            continue
+        assert len(widths) <= 1
+        kept.append(s)
+    path = tmp_path / "samples.jsonl"
+    assert write_samples(kept, path) == len(kept)
+    assert list(read_samples(path)) == kept
 
 
 # ASCII and Unicode whitespace, plus zero-width space and BOM, which are not.

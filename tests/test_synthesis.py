@@ -18,6 +18,7 @@ from gecaug import (
     SpanOutOfBounds,
     StubGenerator,
     SynthesisBudgetError,
+    SyntheticSample,
     match_patterns,
     planted_counts,
     read_samples,
@@ -301,6 +302,22 @@ def test_samples_round_trip(tmp_path: Path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_write_samples_refuses_mixed_widths(tmp_path: Path):
+    # A row records one n, which read_samples gives every pattern of the row.
+    wide = ErrorPattern(("x", "y", "b"), ("c", "y", "b"), 3)
+    sample = SyntheticSample(
+        ("x", "b"), ("c", "b"), (), (ErrorPattern(("x",), ("c",), 1), wide), "stub", "7"
+    )
+    with pytest.raises(ValueError) as err:
+        write_samples([sample], tmp_path / "samples.jsonl")
+    assert str(err.value) == "sample '7' mixes pattern widths [1, 3]; a row has one n"
+    planted = SyntheticSample(
+        ("x", "b"), ("c", "b"), ((ErrorPattern(("x",), ("c",), 1), (0, 1)),), (wide,), "stub", "8"
+    )
+    with pytest.raises(ValueError, match="mixes pattern widths"):
+        write_samples([planted], tmp_path / "samples.jsonl")
+
+
 def test_read_samples_rejects_bad_rows(tmp_path: Path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n", encoding="utf-8")
@@ -400,9 +417,13 @@ _GOOD_SAMPLE = {
             ]},
             SchemaError, "planted spans overlap or are unsorted",
         ),
+        (
+            {"planted": [{"wrong": ["x"], "correct": ["c"]}]},
+            SchemaError, "planted entry must carry a span",
+        ),
     ],
     ids=["double-space", "empty-source", "empty-target", "trailing-space", "tab",
-         "overlap", "insertion-inside", "unsorted"],
+         "overlap", "insertion-inside", "unsorted", "no-span"],
 )
 def test_read_samples_checks_tokens_and_spans_at_their_line(tmp_path: Path, fields, error, reason):
     path = tmp_path / "samples.jsonl"
