@@ -90,8 +90,8 @@ def test_https_goes_through_a_connect_tunnel(no_proxy_env):
 @pytest.mark.parametrize(
     "endpoint",
     [
-        "localhost:9/x", "ftp://gecaug.invalid/x", "http:///x", "http://gecaug.invalid:99999/",
-        "http://gecaug .invalid/", "http://gecaug\x00.invalid/",
+        "", "localhost:9/x", "ftp://gecaug.invalid/x", "http:///x",
+        "http://gecaug.invalid:99999/", "http://gecaug .invalid/", "http://gecaug\x00.invalid/",
         "http://us%0D%0Aer:pw@gecaug.invalid/",
     ],
 )
@@ -383,12 +383,6 @@ def test_a_reply_head_past_its_limits_is_a_protocol_error(head, message):
     with pytest.raises(ProtocolError) as err:
         _read_head(io.BytesIO(head + b"{}"))
     assert str(err.value) == message
-
-
-def test_an_empty_endpoint_is_rejected_when_built():
-    with pytest.raises(ValueError) as err:
-        JsonHttpClient("")
-    assert str(err.value) == "endpoint is empty"
 
 
 _WITHOUT_REQUESTS = """
